@@ -12,9 +12,14 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
+import math
 import os
+import secrets
+import types
+import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -57,8 +62,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
-        if any(q <= 0 for q in self.q3max_values):
+        if not all(q > 0 for q in self.q3max_values):
             raise ValueError("q3max_values must all be > 0")
+        # Each q3_max value keys its cells' RNG streams and, through the q3
+        # part of every output file name, their files; neither may be shared.
+        first: dict[tuple[str, Any], float] = {}
+        for q in self.q3max_values:
+            for key in (("RNG stream", _q3_key(q)),
+                        ("file name", policy_filename("", 0, q, 0))):
+                if key in first:
+                    raise ValueError(
+                        f"q3max_values {first[key]!r} and {q!r} map to the "
+                        f"same {key[0]}")
+                first[key] = q
         for d_level, a_level in self.pairings:
             if not (0 <= d_level <= self.k_max and 0 <= a_level <= self.k_max):
                 raise ValueError(
@@ -69,6 +85,10 @@ class ExperimentConfig:
             raise ValueError("horizon must be >= 1")
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if any(s < 0 for s in self.seeds):
+            raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
 
 
 def default_config() -> ExperimentConfig:
@@ -79,38 +99,70 @@ def default_config() -> ExperimentConfig:
 # Config file parsing
 # ---------------------------------------------------------------------------
 
-def _build_from_dict(cls, data: Mapping[str, Any], context: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+def _checked(key: str, value: Any, hint: Any) -> Any:
+    """`value` with JSON lists turned into tuples, or a ValueError naming
+    `key` if it does not match the field type `hint`.  Integers must not be
+    bools; floats must be finite."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        if value is None and type(None) in args:
+            return None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return _checked(key, value, inner)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"'{key}' must be a list, got {value!r}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            raise ValueError(
+                f"'{key}' must have {len(args)} entries, got {value!r}")
+        return tuple(_checked(key, v, h) for v, h in zip(value, args))
+    if hint is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"'{key}' must be an integer, got {value!r}")
+        return value
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or \
+                (isinstance(value, float) and not math.isfinite(value)):
+            raise ValueError(f"'{key}' must be a finite number, got {value!r}")
+        return value
+    raise TypeError(f"no config check for type {hint!r} of '{key}'")
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, Any]:
+    # get_type_hints evaluates every string annotation; cached, since the
+    # three config classes never change and configs are loaded per command.
+    return typing.get_type_hints(cls)
+
+
+def _build_from_dict(cls, data: Any, context: str, **fixed):
+    """`cls` built from one config section, with the fields in `fixed` given
+    by the caller rather than the section."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"'{context}' must be a JSON object, got {data!r}")
+    hints = _field_types(cls)
+    fields = {f.name for f in dataclasses.fields(cls)} - set(fixed)
+    unknown = set(data) - fields
     if unknown:
         raise ValueError(
             f"unknown key(s) in '{context}': {', '.join(sorted(unknown))}")
-    kwargs = {}
-    for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[key] = value
-    return cls(**kwargs)
+    kwargs = {key: _checked(f"{context}.{key}", value, hints[key])
+              for key, value in data.items()}
+    return cls(**kwargs, **fixed)
 
 
-def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
+def config_from_dict(data: Any) -> ExperimentConfig:
+    if not isinstance(data, Mapping):
+        raise ValueError(f"config must be a JSON object, got {data!r}")
     unknown = set(data) - {"grid", "train", "experiment"}
     if unknown:
         raise ValueError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
     grid = _build_from_dict(GridParams, data.get("grid", {}), "grid")
     train = _build_from_dict(TrainConfig, data.get("train", {}), "train")
-    experiment = dict(data.get("experiment", {}))
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"grid", "train"}
-    unknown = set(experiment) - allowed
-    if unknown:
-        raise ValueError(
-            f"unknown key(s) in 'experiment': {', '.join(sorted(unknown))}")
-    kwargs = {}
-    for key, value in experiment.items():
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        kwargs[key] = value
-    return ExperimentConfig(grid=grid, train=train, **kwargs)
+    return _build_from_dict(ExperimentConfig, data.get("experiment", {}),
+                            "experiment", grid=grid, train=train)
 
 
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
@@ -169,9 +221,21 @@ def policy_filename(player: str, level: int, q3_max: float, seed: int) -> str:
 
 
 def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write `text` to a temp file of its own beside `path`, then rename it
+    over `path`; on failure the temp file is removed and `path` untouched.
+
+    The temp file is created exclusively under the process umask, which
+    `tempfile.mkstemp` would override with mode 0600 for every output.
+    """
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(8)}.tmp")
+    handle = open(tmp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def save_policy(path: Path, policy: QPolicy, player: str, level: int,

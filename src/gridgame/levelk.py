@@ -10,7 +10,6 @@ the pre-update network.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
@@ -110,6 +109,9 @@ class TrainConfig:
             raise ValueError("epsilon_end must not exceed epsilon_start")
         if not 0.0 <= self.epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must be in [0, 1]")
+        if any(width < 1 for width in self.hidden_layers):
+            raise ValueError(
+                f"hidden_layers must all be >= 1, got {self.hidden_layers}")
 
 
 @dataclass(frozen=True)
@@ -146,20 +148,21 @@ def semi_batch_update(params: neural.NetworkParams, transitions: list[Transition
     """One averaged TD update for a whole episode.
 
     Every target r + gamma * Q(s', a') (r alone on the terminal transition) is
-    computed against the pre-update network; the per-transition gradients are
+    computed against the pre-update network in one batched forward pass; the
+    per-transition gradients come from one batched `td_gradient` call and are
     averaged and applied in a single step.
     """
     if not transitions:
         return params
-    total = np.zeros(params.to_vector().shape)
-    for tr in transitions:
-        if tr.terminal:
-            target = tr.r
-        else:
-            target = tr.r + gamma * float(neural.forward(params, tr.s_next)[tr.a_next])
-        if not math.isfinite(target):
-            raise TrainingDiverged(f"non-finite TD target {target!r}")
-        total += neural.td_gradient(params, tr.s, tr.a, target)
+    next_q = neural.forward_batch(params, [tr.s_next for tr in transitions])
+    targets = np.array([
+        tr.r if tr.terminal else tr.r + gamma * float(q[tr.a_next])
+        for tr, q in zip(transitions, next_q)])
+    if not np.isfinite(targets).all():
+        bad = targets[~np.isfinite(targets)][0]
+        raise TrainingDiverged(f"non-finite TD target {float(bad)!r}")
+    total = neural.td_gradient(params, np.array([tr.s for tr in transitions]),
+                               [tr.a for tr in transitions], targets)
     return neural.apply_update(params, total / len(transitions), learning_rate)
 
 

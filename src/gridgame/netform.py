@@ -145,7 +145,7 @@ class SemiBayesNet:
             if isinstance(node.kind, Decision) and node.kind.owner not in players:
                 players.append(node.kind.owner)
         self.players: tuple[str, ...] = tuple(players)
-        self._topo_cache: tuple[str, ...] | None = None
+        self._plan: _SlicePlan | None = None
 
     def node(self, name: str) -> NodeSpec:
         return self._by_name[name]
@@ -155,6 +155,18 @@ class SemiBayesNet:
 
     def is_root(self, name: str) -> bool:
         return not self._by_name[name].parents
+
+
+@dataclass(frozen=True)
+class _SlicePlan:
+    """What `sample_slice` reads of a net, resolved once per net: the node
+    names, the root names, and in topological order one step per node of
+    (name, parents, chance kernel or None, decision owner or None, space)."""
+
+    names: frozenset[str]
+    roots: frozenset[str]
+    steps: tuple[tuple[str, tuple[str, ...], Kernel | None, str | None,
+                       VariableSpace], ...]
 
 
 @dataclass(frozen=True)
@@ -269,8 +281,6 @@ def topological_order(net: SemiBayesNet) -> list[str]:
     cyclic.  Nodes whose parents are missing from the net are treated as
     blocked and reported the same way.
     """
-    if net._topo_cache is not None:
-        return list(net._topo_cache)
     placed: set[str] = set()
     order: list[str] = []
     remaining = [node.name for node in net.nodes]
@@ -285,7 +295,6 @@ def topological_order(net: SemiBayesNet) -> list[str]:
         else:
             witness = _cycle_witness(net, remaining, placed)
             raise ValueError(f"cycle detected through node '{witness}'")
-    net._topo_cache = tuple(order)
     return order
 
 
@@ -304,6 +313,27 @@ def _cycle_witness(net: SemiBayesNet, remaining: list[str], placed: set[str]) ->
     return current
 
 
+def _slice_plan(net: SemiBayesNet) -> _SlicePlan:
+    """The net's cached sampling plan, built on first use.
+
+    Raises ValueError like `topological_order` if the net has a cycle.
+    """
+    if net._plan is None:
+        steps = []
+        for name in topological_order(net):
+            node = net.node(name)
+            if isinstance(node.kind, Chance):
+                kernel, owner = node.kind.kernel, None
+            else:
+                kernel, owner = None, node.kind.owner
+            steps.append((name, node.parents, kernel, owner, node.space))
+        net._plan = _SlicePlan(
+            names=frozenset(net._by_name),
+            roots=frozenset(name for name in net._by_name if net.is_root(name)),
+            steps=tuple(steps))
+    return net._plan
+
+
 def sample_slice(net: SemiBayesNet, boundary: Mapping[str, Value],
                  policies: Mapping[str, Policy],
                  rng: np.random.Generator) -> Instantiation:
@@ -311,34 +341,32 @@ def sample_slice(net: SemiBayesNet, boundary: Mapping[str, Value],
 
     Chance nodes are drawn from their kernels, decision nodes from the owning
     player's policy, both on the node's parent values.  Every produced value
-    is checked against the node's space.
+    is checked against the node's space on every call.
     """
+    plan = _slice_plan(net)
     inst: Instantiation = {}
     for name in boundary:
-        if name not in net:
+        if name not in plan.names:
             raise ValueError(f"boundary value for unknown node '{name}'")
-        if not net.is_root(name):
+        if name not in plan.roots:
             raise ValueError(f"boundary value for non-root node '{name}'")
         inst[name] = boundary[name]
-    if net._topo_cache is None:
-        topological_order(net)
-    for name in net._topo_cache:
+    for name, parents, kernel, owner, space in plan.steps:
         if name in inst:
             continue
-        node = net.node(name)
-        parent_values = {p: inst[p] for p in node.parents}
-        if isinstance(node.kind, Chance):
-            value = node.kind.kernel(parent_values, rng)
+        parent_values = {p: inst[p] for p in parents}
+        if kernel is not None:
+            value = kernel(parent_values, rng)
         else:
-            policy = policies.get(node.kind.owner)
+            policy = policies.get(owner)
             if policy is None:
                 raise ValueError(
-                    f"no policy for player '{node.kind.owner}' (node '{name}')")
+                    f"no policy for player '{owner}' (node '{name}')")
             value = policy(parent_values, rng)
-        if not node.space.contains(value):
+        if not space.contains(value):
             raise ValueError(
                 f"value {value!r} for node '{name}' is outside its space "
-                f"{node.space}")
+                f"{space}")
         inst[name] = value
     return inst
 

@@ -2,9 +2,10 @@
 
 One output unit per discrete action, tanh hidden layers, linear output.
 Gradients are computed analytically for the one-sided TD loss
-½·(target − Q(x)[a])² and are verified against finite differences in the
-test suite.  Parameters flatten to a single vector in layer order
-(W0, b0, W1, b1, ...), which is also the gradient layout.
+½·(target − Q(x)[a])², for one input or summed over a batch of inputs, and
+are verified against finite differences in the test suite.  Parameters
+flatten to a single vector in layer order (W0, b0, W1, b1, ...), which is
+also the gradient layout.
 """
 
 from __future__ import annotations
@@ -120,42 +121,68 @@ def forward(params: NetworkParams, x: Sequence[float]) -> np.ndarray:
     return a
 
 
-def _forward_activations(params: NetworkParams, x: Sequence[float]) -> list[np.ndarray]:
-    """Layer inputs [x, h1, ..., h_last] plus the final output, pre-backprop."""
+def forward_batch(params: NetworkParams, xs: Sequence[Sequence[float]]) -> np.ndarray:
+    """Q-values for every action, one row per row of the 2-D batch `xs`.
+
+    Matrix products sum in another order than `forward`'s `w @ x`, so a row
+    may differ from `forward` on that input in the last bits.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:
+        raise ValueError(f"expected a 2-D batch of inputs, got shape {xs.shape}")
+    return _forward_activations(params, xs)[-1]
+
+
+def _forward_activations(params: NetworkParams,
+                         x: Sequence[float] | np.ndarray) -> list[np.ndarray]:
+    """Layer inputs [x, h1, ..., h_last] plus the final output, pre-backprop.
+
+    A 1-D `x` is one input, evaluated with `w @ a` exactly as `forward` does;
+    a 2-D `x` holds one input per row.
+    """
     activations = [np.asarray(x, dtype=float)]
+    single = activations[0].ndim == 1
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = w @ activations[-1] + b
+        a = activations[-1]
+        z = (w @ a if single else a @ w.T) + b
         activations.append(np.tanh(z) if i != last else z)
     return activations
 
 
-def td_gradient(params: NetworkParams, x: Sequence[float], action_index: int,
-                target: float) -> np.ndarray:
+def td_gradient(params: NetworkParams, x: Sequence[float] | np.ndarray,
+                action_index: int | Sequence[int],
+                target: float | Sequence[float]) -> np.ndarray:
     """Gradient of ½·(target − Q(x)[action_index])² w.r.t. the flat vector.
 
-    The target is treated as a constant.
+    The target is treated as a constant.  With a 2-D `x` (one input per row),
+    `action_index` and `target` hold one entry per row, and the result is the
+    sum of the per-row gradients, from one batched forward pass and backprop.
     """
     activations = _forward_activations(params, x)
+    if activations[0].ndim == 1:
+        activations = [a[np.newaxis] for a in activations]
     output = activations[-1]
-    if not 0 <= action_index < output.shape[0]:
-        raise ValueError(f"action index {action_index} out of range")
-    # delta over output layer: residual only on the trained action's unit.
+    rows = np.arange(output.shape[0])
+    actions = np.asarray(action_index).reshape(-1)
+    targets = np.asarray(target, dtype=float).reshape(-1)
+    if actions.shape != rows.shape or targets.shape != rows.shape:
+        raise ValueError(f"need one action and one target per input row, got "
+                         f"{actions.size} and {targets.size} for {rows.size}")
+    out_of_range = (actions < 0) | (actions >= output.shape[1])
+    if out_of_range.any():
+        raise ValueError(f"action index {actions[out_of_range][0]} out of range")
+    # delta over output layer: residual only on each row's trained action unit.
     delta = np.zeros_like(output)
-    delta[action_index] = output[action_index] - float(target)
-    grads_w: list[np.ndarray] = [None] * params.n_layers
-    grads_b: list[np.ndarray] = [None] * params.n_layers
+    delta[rows, actions] = output[rows, actions] - targets
+    parts: list[np.ndarray] = []
     for i in range(params.n_layers - 1, -1, -1):
-        grads_w[i] = np.outer(delta, activations[i])
-        grads_b[i] = delta
+        parts.append(delta.sum(axis=0))
+        parts.append((delta.T @ activations[i]).ravel())
         if i > 0:
-            back = params.weights[i].T @ delta
+            back = delta @ params.weights[i]
             delta = back * (1.0 - activations[i] ** 2)  # tanh'
-    parts = []
-    for gw, gb in zip(grads_w, grads_b):
-        parts.append(gw.ravel())
-        parts.append(gb)
-    return np.concatenate(parts)
+    return np.concatenate(parts[::-1])
 
 
 def apply_update(params: NetworkParams, gradient: np.ndarray,

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
                                  default_config, load_policy,
                                  player_train_configs, policy_filename,
                                  resolve_policy, run_eval, run_sweep, run_trace,
-                                 run_train, save_policy)
+                                 run_train, save_policy, write_csv)
 from gridgame.levelk import QPolicy, TrainConfig
 from gridgame.neural import NetworkSpec
 from gridgame.scenario import (ATTACKER, DEFENDER, GridParams,
@@ -80,6 +82,32 @@ def test_config_rejects_nonpositive_sweep_values():
         config_from_dict({"experiment": {"q3max_values": [0.0]}})
 
 
+@pytest.mark.parametrize("data, key", [
+    ({"train": {"episodes": "5"}}, "train.episodes"),
+    ({"experiment": {"horizon": True}}, "experiment.horizon"),
+    ({"grid": {"q3_max": float("nan")}}, "grid.q3_max"),
+    ({"train": {"learning_rate": float("inf")}}, "train.learning_rate"),
+    ({"experiment": {"q3max_values": [0.7, float("nan")]}},
+     "experiment.q3max_values"),
+    ({"experiment": {"pairings": [[0, 0, 0]]}}, "experiment.pairings"),
+    ({"grid": {"p2_range": 1.4}}, "grid.p2_range"),
+])
+def test_ill_typed_config_value_rejected_naming_its_key(data, key):
+    with pytest.raises(ValueError, match=key.replace(".", r"\.")):
+        config_from_dict(data)
+
+
+@pytest.mark.parametrize("experiment", [
+    {"q3max_values": [1.0000001, 1.0000002]},  # same RNG stream and file name
+    {"q3max_values": [1234567.0, 1234568.0]},  # same file name only
+    {"q3max_values": [0.7, 0.7]},
+    {"seeds": [1, 2, 1]},
+])
+def test_colliding_config_values_rejected(experiment):
+    with pytest.raises(ValueError, match="q3max_values|seeds"):
+        config_from_dict({"experiment": experiment})
+
+
 def test_config_overrides_apply():
     config = config_from_dict({
         "grid": {"memory_window": 3, "p2_range": [1.0, 1.1]},
@@ -142,6 +170,33 @@ def test_resolve_missing_trained_policy_raises(tmp_path):
     config = tiny_config()
     with pytest.raises(FileNotFoundError, match="level 1"):
         resolve_policy(config, tmp_path, DEFENDER, 1, 0.7, 1)
+
+
+def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
+    path = tmp_path / "sweep.csv"
+    write_csv(path, ("a",), [(1.5,)])
+    before = path.read_bytes()
+    with pytest.raises(UnicodeEncodeError):
+        write_csv(path, ("a",), [("\ud800",)])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
+
+def test_writers_of_one_target_use_distinct_temp_files(tmp_path, monkeypatch):
+    real_replace = os.replace
+    sources = []
+
+    def recording_replace(src, dst):
+        sources.append(Path(src))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    path = tmp_path / "sweep.csv"
+    write_csv(path, ("a",), [(1,)])
+    write_csv(path, ("a",), [(2,)])
+    assert len(set(sources)) == 2
+    assert all(src.parent == tmp_path for src in sources)
+    assert path.read_text() == "a\n2\n"
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +379,26 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     code = main(["sweep", "--config", str(config_path), "--out", str(out)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("train", "episodes", "5"),
+    ("experiment", "horizon", True),
+    ("experiment", "q3max_values", [float("nan")]),
+    ("train", "learning_rate", float("inf")),
+    ("experiment", "seeds", [1, 1]),
+    ("experiment", "seeds", [1, -1]),  # not only once seed 1 has trained
+    ("train", "hidden_layers", [0]),
+])
+def test_cli_bad_config_value_exits_with_error_line(tmp_path, capsys, section,
+                                                    key, value):
+    config_path = write_config(tmp_path, {section: {key: value}})
+    code = main(["train", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_file(tmp_path, capsys):

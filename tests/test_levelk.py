@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gridgame import levelk
+from gridgame import levelk, neural
 from gridgame.levelk import (FeatureEncoder, QPolicy, TrainConfig,
                              Transition, build_hierarchy, epsilon_schedule,
                              episode_transitions, evaluate, select_action,
@@ -131,6 +135,52 @@ def test_semi_batch_targets_use_pre_update_network():
     updated_pair = semi_batch_update(params, [tr, tr], 0.8, 0.1)
     updated_single = semi_batch_update(params, [tr], 0.8, 0.1)
     assert updated_pair.equals(updated_single)
+
+
+def loop_semi_batch_update(params, transitions, gamma, learning_rate):
+    """Per-transition reference for `semi_batch_update`: one forward and one
+    single-input `td_gradient` call per transition, summed in order."""
+    if not transitions:
+        return params
+    total = np.zeros(params.to_vector().shape)
+    for tr in transitions:
+        if tr.terminal:
+            target = tr.r
+        else:
+            target = tr.r + gamma * float(neural.forward(params, tr.s_next)[tr.a_next])
+        if not math.isfinite(target):
+            raise levelk.TrainingDiverged(f"non-finite TD target {target!r}")
+        total += neural.td_gradient(params, tr.s, tr.a, target)
+    return neural.apply_update(params, total / len(transitions), learning_rate)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40),
+       hidden=st.lists(st.integers(1, 8), max_size=3),
+       gamma=st.floats(0.0, 0.99), learning_rate=st.floats(1e-3, 1.0))
+@example(seed=7, steps=5, hidden=[], gamma=0.9, learning_rate=0.1)
+def test_semi_batch_matches_per_transition_loop(seed, steps, hidden, gamma,
+                                                learning_rate):
+    rng = np.random.default_rng(seed)
+    spec = NetworkSpec(int(rng.integers(1, 6)), tuple(hidden),
+                       int(rng.integers(1, 5)))
+    params = neural.init(spec, 0.8, float(rng.normal()), rng)
+    transitions = [
+        Transition(rng.normal(size=spec.input_dim),
+                   int(rng.integers(spec.output_dim)), float(rng.normal()),
+                   rng.normal(size=spec.input_dim),
+                   int(rng.integers(spec.output_dim)), bool(rng.integers(2)))
+        for _ in range(steps)]
+    batched = semi_batch_update(params, transitions, gamma, learning_rate)
+    looped = loop_semi_batch_update(params, transitions, gamma, learning_rate)
+    assert np.abs(batched.to_vector() - looped.to_vector()).max() <= 1e-12
+    # Targets come from the pre-update network, so repeating a transition
+    # leaves the averaged step as it is (bit for bit only where, as in
+    # test_semi_batch_targets_use_pre_update_network, no sum is reordered).
+    tr = transitions[0]
+    twice = semi_batch_update(params, [tr, tr], gamma, learning_rate)
+    once = semi_batch_update(params, [tr], gamma, learning_rate)
+    assert np.abs(twice.to_vector() - once.to_vector()).max() <= 1e-12
 
 
 def test_non_finite_target_raises():

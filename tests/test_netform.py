@@ -229,6 +229,31 @@ def test_boundary_for_non_root_raises():
         sample_slice(net, {"B": 0.5}, {}, np.random.default_rng(0))
 
 
+def test_checks_still_run_once_the_plan_is_cached():
+    a_value = {"A": 0.25}
+    net = SemiBayesNet([
+        chance("A", BoundedReal(0, 1), lambda parents, rng: a_value["A"]),
+        chance("B", BoundedReal(0, 1), copy_parent_kernel("A"), parents=("A",)),
+        decision("D", FiniteDiscrete(2), "p1", parents=("B",)),
+    ])
+    policies = {"p1": lambda parents, rng: 1}
+    rng = np.random.default_rng(0)
+    assert sample_slice(net, {}, policies, rng) == {"A": 0.25, "B": 0.25, "D": 1}
+    assert net._plan is not None
+    for boundary, players, message in [
+            ({"Z": 0.5}, policies, "unknown node 'Z'"),
+            ({"B": 0.5}, policies, "non-root node 'B'"),
+            ({}, {}, "no policy for player 'p1'"),
+            ({}, {"p1": lambda parents, rng: 2}, "value 2 for node 'D'")]:
+        with pytest.raises(ValueError, match=message):
+            sample_slice(net, boundary, players, rng)
+    a_value["A"] = 7.0
+    with pytest.raises(ValueError, match="value 7.0 for node 'A'"):
+        sample_slice(net, {}, policies, rng)
+    with pytest.raises(ValueError, match="value 7.0 for node 'B'"):
+        sample_slice(net, {"A": 7.0}, policies, rng)
+
+
 def test_unfilled_glued_root_raises():
     net = SemiBayesNet([chance("R", BoundedReal(0, 1), boundary_kernel("R"))])
     with pytest.raises(ValueError, match="missing boundary value"):

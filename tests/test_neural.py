@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gridgame.neural import (NetworkParams, NetworkSpec, apply_update, forward,
-                             init, load_network, network_from_dict,
-                             network_to_dict, save_network, td_gradient)
+                             forward_batch, init, load_network,
+                             network_from_dict, network_to_dict, save_network,
+                             td_gradient)
 
 
 def finite_difference_gradient(params, x, action, target, step=1e-5):
@@ -147,6 +150,39 @@ def test_bad_action_index_rejected():
     params = init(spec, 0.0, 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
         td_gradient(params, [0.0, 0.0], 3, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30),
+       hidden=st.lists(st.integers(1, 8), max_size=3))
+@example(seed=7, rows=5, hidden=[])
+def test_batched_gradient_is_sum_of_single_row_gradients(seed, rows, hidden):
+    rng = np.random.default_rng(seed)
+    spec = NetworkSpec(int(rng.integers(1, 6)), tuple(hidden),
+                       int(rng.integers(1, 5)))
+    params = init(spec, 0.8, float(rng.normal()), rng)
+    xs = rng.normal(size=(rows, spec.input_dim))
+    actions = rng.integers(spec.output_dim, size=rows)
+    targets = rng.normal(size=rows)
+    batched = td_gradient(params, xs, actions, targets)
+    looped = sum(td_gradient(params, x, int(a), float(t))
+                 for x, a, t in zip(xs, actions, targets))
+    assert batched.shape == (spec.n_params,)
+    assert np.abs(batched - looped).max() <= 1e-12
+    q_rows = np.array([forward(params, x) for x in xs])
+    assert np.abs(forward_batch(params, xs) - q_rows).max() <= 1e-12
+
+
+def test_batched_gradient_needs_one_action_and_target_per_row():
+    spec = NetworkSpec(2, (3,), 3)
+    params = init(spec, 0.5, 0.0, np.random.default_rng(0))
+    xs = np.zeros((2, 2))
+    with pytest.raises(ValueError, match="one action and one target"):
+        td_gradient(params, xs, [0], [1.0, 1.0])
+    with pytest.raises(ValueError, match="one action and one target"):
+        td_gradient(params, xs, [0, 1], [1.0])
+    with pytest.raises(ValueError, match="action index 3"):
+        td_gradient(params, xs, [0, 3], [1.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
