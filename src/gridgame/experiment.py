@@ -161,13 +161,27 @@ def config_from_dict(data: Any) -> ExperimentConfig:
         raise ValueError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
     grid = _build_from_dict(GridParams, data.get("grid", {}), "grid")
     train = _build_from_dict(TrainConfig, data.get("train", {}), "train")
+    if train.seed is not None:
+        raise ValueError("'train.seed' is not read by training; set the run "
+                         "seeds in 'experiment.seeds'")
     return _build_from_dict(ExperimentConfig, data.get("experiment", {}),
                             "experiment", grid=grid, train=train)
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's members as a dict; a repeated key is an error rather
+    than the last value silently winning."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"duplicate key '{key}' in config")
+        data[key] = value
+    return data
+
+
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as handle:
-        return config_from_dict(json.load(handle))
+        return config_from_dict(json.load(handle, object_pairs_hook=_unique_keys))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

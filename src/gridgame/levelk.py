@@ -78,8 +78,9 @@ class QPolicy:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SARSA hyperparameters.  `horizon=None` trains on the game's own horizon;
-    `seed` is bookkeeping for manifests, not consumed here."""
+    """SARSA hyperparameters.  `horizon=None` trains on the game's own horizon.
+    `seed` is read by nothing (training streams are seeded by the caller's
+    rng); it stays so that stored `train_config` records keep their keys."""
 
     episodes: int = 3000
     horizon: int | None = None
@@ -140,7 +141,7 @@ def select_action(policy: QPolicy, features: np.ndarray,
     1 - epsilon, otherwise uniform over all actions."""
     if policy.epsilon > 0.0 and rng.random() < policy.epsilon:
         return int(rng.integers(policy.action_count))
-    return int(np.argmax(policy.q_values(features)))
+    return int(policy.q_values(features).argmax())
 
 
 def semi_batch_update(params: neural.NetworkParams, transitions: list[Transition],

@@ -111,13 +111,19 @@ def init(spec: NetworkSpec, scale: float, output_bias: float,
 
 
 def forward(params: NetworkParams, x: Sequence[float]) -> np.ndarray:
-    """Q-values for every action: tanh hidden layers, linear output."""
+    """Q-values for every action: tanh hidden layers, linear output.
+
+    Each layer's `w @ a` is a new array, so the bias add and tanh run in place
+    on it without touching `x`; the float operations are those of
+    `tanh(w @ a + b)`.
+    """
     a = np.asarray(x, dtype=float)
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = w @ a + b
+        a = w @ a
+        a += b
         if i != last:
-            a = np.tanh(a)
+            np.tanh(a, out=a)
     return a
 
 

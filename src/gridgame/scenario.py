@@ -100,8 +100,7 @@ class PowerFlow(NamedTuple):
     V3: float
 
 
-@dataclass(frozen=True)
-class GridState:
+class GridState(NamedTuple):
     """One time slice of the circuit: injections, substation voltage, and the
     flows/voltages they determine."""
 
@@ -132,9 +131,7 @@ def power_flow(p2: float, q2: float, p3: float, q3: float, v1: float,
 
 def make_state(p2: float, q2: float, p3: float, q3: float, v1: float,
                params: GridParams) -> GridState:
-    flow = power_flow(p2, q2, p3, q3, v1, params)
-    return GridState(p2, q2, p3, q3, v1,
-                     flow.P2, flow.Q2, flow.P1, flow.Q1, flow.V2, flow.V3)
+    return GridState(p2, q2, p3, q3, v1, *power_flow(p2, q2, p3, q3, v1, params))
 
 
 # ---------------------------------------------------------------------------
@@ -254,10 +251,10 @@ def _attacker_term(v3_prev: float, v3_now: float, q3_prev: float, q3_now: float,
     return _sign(math.floor(residual / params.tap_step))
 
 
-@dataclass(frozen=True)
-class DefenderMemory:
+class DefenderMemory(NamedTuple):
     """Observation (V1, V2, V3, P1, Q1), metric, previous action, and the
-    rolling window state needed to advance the metric."""
+    window terms needed to advance the metric.  The next step's terms compare
+    its observation with this one's v1 and v3."""
 
     v1: float
     v2: float
@@ -266,15 +263,12 @@ class DefenderMemory:
     q1: float
     metric: float
     prev_action: int
-    prev_v1: float
-    prev_v3: float
     terms: tuple[float, ...]
 
 
-@dataclass(frozen=True)
-class AttackerMemory:
-    """Observation (V2, V3, p3, q3), metric, previous action, and rolling
-    window state."""
+class AttackerMemory(NamedTuple):
+    """Observation (V2, V3, p3, q3), metric, previous action, and window
+    terms; the next step's terms compare against this one's v3 and q3."""
 
     v2: float
     v3: float
@@ -282,8 +276,6 @@ class AttackerMemory:
     q3: float
     metric: int
     prev_action: int
-    prev_v3: float
-    prev_q3: float
     terms: tuple[float, ...]
 
 
@@ -292,7 +284,6 @@ def initial_defender_memory(obs: tuple[float, ...],
     v1, v2, v3, p1, q1 = obs
     return DefenderMemory(v1, v2, v3, p1, q1,
                           metric=0.0, prev_action=params.defender_start_action,
-                          prev_v1=v1, prev_v3=v3,
                           terms=(0.0,) * (params.memory_window + 1))
 
 
@@ -301,28 +292,24 @@ def initial_attacker_memory(obs: tuple[float, ...],
     v2, v3, p3, q3 = obs
     return AttackerMemory(v2, v3, p3, q3,
                           metric=0, prev_action=params.attacker_start_action,
-                          prev_v3=v3, prev_q3=q3,
                           terms=(0.0,) * (params.memory_window + 1))
 
 
 def step_defender_memory(mem: DefenderMemory, obs: tuple[float, ...], action: int,
                          params: GridParams) -> DefenderMemory:
     v1, v2, v3, p1, q1 = obs
-    term = _defender_term(mem.prev_v1, v1, mem.prev_v3, v3)
+    term = _defender_term(mem.v1, v1, mem.v3, v3)
     terms = mem.terms[1:] + (term,)
-    return DefenderMemory(v1, v2, v3, p1, q1,
-                          metric=sum(terms) / (params.memory_window + 1),
-                          prev_action=action, prev_v1=v1, prev_v3=v3, terms=terms)
+    return DefenderMemory(v1, v2, v3, p1, q1, sum(terms) / (params.memory_window + 1),
+                          action, terms)
 
 
 def step_attacker_memory(mem: AttackerMemory, obs: tuple[float, ...], action: int,
                          params: GridParams) -> AttackerMemory:
     v2, v3, p3, q3 = obs
-    term = _attacker_term(mem.prev_v3, v3, mem.prev_q3, q3, params)
+    term = _attacker_term(mem.v3, v3, mem.q3, q3, params)
     terms = mem.terms[1:] + (term,)
-    return AttackerMemory(v2, v3, p3, q3,
-                          metric=int(sum(terms)), prev_action=action,
-                          prev_v3=v3, prev_q3=q3, terms=terms)
+    return AttackerMemory(v2, v3, p3, q3, int(sum(terms)), action, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -411,45 +398,43 @@ def transition(state: GridState, memories: tuple[DefenderMemory, AttackerMemory]
 # Vector codecs (node values in the net encoding are flat tuples)
 # ---------------------------------------------------------------------------
 
-STATE_DIM = 11
-_STATE_FIELDS = ("p2", "q2", "p3", "q3", "V1", "P2", "Q2", "P1", "Q1", "V2", "V3")
+STATE_DIM = len(GridState._fields)
 
 
 def state_to_vec(state: GridState) -> tuple[float, ...]:
-    return (state.p2, state.q2, state.p3, state.q3, state.V1,
-            state.P2, state.Q2, state.P1, state.Q1, state.V2, state.V3)
+    return tuple(state)
 
 
 def state_from_vec(vec) -> GridState:
-    return GridState(*vec)
+    return GridState._make(vec)
 
 
 def defender_memory_dim(params: GridParams) -> int:
-    return 9 + params.memory_window + 1
+    return 7 + params.memory_window + 1
 
 
 def attacker_memory_dim(params: GridParams) -> int:
-    return 8 + params.memory_window + 1
+    return 6 + params.memory_window + 1
 
 
 def defender_memory_to_vec(mem: DefenderMemory) -> tuple[float, ...]:
     return (mem.v1, mem.v2, mem.v3, mem.p1, mem.q1, mem.metric,
-            float(mem.prev_action), mem.prev_v1, mem.prev_v3) + mem.terms
+            float(mem.prev_action)) + mem.terms
 
 
 def defender_memory_from_vec(vec) -> DefenderMemory:
     return DefenderMemory(vec[0], vec[1], vec[2], vec[3], vec[4], vec[5],
-                          int(vec[6]), vec[7], vec[8], tuple(vec[9:]))
+                          int(vec[6]), tuple(vec[7:]))
 
 
 def attacker_memory_to_vec(mem: AttackerMemory) -> tuple[float, ...]:
     return (mem.v2, mem.v3, mem.p3, mem.q3, float(mem.metric),
-            float(mem.prev_action), mem.prev_v3, mem.prev_q3) + mem.terms
+            float(mem.prev_action)) + mem.terms
 
 
 def attacker_memory_from_vec(vec) -> AttackerMemory:
     return AttackerMemory(vec[0], vec[1], vec[2], vec[3], int(vec[4]),
-                          int(vec[5]), vec[6], vec[7], tuple(vec[8:]))
+                          int(vec[5]), tuple(vec[6:]))
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +545,8 @@ ATTACKER_MEMORY_NODE = "attacker_memory"
 DEFENDER_ACTION_NODE = "defender_action"
 ATTACKER_ACTION_NODE = "attacker_action"
 
-V2_INDEX = _STATE_FIELDS.index("V2")
-V3_INDEX = _STATE_FIELDS.index("V3")
+V2_INDEX = GridState._fields.index("V2")
+V3_INDEX = GridState._fields.index("V3")
 
 
 def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGame:

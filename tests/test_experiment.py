@@ -9,7 +9,7 @@ import pytest
 from gridgame.cli import main
 from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
                                  config_from_dict, config_to_dict,
-                                 default_config, load_policy,
+                                 default_config, load_config, load_policy,
                                  player_train_configs, policy_filename,
                                  resolve_policy, run_eval, run_sweep, run_trace,
                                  run_train, save_policy, write_csv)
@@ -106,6 +106,23 @@ def test_ill_typed_config_value_rejected_naming_its_key(data, key):
 def test_colliding_config_values_rejected(experiment):
     with pytest.raises(ValueError, match="q3max_values|seeds"):
         config_from_dict({"experiment": experiment})
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"train": {"episodes": 5, "episodes": 10}}', "episodes"),
+    ('{"grid": {}, "grid": {"q3_max": 0.7}}', "grid"),
+])
+def test_duplicate_config_key_rejected(tmp_path, text, key):
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"duplicate key '{key}'"):
+        load_config(path)
+
+
+def test_train_seed_refused_pointing_to_experiment_seeds():
+    with pytest.raises(ValueError, match=r"train\.seed.*experiment\.seeds"):
+        config_from_dict({"train": {"seed": 99}})
+    assert config_from_dict({"train": {"seed": None}}).train.seed is None
 
 
 def test_config_overrides_apply():
@@ -389,6 +406,7 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     ("experiment", "seeds", [1, 1]),
     ("experiment", "seeds", [1, -1]),  # not only once seed 1 has trained
     ("train", "hidden_layers", [0]),
+    ("train", "seed", 99),
 ])
 def test_cli_bad_config_value_exits_with_error_line(tmp_path, capsys, section,
                                                     key, value):
@@ -398,6 +416,17 @@ def test_cli_bad_config_value_exits_with_error_line(tmp_path, capsys, section,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_duplicate_config_key_exits_with_error_line(tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"experiment": {"k_max": 1, "k_max": 2}}')
+    code = main(["train", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "duplicate key 'k_max'" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -89,17 +89,41 @@ def test_forward_zero_weights_returns_bias():
     assert np.array_equal(forward(params, [9.0, 9.0, 9.0]), [1.5, -2.5])
 
 
+def reference_forward(params, x):
+    """The plain per-layer loop `forward` must reproduce bit for bit."""
+    a = np.asarray(x, dtype=float)
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        a = w @ a + b
+        if i < params.n_layers - 1:
+            a = np.tanh(a)
+    return a
+
+
 def test_forward_matches_independent_arithmetic():
     rng = np.random.default_rng(42)
     spec, params = random_network(rng)
     x = rng.normal(size=spec.input_dim)
-    # re-evaluate the same arithmetic without the library helper
-    a = x
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = w @ a + b
-        if i < len(params.weights) - 1:
-            a = np.tanh(a)
-    assert np.allclose(forward(params, x), a, rtol=0, atol=0)
+    assert np.allclose(forward(params, x), reference_forward(params, x),
+                       rtol=0, atol=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       hidden=st.lists(st.integers(1, 16), max_size=3), as_list=st.booleans())
+@example(seed=3, hidden=[], as_list=False)
+@example(seed=4, hidden=[], as_list=True)
+def test_forward_is_bitwise_reference_loop_and_leaves_input(seed, hidden, as_list):
+    rng = np.random.default_rng(seed)
+    spec = NetworkSpec(int(rng.integers(1, 9)), tuple(hidden),
+                       int(rng.integers(1, 12)))
+    params = init(spec, 1.0, float(rng.normal()), rng)
+    x = rng.normal(size=spec.input_dim) * 3
+    x_in = x.tolist() if as_list else x.copy()
+    before = params.to_vector()
+    out = forward(params, x_in)
+    assert out.tobytes() == reference_forward(params, x).tobytes()
+    assert np.asarray(x_in).tobytes() == x.tobytes() and out is not x_in
+    assert params.to_vector().tobytes() == before.tobytes()
 
 
 def test_forward_finite_for_finite_inputs():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from gridgame import netform, scenario
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
-                               DEFENDER, GridParams,
+                               DEFENDER, GridParams, GridState,
                                apply_defender_action, as_netform,
                                attacker_levels, attacker_memory_from_vec,
                                attacker_memory_metric, attacker_memory_to_vec,
@@ -405,15 +405,30 @@ def test_memory_vector_round_trips():
     assert attacker_memory_from_vec(attacker_memory_to_vec(a_mem)) == a_mem
 
 
+def test_records_refuse_attribute_assignment():
+    state = make_state(1.45, 0.725, 1.0, 0.28, 1.02, P)
+    d_mem = initial_defender_memory(defender_observation(state), P)
+    a_mem = initial_attacker_memory(attacker_observation(state), P)
+    for record, field in ((state, "V1"), (d_mem, "v1"), (a_mem, "q3")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)
+        assert hash(record) == hash(tuple(record))
+
+
+def test_reward_indices_name_their_state_fields():
+    assert GridState._fields[scenario.V2_INDEX] == "V2"
+    assert GridState._fields[scenario.V3_INDEX] == "V3"
+    assert len(GridState._fields) == scenario.STATE_DIM
+
+
 def test_feature_normalization_anchors():
-    import dataclasses
     mem = initial_defender_memory((1.0, 1.0, 1.0, 0.4, 0.7), P)
     feats = encode_defender_features(mem, P)
     assert feats[0] == 0.0  # V1 = 1.0 maps to the affine center
     mem_high = initial_defender_memory((1.10, 1.0, 1.0, 0.4, 0.7), P)
     assert encode_defender_features(mem_high, P)[0] == pytest.approx(1.0)
     a_mem = initial_attacker_memory((1.0, 1.0, 1.0, 0.0), P)
-    max_metric = dataclasses.replace(a_mem, metric=P.memory_window + 1)
+    max_metric = a_mem._replace(metric=P.memory_window + 1)
     assert encode_attacker_features(max_metric, P)[4] == pytest.approx(1.0)
 
 
