@@ -22,7 +22,7 @@ import types
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,9 +36,6 @@ from .scenario import (ATTACKER, DEFENDER, GridParams, as_netform,
 MANIFEST_VERSION = 1
 POLICY_FORMAT_VERSION = 1
 
-SWEEP_COLUMNS = ("q3_max", "defender_level", "attacker_level", "seed",
-                 "defender_avg_reward_per_step", "attacker_avg_reward_per_step",
-                 "eval_episodes", "horizon")
 TRACE_COLUMNS = ("t", "V1", "V2", "V3", "p2", "q2", "q3", "P1", "Q1",
                  "R_D", "R_A", "metric_D", "metric_A")
 
@@ -160,7 +157,12 @@ def config_from_dict(data: Any) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
     grid = _build_from_dict(GridParams, data.get("grid", {}), "grid")
-    train = _build_from_dict(TrainConfig, data.get("train", {}), "train")
+    train_data = data.get("train", {})
+    if isinstance(train_data, Mapping) and "optimistic_bias" in train_data:
+        raise ValueError("'train.optimistic_bias' is set per player; use "
+                         "'experiment.defender_optimistic_bias' and "
+                         "'experiment.attacker_optimistic_bias'")
+    train = _build_from_dict(TrainConfig, train_data, "train")
     if train.seed is not None:
         raise ValueError("'train.seed' is not read by training; set the run "
                          "seeds in 'experiment.seeds'")
@@ -191,6 +193,7 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     train = data.pop("train")
     grid["p2_range"] = list(grid["p2_range"])
     train["hidden_layers"] = list(train["hidden_layers"])
+    del train["optimistic_bias"]  # set per player, not a 'train' key
     data["q3max_values"] = list(data["q3max_values"])
     data["pairings"] = [list(p) for p in data["pairings"]]
     data["seeds"] = list(data["seeds"])
@@ -325,8 +328,7 @@ def write_csv(path: Path, columns: Sequence[str],
 # Commands
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     q3_max: float
     defender_level: int
     attacker_level: int
@@ -336,11 +338,8 @@ class SweepRecord:
     eval_episodes: int
     horizon: int
 
-    def row(self) -> tuple:
-        return (self.q3_max, self.defender_level, self.attacker_level, self.seed,
-                self.defender_avg_reward_per_step,
-                self.attacker_avg_reward_per_step,
-                self.eval_episodes, self.horizon)
+
+SWEEP_COLUMNS = SweepRecord._fields
 
 
 def _selected(values: Sequence, chosen) -> list:
@@ -418,7 +417,7 @@ def run_sweep(config: ExperimentConfig, out_dir: Path,
                     report.mean_reward_per_step[DEFENDER],
                     report.mean_reward_per_step[ATTACKER],
                     config.eval_episodes, config.horizon))
-    write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, [r.row() for r in records])
+    write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, records)
     return records
 
 

@@ -78,7 +78,17 @@ class RealVector:
             return False
 
 
-VariableSpace = FiniteDiscrete | BoundedReal | RealVector
+@dataclass(frozen=True)
+class Record:
+    """Instances of one record type, such as a `typing.NamedTuple`."""
+
+    type: type
+
+    def contains(self, value: Value) -> bool:
+        return isinstance(value, self.type)
+
+
+VariableSpace = FiniteDiscrete | BoundedReal | RealVector | Record
 
 
 # ---------------------------------------------------------------------------

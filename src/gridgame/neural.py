@@ -10,8 +10,6 @@ also the gradient layout.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -236,13 +234,3 @@ def network_from_dict(data: dict) -> tuple[NetworkSpec, NetworkParams]:
         raise ValueError("stored weight shapes do not match the stored spec")
     return spec, params
 
-
-def save_network(path: str | os.PathLike, spec: NetworkSpec,
-                 params: NetworkParams) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(network_to_dict(spec, params), handle, sort_keys=True)
-
-
-def load_network(path: str | os.PathLike) -> tuple[NetworkSpec, NetworkParams]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return network_from_dict(json.load(handle))

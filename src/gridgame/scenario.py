@@ -32,8 +32,8 @@ import numpy as np
 from . import netform
 from .levelk import FeatureEncoder, PriorPolicy
 from .netform import (FiniteDiscrete, GlueBinding, IteratedGame, RealVector,
-                      SemiBayesNet, boundary_kernel, chance, constant_kernel,
-                      decision)
+                      Record, SemiBayesNet, boundary_kernel, chance,
+                      constant_kernel, decision)
 
 DEFENDER = "defender"
 ATTACKER = "attacker"
@@ -91,15 +91,6 @@ class GridParams:
             raise ValueError("attacker_start_action out of range")
 
 
-class PowerFlow(NamedTuple):
-    P2: float
-    Q2: float
-    P1: float
-    Q1: float
-    V2: float
-    V3: float
-
-
 class GridState(NamedTuple):
     """One time slice of the circuit: injections, substation voltage, and the
     flows/voltages they determine."""
@@ -118,20 +109,16 @@ class GridState(NamedTuple):
 
 
 def power_flow(p2: float, q2: float, p3: float, q3: float, v1: float,
-               params: GridParams) -> PowerFlow:
-    """LinDistFlow: line flows and downstream voltages from injections and V1."""
+               params: GridParams) -> GridState:
+    """LinDistFlow: the state whose line flows and downstream voltages follow
+    from the injections and V1."""
     p_2 = -p3
     q_2 = -q3
     p_1 = p_2 + p2
     q_1 = q_2 + q2
     v2 = v1 - (params.r1 * p_1 + params.x1 * q_1)
     v3 = v2 - (params.r2 * p_2 + params.x2 * q_2)
-    return PowerFlow(p_2, q_2, p_1, q_1, v2, v3)
-
-
-def make_state(p2: float, q2: float, p3: float, q3: float, v1: float,
-               params: GridParams) -> GridState:
-    return GridState(p2, q2, p3, q3, v1, *power_flow(p2, q2, p3, q3, v1, params))
+    return GridState(p2, q2, p3, q3, v1, p_2, q_2, p_1, q_1, v2, v3)
 
 
 # ---------------------------------------------------------------------------
@@ -252,38 +239,45 @@ def _attacker_term(v3_prev: float, v3_now: float, q3_prev: float, q3_now: float,
 
 
 class DefenderMemory(NamedTuple):
-    """Observation (V1, V2, V3, P1, Q1), metric, previous action, and the
-    window terms needed to advance the metric.  The next step's terms compare
-    its observation with this one's v1 and v3."""
+    """Observation (V1, V2, V3, P1, Q1), previous action, and the window
+    terms the metric sums.  The next step's terms compare its observation
+    with this one's v1 and v3."""
 
     v1: float
     v2: float
     v3: float
     p1: float
     q1: float
-    metric: float
     prev_action: int
     terms: tuple[float, ...]
 
+    @property
+    def metric(self) -> float:
+        return sum(self.terms) / len(self.terms)
+
 
 class AttackerMemory(NamedTuple):
-    """Observation (V2, V3, p3, q3), metric, previous action, and window
-    terms; the next step's terms compare against this one's v3 and q3."""
+    """Observation (V2, V3, p3, q3), previous action, and the window terms
+    the metric sums; the next step's terms compare against this one's v3
+    and q3."""
 
     v2: float
     v3: float
     p3: float
     q3: float
-    metric: int
     prev_action: int
     terms: tuple[float, ...]
+
+    @property
+    def metric(self) -> int:
+        return int(sum(self.terms))
 
 
 def initial_defender_memory(obs: tuple[float, ...],
                             params: GridParams) -> DefenderMemory:
     v1, v2, v3, p1, q1 = obs
     return DefenderMemory(v1, v2, v3, p1, q1,
-                          metric=0.0, prev_action=params.defender_start_action,
+                          prev_action=params.defender_start_action,
                           terms=(0.0,) * (params.memory_window + 1))
 
 
@@ -291,7 +285,7 @@ def initial_attacker_memory(obs: tuple[float, ...],
                             params: GridParams) -> AttackerMemory:
     v2, v3, p3, q3 = obs
     return AttackerMemory(v2, v3, p3, q3,
-                          metric=0, prev_action=params.attacker_start_action,
+                          prev_action=params.attacker_start_action,
                           terms=(0.0,) * (params.memory_window + 1))
 
 
@@ -300,8 +294,7 @@ def step_defender_memory(mem: DefenderMemory, obs: tuple[float, ...], action: in
     v1, v2, v3, p1, q1 = obs
     term = _defender_term(mem.v1, v1, mem.v3, v3)
     terms = mem.terms[1:] + (term,)
-    return DefenderMemory(v1, v2, v3, p1, q1, sum(terms) / (params.memory_window + 1),
-                          action, terms)
+    return DefenderMemory(v1, v2, v3, p1, q1, action, terms)
 
 
 def step_attacker_memory(mem: AttackerMemory, obs: tuple[float, ...], action: int,
@@ -309,7 +302,7 @@ def step_attacker_memory(mem: AttackerMemory, obs: tuple[float, ...], action: in
     v2, v3, p3, q3 = obs
     term = _attacker_term(mem.v3, v3, mem.q3, q3, params)
     terms = mem.terms[1:] + (term,)
-    return AttackerMemory(v2, v3, p3, q3, int(sum(terms)), action, terms)
+    return AttackerMemory(v2, v3, p3, q3, action, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +358,7 @@ def level0_attacker(v2: float, q3_current: float, params: GridParams) -> int:
 def initial_state(params: GridParams, rng: np.random.Generator) -> GridState:
     p2 = float(rng.uniform(params.p2_range[0], params.p2_range[1]))
     q3 = attacker_levels(params)[params.attacker_start_action]
-    return make_state(p2, params.q2_factor * p2, params.p3, q3,
+    return power_flow(p2, params.q2_factor * p2, params.p3, q3,
                       params.v1_start, params)
 
 
@@ -374,7 +367,7 @@ def advance_state(state: GridState, defender_action: int, attacker_action: int,
     v1 = apply_defender_action(state.V1, defender_action, params)
     q3 = attacker_levels(params)[attacker_action]
     p2 = float(rng.uniform(params.p2_range[0], params.p2_range[1]))
-    return make_state(p2, params.q2_factor * p2, params.p3, q3, v1, params)
+    return power_flow(p2, params.q2_factor * p2, params.p3, q3, v1, params)
 
 
 def transition(state: GridState, memories: tuple[DefenderMemory, AttackerMemory],
@@ -392,49 +385,6 @@ def transition(state: GridState, memories: tuple[DefenderMemory, AttackerMemory]
     rewards = (defender_reward(state_next.V2, state_next.V3, params),
                attacker_reward(state_next.V2, params))
     return state_next, (d_mem, a_mem), rewards
-
-
-# ---------------------------------------------------------------------------
-# Vector codecs (node values in the net encoding are flat tuples)
-# ---------------------------------------------------------------------------
-
-STATE_DIM = len(GridState._fields)
-
-
-def state_to_vec(state: GridState) -> tuple[float, ...]:
-    return tuple(state)
-
-
-def state_from_vec(vec) -> GridState:
-    return GridState._make(vec)
-
-
-def defender_memory_dim(params: GridParams) -> int:
-    return 7 + params.memory_window + 1
-
-
-def attacker_memory_dim(params: GridParams) -> int:
-    return 6 + params.memory_window + 1
-
-
-def defender_memory_to_vec(mem: DefenderMemory) -> tuple[float, ...]:
-    return (mem.v1, mem.v2, mem.v3, mem.p1, mem.q1, mem.metric,
-            float(mem.prev_action)) + mem.terms
-
-
-def defender_memory_from_vec(vec) -> DefenderMemory:
-    return DefenderMemory(vec[0], vec[1], vec[2], vec[3], vec[4], vec[5],
-                          int(vec[6]), tuple(vec[7:]))
-
-
-def attacker_memory_to_vec(mem: AttackerMemory) -> tuple[float, ...]:
-    return (mem.v2, mem.v3, mem.p3, mem.q3, float(mem.metric),
-            float(mem.prev_action)) + mem.terms
-
-
-def attacker_memory_from_vec(vec) -> AttackerMemory:
-    return AttackerMemory(vec[0], vec[1], vec[2], vec[3], int(vec[4]),
-                          int(vec[5]), tuple(vec[6:]))
 
 
 # ---------------------------------------------------------------------------
@@ -502,15 +452,15 @@ ATTACKER_FEATURE_DIM = 6
 
 def defender_feature_encoder(params: GridParams) -> FeatureEncoder:
     def encode(parent_values: Mapping) -> np.ndarray:
-        mem = defender_memory_from_vec(parent_values["defender_memory"])
-        return encode_defender_features(mem, params)
+        return encode_defender_features(parent_values[DEFENDER_MEMORY_NODE],
+                                        params)
     return FeatureEncoder(DEFENDER_FEATURE_DIM, encode)
 
 
 def attacker_feature_encoder(params: GridParams) -> FeatureEncoder:
     def encode(parent_values: Mapping) -> np.ndarray:
-        mem = attacker_memory_from_vec(parent_values["attacker_memory"])
-        return encode_attacker_features(mem, params)
+        return encode_attacker_features(parent_values[ATTACKER_MEMORY_NODE],
+                                        params)
     return FeatureEncoder(ATTACKER_FEATURE_DIM, encode)
 
 
@@ -518,11 +468,11 @@ def level0_policies(params: GridParams) -> dict[str, PriorPolicy]:
     """The scenario's priors, exposed with the players' feature interfaces."""
 
     def defender_fn(parent_values, rng):
-        mem = defender_memory_from_vec(parent_values["defender_memory"])
+        mem = parent_values[DEFENDER_MEMORY_NODE]
         return level0_defender(mem.v1, mem.v2, mem.v3, params)
 
     def attacker_fn(parent_values, rng):
-        mem = attacker_memory_from_vec(parent_values["attacker_memory"])
+        mem = parent_values[ATTACKER_MEMORY_NODE]
         return level0_attacker(mem.v2, mem.q3, params)
 
     return {
@@ -545,9 +495,6 @@ ATTACKER_MEMORY_NODE = "attacker_memory"
 DEFENDER_ACTION_NODE = "defender_action"
 ATTACKER_ACTION_NODE = "attacker_action"
 
-V2_INDEX = GridState._fields.index("V2")
-V3_INDEX = GridState._fields.index("V3")
-
 
 def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGame:
     """The scenario as an iterated semi Bayes net.
@@ -559,39 +506,36 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
     memories, and actions forward.  Kernels delegate to the same functions the
     native `transition` loop uses, so the two paths match bit for bit.
     """
-    state_space = RealVector(STATE_DIM)
-    d_mem_space = RealVector(defender_memory_dim(params))
-    a_mem_space = RealVector(attacker_memory_dim(params))
+    state_space = Record(GridState)
+    d_mem_space = Record(DefenderMemory)
+    a_mem_space = Record(AttackerMemory)
     d_act_space = FiniteDiscrete(DEFENDER_ACTIONS)
     a_act_space = FiniteDiscrete(ATTACKER_ACTIONS)
     prev = "_prev"
 
     def state_kernel(parents, rng):
-        state = advance_state(state_from_vec(parents[STATE_NODE + prev]),
-                              int(parents[DEFENDER_ACTION_NODE + prev]),
-                              int(parents[ATTACKER_ACTION_NODE + prev]),
-                              rng, params)
-        return state_to_vec(state)
+        return advance_state(parents[STATE_NODE + prev],
+                             int(parents[DEFENDER_ACTION_NODE + prev]),
+                             int(parents[ATTACKER_ACTION_NODE + prev]),
+                             rng, params)
 
     def defender_obs_kernel(parents, rng):
-        return defender_observation(state_from_vec(parents[STATE_NODE]))
+        return defender_observation(parents[STATE_NODE])
 
     def attacker_obs_kernel(parents, rng):
-        return attacker_observation(state_from_vec(parents[STATE_NODE]))
+        return attacker_observation(parents[STATE_NODE])
 
     def defender_memory_kernel(parents, rng):
-        mem = step_defender_memory(
-            defender_memory_from_vec(parents[DEFENDER_MEMORY_NODE + prev]),
-            parents[DEFENDER_OBS_NODE],
-            int(parents[DEFENDER_ACTION_NODE + prev]), params)
-        return defender_memory_to_vec(mem)
+        return step_defender_memory(parents[DEFENDER_MEMORY_NODE + prev],
+                                    parents[DEFENDER_OBS_NODE],
+                                    int(parents[DEFENDER_ACTION_NODE + prev]),
+                                    params)
 
     def attacker_memory_kernel(parents, rng):
-        mem = step_attacker_memory(
-            attacker_memory_from_vec(parents[ATTACKER_MEMORY_NODE + prev]),
-            parents[ATTACKER_OBS_NODE],
-            int(parents[ATTACKER_ACTION_NODE + prev]), params)
-        return attacker_memory_to_vec(mem)
+        return step_attacker_memory(parents[ATTACKER_MEMORY_NODE + prev],
+                                    parents[ATTACKER_OBS_NODE],
+                                    int(parents[ATTACKER_ACTION_NODE + prev]),
+                                    params)
 
     kernel = SemiBayesNet([
         chance(STATE_NODE + prev, state_space, boundary_kernel(STATE_NODE + prev)),
@@ -623,15 +567,15 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
     ])
 
     def initial_state_kernel(parents, rng):
-        return state_to_vec(initial_state(params, rng))
+        return initial_state(params, rng)
 
     def initial_defender_memory_kernel(parents, rng):
-        obs = defender_observation(state_from_vec(parents[STATE_NODE]))
-        return defender_memory_to_vec(initial_defender_memory(obs, params))
+        return initial_defender_memory(
+            defender_observation(parents[STATE_NODE]), params)
 
     def initial_attacker_memory_kernel(parents, rng):
-        obs = attacker_observation(state_from_vec(parents[STATE_NODE]))
-        return attacker_memory_to_vec(initial_attacker_memory(obs, params))
+        return initial_attacker_memory(
+            attacker_observation(parents[STATE_NODE]), params)
 
     base = SemiBayesNet([
         chance(STATE_NODE, state_space, initial_state_kernel),
@@ -654,9 +598,9 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
     })
 
     rewards = {
-        DEFENDER: lambda inst: defender_reward(inst[STATE_NODE][V2_INDEX],
-                                               inst[STATE_NODE][V3_INDEX], params),
-        ATTACKER: lambda inst: attacker_reward(inst[STATE_NODE][V2_INDEX], params),
+        DEFENDER: lambda inst: defender_reward(inst[STATE_NODE].V2,
+                                               inst[STATE_NODE].V3, params),
+        ATTACKER: lambda inst: attacker_reward(inst[STATE_NODE].V2, params),
     }
     return IteratedGame(base, kernel, binding, horizon, rewards)
 
@@ -692,10 +636,8 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
     for t in range(1, horizon + 1):
         state, memories, rewards = transition(state, memories, d_action, a_action,
                                               rng, params)
-        d_action = int(policies[DEFENDER](
-            {DEFENDER_MEMORY_NODE: defender_memory_to_vec(memories[0])}, rng))
-        a_action = int(policies[ATTACKER](
-            {ATTACKER_MEMORY_NODE: attacker_memory_to_vec(memories[1])}, rng))
+        d_action = int(policies[DEFENDER]({DEFENDER_MEMORY_NODE: memories[0]}, rng))
+        a_action = int(policies[ATTACKER]({ATTACKER_MEMORY_NODE: memories[1]}, rng))
         records.append(StepRecord(t, state, memories[0], memories[1],
                                   rewards[0], rewards[1]))
     return records

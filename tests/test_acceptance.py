@@ -20,9 +20,8 @@ from gridgame.scenario import (ACTION_HOLD, ACTION_UP, ATTACKER, DEFENDER,
                                attacker_memory_metric, attacker_reward,
                                defender_memory_metric, defender_move_domain,
                                defender_reward, level0_attacker,
-                               level0_defender, level0_policies, make_state,
-                               power_flow, simulate, state_to_vec,
-                               defender_memory_to_vec, attacker_memory_to_vec)
+                               level0_defender, level0_policies, power_flow,
+                               simulate)
 from test_neural import finite_difference_gradient, random_network
 from toy_games import (PLAYER, chain_game, chain_prior, single_state_game,
                        single_state_prior, value_iteration_chain,
@@ -101,9 +100,9 @@ def test_criterion_02_deterministic_layer_oracles():
     # attacker memory
     frozen = GridParams(q3_max=0.7, p2_range=(1.4, 1.4))
     q3s = [0.0, 0.14, 0.28]
-    v3s = [make_state(1.4, 0.7, 1.0, q, 1.0, frozen).V3 for q in q3s]
+    v3s = [power_flow(1.4, 0.7, 1.0, q, 1.0, frozen).V3 for q in q3s]
     checks.append(attacker_memory_metric(v3s, q3s, frozen) == 0)
-    taps = [make_state(1.4, 0.7, 1.0, 0.14, v1, frozen).V3 for v1 in (1.0, 0.98)]
+    taps = [power_flow(1.4, 0.7, 1.0, 0.14, v1, frozen).V3 for v1 in (1.0, 0.98)]
     checks.append(attacker_memory_metric(taps, [0.14, 0.14], frozen) == -1)
     checks.append(attacker_memory_metric([1.0] * 7, [0.0] * 7, p) == 0)
     # level-0 policies
@@ -338,11 +337,11 @@ def test_criterion_12_cross_oracle():
                            np.random.default_rng(seed))
         for t, rec in enumerate(records):
             same = (
-                traj.slices[t][scenario.STATE_NODE] == state_to_vec(rec.state)
+                traj.slices[t][scenario.STATE_NODE] == rec.state
                 and traj.slices[t][scenario.DEFENDER_MEMORY_NODE]
-                == defender_memory_to_vec(rec.defender_memory)
+                == rec.defender_memory
                 and traj.slices[t][scenario.ATTACKER_MEMORY_NODE]
-                == attacker_memory_to_vec(rec.attacker_memory)
+                == rec.attacker_memory
                 and traj.rewards[DEFENDER][t] == rec.defender_reward
                 and traj.rewards[ATTACKER][t] == rec.attacker_reward)
             if not same:

@@ -125,6 +125,14 @@ def test_train_seed_refused_pointing_to_experiment_seeds():
     assert config_from_dict({"train": {"seed": None}}).train.seed is None
 
 
+@pytest.mark.parametrize("value", [5.0, 0.0])
+def test_train_optimistic_bias_refused_pointing_to_player_biases(value):
+    with pytest.raises(ValueError, match=r"train\.optimistic_bias.*"
+                       r"experiment\.defender_optimistic_bias.*"
+                       r"experiment\.attacker_optimistic_bias"):
+        config_from_dict({"train": {"optimistic_bias": value}})
+
+
 def test_config_overrides_apply():
     config = config_from_dict({
         "grid": {"memory_window": 3, "p2_range": [1.0, 1.1]},
@@ -407,6 +415,7 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     ("experiment", "seeds", [1, -1]),  # not only once seed 1 has trained
     ("train", "hidden_layers", [0]),
     ("train", "seed", 99),
+    ("train", "optimistic_bias", 0.0),
 ])
 def test_cli_bad_config_value_exits_with_error_line(tmp_path, capsys, section,
                                                     key, value):

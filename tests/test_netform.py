@@ -3,10 +3,13 @@ import pytest
 
 from gridgame.netform import (BoundedReal, Chance, Decision, FiniteDiscrete,
                               GlueBinding, IteratedGame, NodeSpec, RealVector,
-                              SemiBayesNet, boundary_kernel, chance,
+                              Record, SemiBayesNet, boundary_kernel, chance,
                               constant_kernel, decision, rollout, sample_slice,
                               topological_order, validate, validate_game,
                               validate_glue)
+from gridgame.scenario import DefenderMemory, GridState
+
+STATE = GridState(1.4, 0.7, 1.0, 0.0, 1.0, -1.0, 0.0, 0.4, 0.7, 0.967, 0.997)
 
 
 def uniform_kernel(lo, hi):
@@ -38,6 +41,10 @@ def test_space_containment():
     assert RealVector(2).contains((0.0, 1.0))
     assert not RealVector(2).contains((0.0, 1.0, 2.0))
     assert not RealVector(2).contains(1.0)
+    assert Record(GridState).contains(STATE)
+    assert not Record(GridState).contains(tuple(STATE))
+    assert not Record(GridState).contains(
+        DefenderMemory(1.0, 1.0, 1.0, 0.4, 0.7, 1, (0.0,) * 6))
 
 
 @pytest.mark.parametrize("bad", [
@@ -216,6 +223,13 @@ def test_missing_policy_raises():
 
 def test_out_of_space_kernel_value_raises():
     net = SemiBayesNet([chance("A", BoundedReal(0, 1), constant_kernel(7.0))])
+    with pytest.raises(ValueError, match="outside its space"):
+        sample_slice(net, {}, {}, np.random.default_rng(0))
+
+
+def test_plain_tuple_for_record_node_raises():
+    net = SemiBayesNet([
+        chance("S", Record(GridState), constant_kernel(tuple(STATE)))])
     with pytest.raises(ValueError, match="outside its space"):
         sample_slice(net, {}, {}, np.random.default_rng(0))
 

@@ -4,9 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridgame.neural import (NetworkParams, NetworkSpec, apply_update, forward,
-                             forward_batch, init, load_network,
-                             network_from_dict, network_to_dict, save_network,
-                             td_gradient)
+                             forward_batch, init, network_from_dict,
+                             network_to_dict, td_gradient)
 
 
 def finite_difference_gradient(params, x, action, target, step=1e-5):
@@ -258,16 +257,6 @@ def test_network_dict_round_trip_is_exact():
     rng = np.random.default_rng(13)
     spec, params = random_network(rng)
     spec2, params2 = network_from_dict(network_to_dict(spec, params))
-    assert spec2 == spec
-    assert params2.equals(params)
-
-
-def test_network_file_round_trip(tmp_path):
-    rng = np.random.default_rng(14)
-    spec, params = random_network(rng)
-    path = tmp_path / "net.json"
-    save_network(path, spec, params)
-    spec2, params2 = load_network(path)
     assert spec2 == spec
     assert params2.equals(params)
 

@@ -5,21 +5,17 @@ from hypothesis import strategies as st
 
 from gridgame import netform, scenario
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
-                               DEFENDER, GridParams, GridState,
+                               DEFENDER, GridParams,
                                apply_defender_action, as_netform,
-                               attacker_levels, attacker_memory_from_vec,
-                               attacker_memory_metric, attacker_memory_to_vec,
-                               attacker_observation, defender_memory_from_vec,
-                               defender_memory_metric, defender_memory_to_vec,
+                               attacker_levels, attacker_memory_metric,
+                               attacker_observation, defender_memory_metric,
                                defender_move_domain, defender_observation,
                                defender_reward, attacker_reward,
                                encode_attacker_features,
                                encode_defender_features,
                                initial_attacker_memory, initial_defender_memory,
                                initial_state, level0_attacker, level0_defender,
-                               level0_policies, make_state, power_flow,
-                               simulate, state_from_vec, state_to_vec,
-                               step_attacker_memory, step_defender_memory,
+                               level0_policies, power_flow, simulate,
                                transition)
 
 P = GridParams(q3_max=0.7)
@@ -33,7 +29,7 @@ finite_reals = st.floats(min_value=-3, max_value=3, allow_nan=False)
 
 def test_power_flow_no_injections():
     flow = power_flow(0.0, 0.0, 0.0, 0.0, 1.0, P)
-    assert flow == (0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
+    assert flow[5:] == (0.0, 0.0, 0.0, 0.0, 1.0, 1.0)
 
 
 def test_power_flow_worked_example_one():
@@ -199,15 +195,15 @@ def test_attacker_metric_drift_is_invisible():
     # x2*dq3 is expected, leaving x1*dq3 = 0.0042 per step: under one tap
     params = GridParams(q3_max=0.7, p2_range=(1.4, 1.4))
     q3s = [0.0, 0.14, 0.28]
-    v3s = [make_state(1.4, 0.7, 1.0, q, 1.0, params).V3 for q in q3s]
+    v3s = [power_flow(1.4, 0.7, 1.0, q, 1.0, params).V3 for q in q3s]
     assert attacker_memory_metric(v3s, q3s, params) == 0
 
 
 def test_attacker_metric_sees_defender_tap():
     params = GridParams(q3_max=0.7, p2_range=(1.4, 1.4))
-    down = [make_state(1.4, 0.7, 1.0, 0.14, v1, params).V3 for v1 in (1.0, 0.98)]
+    down = [power_flow(1.4, 0.7, 1.0, 0.14, v1, params).V3 for v1 in (1.0, 0.98)]
     assert attacker_memory_metric(down, [0.14, 0.14], params) == -1
-    up = [make_state(1.4, 0.7, 1.0, 0.14, v1, params).V3 for v1 in (1.0, 1.02)]
+    up = [power_flow(1.4, 0.7, 1.0, 0.14, v1, params).V3 for v1 in (1.0, 1.02)]
     assert attacker_memory_metric(up, [0.14, 0.14], params) == 1
 
 
@@ -320,7 +316,7 @@ def test_transition_deterministic_with_frozen_load():
     d_mem = initial_defender_memory(defender_observation(state), params)
     a_mem = initial_attacker_memory(attacker_observation(state), params)
     nxt, _, _ = transition(state, (d_mem, a_mem), ACTION_HOLD, 5, rng, params)
-    expected = make_state(1.4, 0.7, 1.0, 0.0, state.V1, params)
+    expected = power_flow(1.4, 0.7, 1.0, 0.0, state.V1, params)
     assert nxt == expected
 
 
@@ -354,7 +350,7 @@ def test_trajectory_physics_consistency():
     for rec in records:
         s = rec.state
         flow = power_flow(s.p2, s.q2, s.p3, s.q3, s.V1, params)
-        assert (s.P2, s.Q2, s.P1, s.Q1, s.V2, s.V3) == tuple(flow)
+        assert flow == s
         assert s.q2 == params.q2_factor * s.p2
         assert params.p2_range[0] <= s.p2 <= params.p2_range[1]
 
@@ -383,42 +379,21 @@ def test_initial_state_defaults():
 # ---------------------------------------------------------------------------
 
 def test_observations_are_pure_projections():
-    state = make_state(1.45, 0.725, 1.0, 0.28, 1.02, P)
+    state = power_flow(1.45, 0.725, 1.0, 0.28, 1.02, P)
     assert defender_observation(state) == (state.V1, state.V2, state.V3,
                                            state.P1, state.Q1)
     assert attacker_observation(state) == (state.V2, state.V3, state.p3,
                                            state.q3)
 
 
-def test_state_vector_round_trip():
-    state = make_state(1.45, 0.725, 1.0, 0.28, 1.02, P)
-    assert state_from_vec(state_to_vec(state)) == state
-
-
-def test_memory_vector_round_trips():
-    state = make_state(1.45, 0.725, 1.0, 0.28, 1.02, P)
-    d_mem = initial_defender_memory(defender_observation(state), P)
-    d_mem = step_defender_memory(d_mem, (1.0, 0.99, 1.01, 0.4, 0.7), 2, P)
-    assert defender_memory_from_vec(defender_memory_to_vec(d_mem)) == d_mem
-    a_mem = initial_attacker_memory(attacker_observation(state), P)
-    a_mem = step_attacker_memory(a_mem, (0.99, 1.01, 1.0, 0.14), 7, P)
-    assert attacker_memory_from_vec(attacker_memory_to_vec(a_mem)) == a_mem
-
-
 def test_records_refuse_attribute_assignment():
-    state = make_state(1.45, 0.725, 1.0, 0.28, 1.02, P)
+    state = power_flow(1.45, 0.725, 1.0, 0.28, 1.02, P)
     d_mem = initial_defender_memory(defender_observation(state), P)
     a_mem = initial_attacker_memory(attacker_observation(state), P)
     for record, field in ((state, "V1"), (d_mem, "v1"), (a_mem, "q3")):
         with pytest.raises(AttributeError):
             setattr(record, field, 0.0)
         assert hash(record) == hash(tuple(record))
-
-
-def test_reward_indices_name_their_state_fields():
-    assert GridState._fields[scenario.V2_INDEX] == "V2"
-    assert GridState._fields[scenario.V3_INDEX] == "V3"
-    assert len(GridState._fields) == scenario.STATE_DIM
 
 
 def test_feature_normalization_anchors():
@@ -428,20 +403,18 @@ def test_feature_normalization_anchors():
     mem_high = initial_defender_memory((1.10, 1.0, 1.0, 0.4, 0.7), P)
     assert encode_defender_features(mem_high, P)[0] == pytest.approx(1.0)
     a_mem = initial_attacker_memory((1.0, 1.0, 1.0, 0.0), P)
-    max_metric = a_mem._replace(metric=P.memory_window + 1)
+    max_metric = a_mem._replace(terms=(1.0,) * (P.memory_window + 1))
     assert encode_attacker_features(max_metric, P)[4] == pytest.approx(1.0)
 
 
 def test_feature_dimensions_match_encoders():
     d_enc = scenario.defender_feature_encoder(P)
     a_enc = scenario.attacker_feature_encoder(P)
-    state = make_state(1.4, 0.7, 1.0, 0.0, 1.0, P)
-    d_vec = defender_memory_to_vec(
-        initial_defender_memory(defender_observation(state), P))
-    a_vec = attacker_memory_to_vec(
-        initial_attacker_memory(attacker_observation(state), P))
-    assert d_enc({"defender_memory": d_vec}).shape == (d_enc.dim,)
-    assert a_enc({"attacker_memory": a_vec}).shape == (a_enc.dim,)
+    state = power_flow(1.4, 0.7, 1.0, 0.0, 1.0, P)
+    d_mem = initial_defender_memory(defender_observation(state), P)
+    a_mem = initial_attacker_memory(attacker_observation(state), P)
+    assert d_enc({"defender_memory": d_mem}).shape == (d_enc.dim,)
+    assert a_enc({"attacker_memory": a_mem}).shape == (a_enc.dim,)
 
 
 def test_q3_feature_zero_when_capability_is_zero():
@@ -474,11 +447,11 @@ def test_netform_rollout_matches_native_loop():
     traj = netform.rollout(game, level0_policies(P), np.random.default_rng(17))
     records = simulate(P, level0_policies(P), 60, np.random.default_rng(17))
     for t, rec in enumerate(records):
-        assert traj.slices[t][scenario.STATE_NODE] == state_to_vec(rec.state)
+        assert traj.slices[t][scenario.STATE_NODE] == rec.state
         assert traj.slices[t][scenario.DEFENDER_MEMORY_NODE] == \
-            defender_memory_to_vec(rec.defender_memory)
+            rec.defender_memory
         assert traj.slices[t][scenario.ATTACKER_MEMORY_NODE] == \
-            attacker_memory_to_vec(rec.attacker_memory)
+            rec.attacker_memory
         assert traj.rewards[DEFENDER][t] == rec.defender_reward
         assert traj.rewards[ATTACKER][t] == rec.attacker_reward
 
