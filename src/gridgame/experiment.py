@@ -88,10 +88,6 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig(grid=GridParams(), train=TrainConfig())
-
-
 # ---------------------------------------------------------------------------
 # Config file parsing
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ the pre-update network.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -115,16 +115,6 @@ class TrainConfig:
                 f"hidden_layers must all be >= 1, got {self.hidden_layers}")
 
 
-@dataclass(frozen=True)
-class Transition:
-    s: np.ndarray
-    a: int
-    r: float
-    s_next: np.ndarray
-    a_next: int
-    terminal: bool
-
-
 class TrainingDiverged(RuntimeError):
     """Raised when Q-values or parameters stop being finite during training."""
 
@@ -144,67 +134,55 @@ def select_action(policy: QPolicy, features: np.ndarray,
     return int(policy.q_values(features).argmax())
 
 
-def semi_batch_update(params: neural.NetworkParams, transitions: list[Transition],
+def semi_batch_update(params: neural.NetworkParams, features: np.ndarray,
+                      actions: Sequence[int], rewards: Sequence[float],
                       gamma: float, learning_rate: float) -> neural.NetworkParams:
     """One averaged TD update for a whole episode.
 
-    Every target r + gamma * Q(s', a') (r alone on the terminal transition) is
-    computed against the pre-update network in one batched forward pass; the
-    per-transition gradients come from one batched `td_gradient` call and are
+    `features` and `actions` hold the episode's n+1 decision points in order
+    and `rewards` the n rewards between them: transition i goes from row i to
+    row i+1 and earns rewards[i].  Every target r + gamma * Q(s', a') (r alone
+    on the last, terminal transition) is computed against the pre-update
+    network in one batched forward pass over rows [1:]; the per-transition
+    gradients at rows [:-1] come from one batched `td_gradient` call and are
     averaged and applied in a single step.
     """
-    if not transitions:
+    n = len(rewards)
+    if len(features) != n + 1 or len(actions) != n + 1:
+        raise ValueError(f"{len(features)} feature rows and {len(actions)} "
+                         f"actions for {n} rewards; need {n + 1} of each")
+    if n == 0:
         return params
-    next_q = neural.forward_batch(params, [tr.s_next for tr in transitions])
-    targets = np.array([
-        tr.r if tr.terminal else tr.r + gamma * float(q[tr.a_next])
-        for tr, q in zip(transitions, next_q)])
+    actions = np.asarray(actions)
+    next_q = neural.forward_batch(params, features[1:])
+    targets = np.array(rewards, dtype=float)
+    targets[:-1] += gamma * next_q[np.arange(n - 1), actions[1:-1]]
     if not np.isfinite(targets).all():
         bad = targets[~np.isfinite(targets)][0]
         raise TrainingDiverged(f"non-finite TD target {float(bad)!r}")
-    total = neural.td_gradient(params, np.array([tr.s for tr in transitions]),
-                               [tr.a for tr in transitions], targets)
-    return neural.apply_update(params, total / len(transitions), learning_rate)
+    total = neural.td_gradient(params, features[:-1], actions[:-1], targets)
+    return neural.apply_update(params, total / n, learning_rate)
 
 
 class _RecordingPolicy:
-    """Wraps the trainee: plays epsilon-greedy and logs (features, action)."""
+    """Wraps the trainee: plays epsilon-greedy and logs features and action."""
 
     def __init__(self, policy: QPolicy):
         self.policy = policy
-        self.records: list[tuple[np.ndarray, int]] = []
+        self.features: list[np.ndarray] = []
+        self.actions: list[int] = []
 
     def __call__(self, parent_values: ParentValues, rng: np.random.Generator) -> int:
         features = self.policy.encoder(parent_values)
         action = select_action(self.policy, features, rng)
-        self.records.append((features, action))
+        self.features.append(features)
+        self.actions.append(action)
         return action
 
 
 def _count_base_decisions(game: IteratedGame, player: str) -> int:
     return sum(1 for node in game.base.nodes
                if isinstance(node.kind, Decision) and node.kind.owner == player)
-
-
-def episode_transitions(records: list[tuple[np.ndarray, int]],
-                        rewards: list[float]) -> list[Transition]:
-    """Pair consecutive decision points into SARSA transitions.
-
-    The decision recorded at slice t earns the reward evaluated on slice t+1
-    (its consequences land there); the final decision of the episode has no
-    in-horizon consequence and only appears as the bootstrap (s', a') of the
-    terminal transition, whose target is the bare reward.
-    """
-    steps = len(rewards)
-    if len(records) != steps:
-        raise ValueError(f"{len(records)} decision records for {steps} slices")
-    transitions = []
-    for i in range(steps - 1):
-        s, a = records[i]
-        s_next, a_next = records[i + 1]
-        transitions.append(Transition(s, a, rewards[i + 1], s_next, a_next,
-                                      terminal=(i == steps - 2)))
-    return transitions
 
 
 def train_level(game: IteratedGame, trainee: str,
@@ -215,6 +193,10 @@ def train_level(game: IteratedGame, trainee: str,
 
     The trainee's action set and feature encoding are taken from its level-0
     prior.  Opponent policy objects are consulted but never modified.
+
+    The decision recorded at slice t earns the reward evaluated on slice t+1
+    (its consequences land there); the final decision of an episode has no
+    in-horizon consequence and only bootstraps the terminal transition.
     """
     prior = level0s[trainee]
     spec = neural.NetworkSpec(prior.encoder.dim, config.hidden_layers,
@@ -230,11 +212,16 @@ def train_level(game: IteratedGame, trainee: str,
         policies: dict[str, Policy] = dict(opponents)
         policies[trainee] = recorder
         trajectory = rollout(train_game, policies, rng)
-        transitions = episode_transitions(recorder.records[base_skip:],
-                                          trajectory.rewards[trainee])
+        rewards = trajectory.rewards[trainee]
+        decisions = len(recorder.actions) - base_skip
+        if decisions != len(rewards):
+            raise ValueError(f"{decisions} decision records for "
+                             f"{len(rewards)} slices")
+        features = np.array(recorder.features[base_skip:])
         try:
-            policy.params = semi_batch_update(policy.params, transitions,
-                                              config.gamma, config.learning_rate)
+            policy.params = semi_batch_update(
+                policy.params, features, recorder.actions[base_skip:],
+                rewards[1:], config.gamma, config.learning_rate)
         except (TrainingDiverged, ValueError) as exc:
             raise TrainingDiverged(
                 f"training diverged for '{trainee}' at episode {episode}: {exc}"

@@ -171,12 +171,13 @@ class SemiBayesNet:
 class _SlicePlan:
     """What `sample_slice` reads of a net, resolved once per net: the node
     names, the root names, and in topological order one step per node of
-    (name, parents, chance kernel or None, decision owner or None, space)."""
+    (name, parents, chance kernel or None, decision owner or None, the bound
+    `contains` of the node's space)."""
 
     names: frozenset[str]
     roots: frozenset[str]
     steps: tuple[tuple[str, tuple[str, ...], Kernel | None, str | None,
-                       VariableSpace], ...]
+                       Callable[[Value], bool]], ...]
 
 
 @dataclass(frozen=True)
@@ -336,7 +337,7 @@ def _slice_plan(net: SemiBayesNet) -> _SlicePlan:
                 kernel, owner = node.kind.kernel, None
             else:
                 kernel, owner = None, node.kind.owner
-            steps.append((name, node.parents, kernel, owner, node.space))
+            steps.append((name, node.parents, kernel, owner, node.space.contains))
         net._plan = _SlicePlan(
             names=frozenset(net._by_name),
             roots=frozenset(name for name in net._by_name if net.is_root(name)),
@@ -361,7 +362,7 @@ def sample_slice(net: SemiBayesNet, boundary: Mapping[str, Value],
         if name not in plan.roots:
             raise ValueError(f"boundary value for non-root node '{name}'")
         inst[name] = boundary[name]
-    for name, parents, kernel, owner, space in plan.steps:
+    for name, parents, kernel, owner, contains in plan.steps:
         if name in inst:
             continue
         parent_values = {p: inst[p] for p in parents}
@@ -373,10 +374,10 @@ def sample_slice(net: SemiBayesNet, boundary: Mapping[str, Value],
                 raise ValueError(
                     f"no policy for player '{owner}' (node '{name}')")
             value = policy(parent_values, rng)
-        if not space.contains(value):
+        if not contains(value):
             raise ValueError(
                 f"value {value!r} for node '{name}' is outside its space "
-                f"{space}")
+                f"{net.node(name).space}")
         inst[name] = value
     return inst
 

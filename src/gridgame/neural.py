@@ -33,11 +33,6 @@ class NetworkSpec:
     def layer_dims(self) -> tuple[int, ...]:
         return (self.input_dim, *self.hidden_layers, self.output_dim)
 
-    @property
-    def n_params(self) -> int:
-        dims = self.layer_dims
-        return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
-
 
 class NetworkParams:
     """Weight matrices (out x in) and bias vectors, one pair per layer."""
@@ -83,13 +78,6 @@ class NetworkParams:
         return all(np.isfinite(w).all() for w in self.weights) and \
             all(np.isfinite(b).all() for b in self.biases)
 
-    def equals(self, other: "NetworkParams") -> bool:
-        """Bitwise parameter equality."""
-        return self.n_layers == other.n_layers and all(
-            np.array_equal(a, b)
-            for a, b in zip(self.weights + self.biases,
-                            other.weights + other.biases))
-
 
 def init(spec: NetworkSpec, scale: float, output_bias: float,
          rng: np.random.Generator) -> NetworkParams:
@@ -111,14 +99,15 @@ def init(spec: NetworkSpec, scale: float, output_bias: float,
 def forward(params: NetworkParams, x: Sequence[float]) -> np.ndarray:
     """Q-values for every action: tanh hidden layers, linear output.
 
-    Each layer's `w @ a` is a new array, so the bias add and tanh run in place
-    on it without touching `x`; the float operations are those of
-    `tanh(w @ a + b)`.
+    Each layer's `w.dot(a)` is a new array, so the bias add and tanh run in
+    place on it without touching `x`; the float operations are those of
+    `tanh(w @ a + b)`.  For one input `dot` makes the same matrix-vector
+    product as `@` with less call overhead.
     """
     a = np.asarray(x, dtype=float)
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = w @ a
+        a = w.dot(a)
         a += b
         if i != last:
             np.tanh(a, out=a)
@@ -128,7 +117,7 @@ def forward(params: NetworkParams, x: Sequence[float]) -> np.ndarray:
 def forward_batch(params: NetworkParams, xs: Sequence[Sequence[float]]) -> np.ndarray:
     """Q-values for every action, one row per row of the 2-D batch `xs`.
 
-    Matrix products sum in another order than `forward`'s `w @ x`, so a row
+    Matrix products sum in another order than `forward`'s `w.dot(x)`, so a row
     may differ from `forward` on that input in the last bits.
     """
     xs = np.asarray(xs, dtype=float)
@@ -141,15 +130,15 @@ def _forward_activations(params: NetworkParams,
                          x: Sequence[float] | np.ndarray) -> list[np.ndarray]:
     """Layer inputs [x, h1, ..., h_last] plus the final output, pre-backprop.
 
-    A 1-D `x` is one input, evaluated with `w @ a` exactly as `forward` does;
-    a 2-D `x` holds one input per row.
+    A 1-D `x` is one input, evaluated with `w.dot(a)` exactly as `forward`
+    does; a 2-D `x` holds one input per row.
     """
     activations = [np.asarray(x, dtype=float)]
     single = activations[0].ndim == 1
     last = params.n_layers - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         a = activations[-1]
-        z = (w @ a if single else a @ w.T) + b
+        z = (w.dot(a) if single else a @ w.T) + b
         activations.append(np.tanh(z) if i != last else z)
     return activations
 

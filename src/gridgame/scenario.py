@@ -77,12 +77,14 @@ class GridParams:
             raise ValueError("band_halfwidth must be > 0")
         if self.strike_threshold <= self.band_halfwidth:
             raise ValueError("strike_threshold must exceed band_halfwidth")
-        if self.q3_max < 0:
-            raise ValueError("q3_max must be >= 0")
+        if not 0 <= self.q3_max < math.inf:
+            raise ValueError(f"q3_max must be finite and >= 0, got {self.q3_max}")
         if self.memory_window < 1:
             raise ValueError("memory_window must be >= 1")
         if not self.p2_range[0] <= self.p2_range[1]:
             raise ValueError("p2_range must be (lo, hi) with lo <= hi")
+        if not math.isfinite(self.p2_range[1] - self.p2_range[0]):
+            raise ValueError(f"p2_range width must be finite, got {self.p2_range}")
         if not self.v1_min <= self.v1_start <= self.v1_max:
             raise ValueError("v1_start must lie within [v1_min, v1_max]")
         if not 0 <= self.defender_start_action < DEFENDER_ACTIONS:
@@ -136,13 +138,6 @@ def apply_defender_action(v1: float, action: int, params: GridParams) -> float:
     raise ValueError(f"unknown defender action {action}")
 
 
-def defender_move_domain(v1: float, params: GridParams) -> tuple[float, ...]:
-    """Reachable V1 values, ascending, duplicates collapsed at the limits."""
-    values = {apply_defender_action(v1, a, params)
-              for a in (ACTION_DOWN, ACTION_HOLD, ACTION_UP)}
-    return tuple(sorted(values))
-
-
 @lru_cache(maxsize=None)
 def _attacker_levels(q3_max: float) -> tuple[float, ...]:
     return tuple(q3_max * (k - 5) / 5.0 for k in range(ATTACKER_ACTIONS))
@@ -188,52 +183,19 @@ def _sign(x: float) -> float:
     return 0.0
 
 
-def defender_memory_metric(v1_history, v3_history, memory_window: int) -> float:
-    """Windowed correlation of V1 moves against V3 moves, in [-1, 1].
-
-    Histories are aligned samples ending at the current step; each of the
-    m+1 window terms is sign(dV1)*sign(dV3) for one step, terms that reach
-    before the start of the history contribute 0, and the sum is always
-    divided by m+1.
-    """
-    if len(v1_history) != len(v3_history):
-        raise ValueError("histories must be aligned")
-    terms = _windowed_terms(
-        len(v1_history), memory_window,
-        lambda i: _sign(v1_history[i] - v1_history[i - 1])
-        * _sign(v3_history[i] - v3_history[i - 1]))
-    return sum(terms) / (memory_window + 1)
-
-
-def attacker_memory_metric(v3_history, q3_history, params: GridParams) -> int:
-    """Windowed count of V3 moves unexplained by the attacker's own q3 moves.
-
-    A step contributes sign(floor((dV3 - dq3 * x2 / v0) / tap_step)): zero
-    when V3 moved roughly as the attacker's own injection change predicts,
-    +/-1 when something else (a defender tap, in this circuit) shifted it by
-    at least one tap step.  Integer-valued, |metric| <= m+1.
-    """
-    if len(v3_history) != len(q3_history):
-        raise ValueError("histories must be aligned")
-    terms = _windowed_terms(
-        len(v3_history), params.memory_window,
-        lambda i: _attacker_term(v3_history[i - 1], v3_history[i],
-                                 q3_history[i - 1], q3_history[i], params))
-    return int(sum(terms))
-
-
-def _windowed_terms(length: int, memory_window: int, term_at) -> list[float]:
-    first = max(1, length - 1 - memory_window)
-    return [term_at(i) for i in range(first, length)]
-
-
 def _defender_term(v1_prev: float, v1_now: float,
                    v3_prev: float, v3_now: float) -> float:
+    """sign(dV1) * sign(dV3): the defender's metric, the mean of its last m+1
+    terms, is a windowed correlation of V1 moves against V3 moves in [-1, 1]."""
     return _sign(v1_now - v1_prev) * _sign(v3_now - v3_prev)
 
 
 def _attacker_term(v3_prev: float, v3_now: float, q3_prev: float, q3_now: float,
                    params: GridParams) -> float:
+    """sign(floor((dV3 - dq3 * x2 / v0) / tap_step)): zero when V3 moved
+    roughly as the attacker's own injection change predicts, +/-1 when
+    something else (a defender tap, in this circuit) shifted it by at least
+    one tap step.  The attacker's metric sums its last m+1 terms."""
     residual = (v3_now - v3_prev) - (q3_now - q3_prev) * params.x2 / params.v0
     return _sign(math.floor(residual / params.tap_step))
 
@@ -339,13 +301,29 @@ def level0_attacker(v2: float, q3_current: float, params: GridParams) -> int:
     at the grid endpoints.
     """
     levels = attacker_levels(params)
-    current_index = min(range(ATTACKER_ACTIONS),
-                        key=lambda k: abs(levels[k] - q3_current))
-    deviations = [abs(v2 + params.x1 * (q - q3_current) - 1.0) for q in levels]
-    # max over a range keeps the first argmax, pinning exact ties.
-    best_index = max(range(ATTACKER_ACTIONS), key=lambda k: deviations[k])
-    if deviations[best_index] > params.strike_threshold:
-        return best_index
+    x1 = params.x1
+
+    def deviation(k: int) -> float:
+        return abs(v2 + x1 * (levels[k] - q3_current) - 1.0)
+
+    # v2 + x1*(q - q3) - 1 is weakly monotone in the grid index, also in
+    # floats (every operation rounds monotonically), so the largest deviation
+    # sits at an end.  Ties go to the first grid index reaching it: index 0,
+    # or the start of a run of equal values ending at the top.
+    low, high = deviation(0), deviation(ATTACKER_ACTIONS - 1)
+    if low >= high:
+        if low > params.strike_threshold:
+            return 0
+    elif high > params.strike_threshold:
+        best = ATTACKER_ACTIONS - 1
+        while best > 0 and deviation(best - 1) == high:
+            best -= 1
+        return best
+    try:
+        current_index = levels.index(q3_current)
+    except ValueError:  # off the grid: the nearest level, the first on a tie
+        current_index = min(range(ATTACKER_ACTIONS),
+                            key=lambda k: abs(levels[k] - q3_current))
     if v2 < 1.0:
         return min(current_index + 1, ATTACKER_ACTIONS - 1)
     return max(current_index - 1, 0)
@@ -355,8 +333,15 @@ def level0_attacker(v2: float, q3_current: float, params: GridParams) -> int:
 # Transition
 # ---------------------------------------------------------------------------
 
+def _draw_load(params: GridParams, rng: np.random.Generator) -> float:
+    """p2 uniform on p2_range from one double, with the float operations of
+    `rng.uniform(lo, hi)` (lo + (hi - lo) * u), which are the same bits."""
+    lo, hi = params.p2_range
+    return lo + (hi - lo) * rng.random()
+
+
 def initial_state(params: GridParams, rng: np.random.Generator) -> GridState:
-    p2 = float(rng.uniform(params.p2_range[0], params.p2_range[1]))
+    p2 = _draw_load(params, rng)
     q3 = attacker_levels(params)[params.attacker_start_action]
     return power_flow(p2, params.q2_factor * p2, params.p3, q3,
                       params.v1_start, params)
@@ -366,7 +351,7 @@ def advance_state(state: GridState, defender_action: int, attacker_action: int,
                   rng: np.random.Generator, params: GridParams) -> GridState:
     v1 = apply_defender_action(state.V1, defender_action, params)
     q3 = attacker_levels(params)[attacker_action]
-    p2 = float(rng.uniform(params.p2_range[0], params.p2_range[1]))
+    p2 = _draw_load(params, rng)
     return power_flow(p2, params.q2_factor * p2, params.p3, q3, v1, params)
 
 

@@ -1,0 +1,95 @@
+"""Reference implementations that only the tests use.
+
+Each one is written from the definition rather than for speed, so the
+tests can hold the program's incremental or shortcut versions against it:
+the windowed memory metrics against the rolling memories, the grid scan of
+the level-0 attacker against its two-end shortcut, and so on.
+"""
+
+import math
+
+import numpy as np
+
+from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP,
+                               ATTACKER_ACTIONS, GridParams,
+                               apply_defender_action, attacker_levels)
+
+
+def defender_move_domain(v1: float, params: GridParams) -> tuple[float, ...]:
+    """Reachable V1 values, ascending, duplicates collapsed at the limits."""
+    values = {apply_defender_action(v1, a, params)
+              for a in (ACTION_DOWN, ACTION_HOLD, ACTION_UP)}
+    return tuple(sorted(values))
+
+
+def _sign(x: float) -> float:
+    return 1.0 if x > 0 else -1.0 if x < 0 else 0.0
+
+
+def _windowed_terms(length: int, memory_window: int, term_at) -> list[float]:
+    first = max(1, length - 1 - memory_window)
+    return [term_at(i) for i in range(first, length)]
+
+
+def defender_memory_metric(v1_history, v3_history, memory_window: int) -> float:
+    """Windowed correlation of V1 moves against V3 moves, in [-1, 1].
+
+    Histories are aligned samples ending at the current step; each of the
+    m+1 window terms is sign(dV1)*sign(dV3) for one step, terms that reach
+    before the start of the history contribute 0, and the sum is always
+    divided by m+1.
+    """
+    if len(v1_history) != len(v3_history):
+        raise ValueError("histories must be aligned")
+    terms = _windowed_terms(
+        len(v1_history), memory_window,
+        lambda i: _sign(v1_history[i] - v1_history[i - 1])
+        * _sign(v3_history[i] - v3_history[i - 1]))
+    return sum(terms) / (memory_window + 1)
+
+
+def attacker_memory_metric(v3_history, q3_history, params: GridParams) -> int:
+    """Windowed count of V3 moves unexplained by the attacker's own q3 moves.
+
+    A step contributes sign(floor((dV3 - dq3 * x2 / v0) / tap_step)).
+    Integer-valued, |metric| <= m+1.
+    """
+    if len(v3_history) != len(q3_history):
+        raise ValueError("histories must be aligned")
+
+    def term(i):
+        residual = (v3_history[i] - v3_history[i - 1]) \
+            - (q3_history[i] - q3_history[i - 1]) * params.x2 / params.v0
+        return _sign(math.floor(residual / params.tap_step))
+
+    return int(sum(_windowed_terms(len(v3_history), params.memory_window, term)))
+
+
+def scan_level0_attacker(v2: float, q3_current: float, params: GridParams) -> int:
+    """`scenario.level0_attacker` by a scan of the whole grid: the projected
+    deviation of every level, the first maximum, the nearest level found by a
+    scan as well."""
+    levels = attacker_levels(params)
+    current_index = min(range(ATTACKER_ACTIONS),
+                        key=lambda k: abs(levels[k] - q3_current))
+    deviations = [abs(v2 + params.x1 * (q - q3_current) - 1.0) for q in levels]
+    # max over a range keeps the first argmax, pinning exact ties.
+    best_index = max(range(ATTACKER_ACTIONS), key=lambda k: deviations[k])
+    if deviations[best_index] > params.strike_threshold:
+        return best_index
+    if v2 < 1.0:
+        return min(current_index + 1, ATTACKER_ACTIONS - 1)
+    return max(current_index - 1, 0)
+
+
+def params_equal(a, b) -> bool:
+    """Bitwise equality of two `neural.NetworkParams`."""
+    return a.n_layers == b.n_layers and all(
+        np.array_equal(x, y)
+        for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+def n_params(spec) -> int:
+    """Length of the flat parameter vector of a `neural.NetworkSpec`."""
+    dims = spec.layer_dims
+    return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))

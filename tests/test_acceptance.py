@@ -17,11 +17,11 @@ from gridgame.levelk import TrainConfig, build_hierarchy, evaluate, train_level
 from gridgame.neural import td_gradient
 from gridgame.scenario import (ACTION_HOLD, ACTION_UP, ATTACKER, DEFENDER,
                                GridParams, as_netform, attacker_levels,
-                               attacker_memory_metric, attacker_reward,
-                               defender_memory_metric, defender_move_domain,
-                               defender_reward, level0_attacker,
-                               level0_defender, level0_policies, power_flow,
-                               simulate)
+                               attacker_reward, defender_reward,
+                               level0_attacker, level0_defender,
+                               level0_policies, power_flow, simulate)
+from oracles import (attacker_memory_metric, defender_memory_metric,
+                     defender_move_domain)
 from test_neural import finite_difference_gradient, random_network
 from toy_games import (PLAYER, chain_game, chain_prior, single_state_game,
                        single_state_prior, value_iteration_chain,

@@ -8,8 +8,8 @@ import pytest
 
 from gridgame.cli import main
 from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
-                                 config_from_dict, config_to_dict,
-                                 default_config, load_config, load_policy,
+                                 ExperimentConfig, config_from_dict,
+                                 config_to_dict, load_config, load_policy,
                                  player_train_configs, policy_filename,
                                  resolve_policy, run_eval, run_sweep, run_trace,
                                  run_train, save_policy, write_csv)
@@ -17,6 +17,11 @@ from gridgame.levelk import QPolicy, TrainConfig
 from gridgame.neural import NetworkSpec
 from gridgame.scenario import (ATTACKER, DEFENDER, GridParams,
                                attacker_feature_encoder, power_flow)
+from oracles import params_equal
+
+
+def default_config():
+    return ExperimentConfig(grid=GridParams(), train=TrainConfig())
 
 
 def tiny_config(**experiment_overrides):
@@ -97,6 +102,12 @@ def test_ill_typed_config_value_rejected_naming_its_key(data, key):
         config_from_dict(data)
 
 
+def test_p2_range_of_non_finite_width_rejected():
+    # numpy's uniform refused such a range only at the first load draw
+    with pytest.raises(ValueError, match="p2_range width must be finite"):
+        config_from_dict({"grid": {"p2_range": [-1e308, 1e308]}})
+
+
 @pytest.mark.parametrize("experiment", [
     {"q3max_values": [1.0000001, 1.0000002]},  # same RNG stream and file name
     {"q3max_values": [1234567.0, 1234568.0]},  # same file name only
@@ -175,7 +186,7 @@ def test_policy_save_load_round_trip(tmp_path):
     path = tmp_path / policy_filename(ATTACKER, 1, 0.7, 3)
     save_policy(path, policy, ATTACKER, 1, 0.7, 3, TrainConfig())
     loaded = load_policy(path, grid)
-    assert loaded.params.equals(policy.params)
+    assert params_equal(loaded.params, policy.params)
     assert loaded.spec == policy.spec
     assert loaded.epsilon == policy.epsilon
 
@@ -416,6 +427,7 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     ("train", "hidden_layers", [0]),
     ("train", "seed", 99),
     ("train", "optimistic_bias", 0.0),
+    ("grid", "p2_range", [-1e308, 1e308]),
 ])
 def test_cli_bad_config_value_exits_with_error_line(tmp_path, capsys, section,
                                                     key, value):

@@ -6,11 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridgame import levelk, neural
-from gridgame.levelk import (FeatureEncoder, QPolicy, TrainConfig,
-                             Transition, build_hierarchy, epsilon_schedule,
-                             episode_transitions, evaluate, select_action,
-                             semi_batch_update, train_level)
+from gridgame.levelk import (FeatureEncoder, PriorPolicy, QPolicy,
+                             TrainConfig, build_hierarchy, epsilon_schedule,
+                             evaluate, select_action, semi_batch_update,
+                             train_level)
+from gridgame.netform import (FiniteDiscrete, GlueBinding, IteratedGame,
+                              SemiBayesNet, boundary_kernel, chance,
+                              constant_kernel, decision)
 from gridgame.neural import NetworkParams, NetworkSpec
+from oracles import params_equal
 from toy_games import PLAYER, single_state_game, single_state_prior
 
 from gridgame import scenario
@@ -100,58 +104,74 @@ def test_select_action_fully_random_is_uniform():
 
 def test_semi_batch_empty_is_identity():
     policy = fixed_q_policy([1.0, 2.0])
-    updated = semi_batch_update(policy.params, [], 0.9, 0.1)
+    # one decision point and no reward: no transition
+    updated = semi_batch_update(policy.params, np.zeros((1, 1)), [0], [],
+                                0.9, 0.1)
     assert updated is policy.params
 
 
 def test_semi_batch_zero_residual_no_change():
     policy = fixed_q_policy([1.0, 2.0])
-    feats = np.zeros(1)
+    feats = np.zeros((2, 1))
     # terminal transition with target equal to the current Q-value
-    tr = Transition(feats, 1, 2.0, feats, 0, True)
-    updated = semi_batch_update(policy.params, [tr], 0.9, 0.1)
-    assert updated.equals(policy.params)
+    updated = semi_batch_update(policy.params, feats, [1, 0], [2.0], 0.9, 0.1)
+    assert params_equal(updated, policy.params)
 
 
 def test_semi_batch_two_transition_hand_example():
     # one linear unit: Q(s) = w*s + b with w=0.5, b=0.2; gamma=0.5, lr=0.1
     params = NetworkParams([np.array([[0.5]])], [np.array([0.2])])
-    t1 = Transition(np.array([1.0]), 0, 1.0, np.array([2.0]), 0, False)
-    t2 = Transition(np.array([2.0]), 0, 0.0, np.array([1.0]), 0, True)
+    # transitions s=1 -> s'=2 (reward 1) and the terminal s=2 -> 1 (reward 0)
+    features = np.array([[1.0], [2.0], [1.0]])
     # targets against pre-update params: t1 -> 1 + 0.5*Q(2)=1.6; t2 -> 0
     # residuals: 1.6 - 0.7 = 0.9 ; 0.0 - 1.2 = -1.2
     # grads: (-0.9*1, -0.9) and (1.2*2, 1.2); mean (0.75, 0.15)
-    updated = semi_batch_update(params, [t1, t2], 0.5, 0.1)
+    updated = semi_batch_update(params, features, [0, 0, 0], [1.0, 0.0],
+                                0.5, 0.1)
     assert updated.weights[0][0, 0] == pytest.approx(0.5 - 0.1 * 0.75, abs=1e-15)
     assert updated.biases[0][0] == pytest.approx(0.2 - 0.1 * 0.15, abs=1e-15)
 
 
 def test_semi_batch_targets_use_pre_update_network():
-    # two identical non-terminal transitions: both targets must be computed
-    # from the same (initial) network, so the update is exactly twice the
-    # single-transition average gradient direction.
+    # A non-terminal transition whose target r + gamma * Q(s', a') equals the
+    # terminal one's bare reward, from and to the same state: both targets
+    # and both gradients must come from the same (initial) network, so the
+    # pair's averaged update is exactly the single terminal transition's.
     params = NetworkParams([np.array([[0.0]])], [np.array([1.0])])
-    tr = Transition(np.array([1.0]), 0, 0.5, np.array([1.0]), 0, False)
-    updated_pair = semi_batch_update(params, [tr, tr], 0.8, 0.1)
-    updated_single = semi_batch_update(params, [tr], 0.8, 0.1)
-    assert updated_pair.equals(updated_single)
+    # Q = 1 everywhere: 0.0 + 0.5 * 1.0 == 0.5 exactly
+    updated_pair = semi_batch_update(params, np.ones((3, 1)), [0, 0, 0],
+                                     [0.0, 0.5], 0.5, 0.1)
+    updated_single = semi_batch_update(params, np.ones((2, 1)), [0, 0],
+                                       [0.5], 0.5, 0.1)
+    assert params_equal(updated_pair, updated_single)
 
 
-def loop_semi_batch_update(params, transitions, gamma, learning_rate):
-    """Per-transition reference for `semi_batch_update`: one forward and one
-    single-input `td_gradient` call per transition, summed in order."""
-    if not transitions:
+def loop_semi_batch_update(params, features, actions, rewards, gamma,
+                           learning_rate):
+    """Per-transition reference for `semi_batch_update`: transition i goes
+    from decision point i to i+1 and earns rewards[i], the last one is
+    terminal; one forward and one single-input `td_gradient` call per
+    transition, summed in order."""
+    if not len(rewards):
         return params
     total = np.zeros(params.to_vector().shape)
-    for tr in transitions:
-        if tr.terminal:
-            target = tr.r
+    for i, r in enumerate(rewards):
+        if i == len(rewards) - 1:
+            target = r
         else:
-            target = tr.r + gamma * float(neural.forward(params, tr.s_next)[tr.a_next])
+            q_next = neural.forward(params, features[i + 1])
+            target = r + gamma * float(q_next[actions[i + 1]])
         if not math.isfinite(target):
             raise levelk.TrainingDiverged(f"non-finite TD target {target!r}")
-        total += neural.td_gradient(params, tr.s, tr.a, target)
-    return neural.apply_update(params, total / len(transitions), learning_rate)
+        total += neural.td_gradient(params, features[i], actions[i], target)
+    return neural.apply_update(params, total / len(rewards), learning_rate)
+
+
+def random_episode(rng, spec, steps):
+    """Features and actions for steps+1 decision points, rewards for steps."""
+    return (rng.normal(size=(steps + 1, spec.input_dim)),
+            [int(a) for a in rng.integers(spec.output_dim, size=steps + 1)],
+            [float(r) for r in rng.normal(size=steps)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -165,41 +185,93 @@ def test_semi_batch_matches_per_transition_loop(seed, steps, hidden, gamma,
     spec = NetworkSpec(int(rng.integers(1, 6)), tuple(hidden),
                        int(rng.integers(1, 5)))
     params = neural.init(spec, 0.8, float(rng.normal()), rng)
-    transitions = [
-        Transition(rng.normal(size=spec.input_dim),
-                   int(rng.integers(spec.output_dim)), float(rng.normal()),
-                   rng.normal(size=spec.input_dim),
-                   int(rng.integers(spec.output_dim)), bool(rng.integers(2)))
-        for _ in range(steps)]
-    batched = semi_batch_update(params, transitions, gamma, learning_rate)
-    looped = loop_semi_batch_update(params, transitions, gamma, learning_rate)
+    features, actions, rewards = random_episode(rng, spec, steps)
+    batched = semi_batch_update(params, features, actions, rewards, gamma,
+                                learning_rate)
+    looped = loop_semi_batch_update(params, features, actions, rewards, gamma,
+                                    learning_rate)
     assert np.abs(batched.to_vector() - looped.to_vector()).max() <= 1e-12
     # Targets come from the pre-update network, so repeating a transition
     # leaves the averaged step as it is (bit for bit only where, as in
-    # test_semi_batch_targets_use_pre_update_network, no sum is reordered).
-    tr = transitions[0]
-    twice = semi_batch_update(params, [tr, tr], gamma, learning_rate)
-    once = semi_batch_update(params, [tr], gamma, learning_rate)
+    # test_semi_batch_targets_use_pre_update_network, no sum is reordered):
+    # the first transition, then once more as the terminal one with its
+    # bootstrapped target as the bare reward.
+    s, a, r = features[0], actions[0], rewards[0]
+    target = r + gamma * float(neural.forward(params, s)[a])
+    twice = semi_batch_update(params, np.array([s, s, s]), [a, a, a],
+                              [r, target], gamma, learning_rate)
+    once = semi_batch_update(params, np.array([s, s]), [a, a], [target],
+                             gamma, learning_rate)
     assert np.abs(twice.to_vector() - once.to_vector()).max() <= 1e-12
+
+
+def test_semi_batch_needs_one_more_decision_than_rewards():
+    policy = fixed_q_policy([1.0, 2.0])
+    with pytest.raises(ValueError, match="need 3 of each"):
+        semi_batch_update(policy.params, np.zeros((2, 1)), [0, 0], [1.0, 1.0],
+                          0.9, 0.1)
+    with pytest.raises(ValueError, match="need 2 of each"):
+        semi_batch_update(policy.params, np.zeros((2, 1)), [0], [1.0],
+                          0.9, 0.1)
 
 
 def test_non_finite_target_raises():
     policy = fixed_q_policy([1.0, 2.0])
-    tr = Transition(np.zeros(1), 0, float("inf"), np.zeros(1), 0, True)
     with pytest.raises(levelk.TrainingDiverged):
-        semi_batch_update(policy.params, [tr], 0.9, 0.1)
+        semi_batch_update(policy.params, np.zeros((2, 1)), [0, 0],
+                          [float("inf")], 0.9, 0.1)
 
 
-def test_episode_transitions_pairing_and_rewards():
-    records = [(np.array([float(i)]), i % 2) for i in range(4)]
-    rewards = [10.0, 11.0, 12.0, 13.0]
-    transitions = episode_transitions(records, rewards)
-    assert len(transitions) == 3
-    assert [tr.r for tr in transitions] == [11.0, 12.0, 13.0]
-    assert [tr.terminal for tr in transitions] == [False, False, True]
-    assert transitions[0].a == 0 and transitions[0].a_next == 1
-    with pytest.raises(ValueError):
-        episode_transitions(records[:3], rewards)
+def clock_game(horizon):
+    """Kernel slice i (from 0) shows the trainee the feature [i] and pays it
+    10 + i."""
+    clock = FiniteDiscrete(horizon + 1)
+    kernel = SemiBayesNet([
+        chance("clock_prev", clock, boundary_kernel("clock_prev")),
+        chance("clock", clock, lambda parents, rng: parents["clock_prev"] + 1,
+               parents=("clock_prev",)),
+        decision("action", FiniteDiscrete(2), PLAYER, parents=("clock",)),
+    ])
+    base = SemiBayesNet([chance("clock", clock, constant_kernel(0))])
+    game = IteratedGame(base, kernel, GlueBinding({"clock": "clock_prev"}),
+                        horizon, {PLAYER: lambda inst: 9.0 + inst["clock"]})
+    encoder = FeatureEncoder(1, lambda parents: np.array([parents["clock"] - 1.0]))
+    return game, PriorPolicy("clock", 2, encoder, lambda parents, rng: 0)
+
+
+def test_episode_transitions_pairing_and_rewards(monkeypatch):
+    # train_level hands semi_batch_update every decision point of the
+    # episode and the rewards from the second slice on: the decision at
+    # slice t earns the reward of slice t+1, and the last decision only
+    # bootstraps the terminal transition.
+    seen = []
+
+    def spy(params, features, actions, rewards, gamma, learning_rate):
+        seen.append((features, list(actions), list(rewards)))
+        return real_update(params, features, actions, rewards, gamma,
+                           learning_rate)
+
+    real_update = levelk.semi_batch_update
+    monkeypatch.setattr(levelk, "semi_batch_update", spy)
+    monkeypatch.setattr(levelk, "select_action",
+                        lambda policy, features, rng: int(features[0]) % 2)
+    game, prior = clock_game(4)
+    config = TrainConfig(episodes=1, hidden_layers=())
+    train_level(game, PLAYER, {}, {PLAYER: prior}, config,
+                np.random.default_rng(0))
+    ((features, actions, rewards),) = seen
+    assert len(rewards) == 3
+    assert rewards == [11.0, 12.0, 13.0]
+    assert np.array_equal(features, [[0.0], [1.0], [2.0], [3.0]])
+    # transition i runs from row i to row i+1; only the last is terminal
+    terminal = [i == len(rewards) - 1 for i in range(len(rewards))]
+    assert terminal == [False, False, True]
+    assert actions[0] == 0 and actions[1] == 1
+    # a decision record more than there are slices
+    monkeypatch.setattr(levelk, "_count_base_decisions", lambda game, p: -1)
+    with pytest.raises(ValueError, match="5 decision records for 4 slices"):
+        train_level(game, PLAYER, {}, {PLAYER: prior}, config,
+                    np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +295,7 @@ def test_train_level_is_deterministic_given_seed():
                     np.random.default_rng(3))
     b = train_level(game, PLAYER, {}, {PLAYER: single_state_prior()}, cfg,
                     np.random.default_rng(3))
-    assert a.params.equals(b.params)
+    assert params_equal(a.params, b.params)
 
 
 def test_train_config_horizon_overrides_game_horizon():
@@ -234,11 +306,11 @@ def test_train_config_horizon_overrides_game_horizon():
                     np.random.default_rng(0))
     b = train_level(game, PLAYER, {}, {PLAYER: prior}, short,
                     np.random.default_rng(0))
-    assert a.params.equals(b.params)
+    assert params_equal(a.params, b.params)
     full = TrainConfig(episodes=1, hidden_layers=())
     c = train_level(game, PLAYER, {}, {PLAYER: prior}, full,
                     np.random.default_rng(0))
-    assert not a.params.equals(c.params)
+    assert not params_equal(a.params, c.params)
 
 
 def test_opponent_parameters_untouched_by_training():
@@ -252,7 +324,7 @@ def test_opponent_parameters_untouched_by_training():
     cfg = TrainConfig(episodes=3, hidden_layers=(4,))
     train_level(game, DEFENDER, {ATTACKER: opponent}, level0s, cfg,
                 np.random.default_rng(0))
-    assert opponent.params.equals(before)
+    assert params_equal(opponent.params, before)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridgame import netform, scenario
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
                                DEFENDER, GridParams,
                                apply_defender_action, as_netform,
-                               attacker_levels, attacker_memory_metric,
-                               attacker_observation, defender_memory_metric,
-                               defender_move_domain, defender_observation,
+                               attacker_levels, attacker_observation,
+                               defender_observation,
                                defender_reward, attacker_reward,
                                encode_attacker_features,
                                encode_defender_features,
@@ -17,6 +16,8 @@ from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
                                initial_state, level0_attacker, level0_defender,
                                level0_policies, power_flow, simulate,
                                transition)
+from oracles import (attacker_memory_metric, defender_memory_metric,
+                     defender_move_domain, scan_level0_attacker)
 
 P = GridParams(q3_max=0.7)
 
@@ -305,6 +306,52 @@ def test_level0_attacker_strike_only_beyond_threshold():
             assert projected[action] == max(projected)
 
 
+@st.composite
+def attacker_situations(draw):
+    """(v2, q3, params): q3_max from 1e-9 to 2, q3 on the grid or off it, and
+    v2 at 1.0, anywhere near it, or a few ulps to either side of a value
+    where one grid end's projected deviation crosses the strike threshold."""
+    params = GridParams(q3_max=draw(st.floats(1e-9, 2.0)))
+    levels = attacker_levels(params)
+    q3 = draw(st.one_of(st.sampled_from(levels),
+                        st.floats(-1.2 * params.q3_max, 1.2 * params.q3_max)))
+    end = draw(st.sampled_from((levels[0], levels[-1])))
+    side = draw(st.sampled_from((-1.0, 1.0)))
+    crossing = 1.0 + side * params.strike_threshold - params.x1 * (end - q3)
+    ulps = draw(st.integers(-3, 3))
+    for _ in range(abs(ulps)):
+        crossing = float(np.nextafter(crossing, ulps * np.inf))
+    v2 = draw(st.one_of(st.just(1.0), st.floats(0.8, 1.2), st.just(crossing)))
+    return v2, q3, params
+
+
+@settings(max_examples=500, deadline=None)
+@given(attacker_situations())
+@example((1.0, 0.0, GridParams(q3_max=3.0)))  # both ends strike, tied
+def test_level0_attacker_equals_grid_scan(situation):
+    v2, q3, params = situation
+    assert level0_attacker(v2, q3, params) == scan_level0_attacker(v2, q3, params)
+
+
+def test_level0_attacker_strikes_at_first_of_equal_top_deviations():
+    # With steps x1 * q3_max / 5 near half an ulp of V2, the projected V2
+    # repeats across neighbouring grid levels; a strike goes to the first
+    # grid index of the largest deviation, as the scan's first argmax does.
+    rng = np.random.default_rng(0)
+    interior_strikes = 0
+    for q3_max in (1e-14, 2e-14, 3e-14, 5e-14):
+        params = GridParams(q3_max=q3_max)
+        levels = attacker_levels(params)
+        for _ in range(500):
+            v2 = float(rng.uniform(0.8, 1.2))
+            current = int(rng.integers(11))
+            expected = scan_level0_attacker(v2, levels[current], params)
+            assert level0_attacker(v2, levels[current], params) == expected
+            drift = min(current + 1, 10) if v2 < 1.0 else max(current - 1, 0)
+            interior_strikes += 0 < expected < 10 and expected != drift
+    assert interior_strikes > 0
+
+
 # ---------------------------------------------------------------------------
 # transition
 # ---------------------------------------------------------------------------
@@ -365,6 +412,24 @@ def test_rewards_evaluated_on_next_state():
                                  params)
     assert rewards[0] == defender_reward(nxt.V2, nxt.V3, params)
     assert rewards[1] == attacker_reward(nxt.V2, params)
+
+
+@pytest.mark.parametrize("p2_range", [(1.35, 1.5), (1.4, 1.4), (-3.0, 2.0)])
+def test_load_draws_are_generator_uniform_bits(p2_range):
+    params = GridParams(q3_max=0.7, p2_range=p2_range)
+    rng = np.random.default_rng(8)
+    oracle = np.random.default_rng(8)
+    shadow = np.random.default_rng(8)
+    state = initial_state(params, rng)
+    p2s = [state.p2]
+    for t in range(50):
+        state = scenario.advance_state(state, t % 3, t % 11, rng, params)
+        p2s.append(state.p2)
+    expected = [float(oracle.uniform(*p2_range)) for _ in p2s]
+    assert np.array(p2s).tobytes() == np.array(expected).tobytes()
+    # each draw consumed exactly one double of the stream
+    shadow.random(len(p2s))
+    assert rng.random() == shadow.random()
 
 
 def test_initial_state_defaults():
@@ -463,5 +528,11 @@ def test_invalid_params_rejected():
         GridParams(v1_min=1.2)
     with pytest.raises(ValueError):
         GridParams(q3_max=-0.1)
+    for q3_max in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="q3_max must be finite"):
+            GridParams(q3_max=q3_max)
+    for p2_range in ((-1e308, 1e308), (0.0, float("inf"))):
+        with pytest.raises(ValueError, match="p2_range width must be finite"):
+            GridParams(p2_range=p2_range)
     with pytest.raises(ValueError):
         GridParams(memory_window=0)
