@@ -167,13 +167,6 @@ def loop_semi_batch_update(params, features, actions, rewards, gamma,
     return neural.apply_update(params, total / len(rewards), learning_rate)
 
 
-def random_episode(rng, spec, steps):
-    """Features and actions for steps+1 decision points, rewards for steps."""
-    return (rng.normal(size=(steps + 1, spec.input_dim)),
-            [int(a) for a in rng.integers(spec.output_dim, size=steps + 1)],
-            [float(r) for r in rng.normal(size=steps)])
-
-
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 40),
        hidden=st.lists(st.integers(1, 8), max_size=3),
@@ -185,7 +178,10 @@ def test_semi_batch_matches_per_transition_loop(seed, steps, hidden, gamma,
     spec = NetworkSpec(int(rng.integers(1, 6)), tuple(hidden),
                        int(rng.integers(1, 5)))
     params = neural.init(spec, 0.8, float(rng.normal()), rng)
-    features, actions, rewards = random_episode(rng, spec, steps)
+    # steps + 1 decision points, steps rewards
+    features = rng.normal(size=(steps + 1, spec.input_dim))
+    actions = [int(a) for a in rng.integers(spec.output_dim, size=steps + 1)]
+    rewards = [float(r) for r in rng.normal(size=steps)]
     batched = semi_batch_update(params, features, actions, rewards, gamma,
                                 learning_rate)
     looped = loop_semi_batch_update(params, features, actions, rewards, gamma,
@@ -263,9 +259,10 @@ def test_episode_transitions_pairing_and_rewards(monkeypatch):
     assert len(rewards) == 3
     assert rewards == [11.0, 12.0, 13.0]
     assert np.array_equal(features, [[0.0], [1.0], [2.0], [3.0]])
-    # transition i runs from row i to row i+1; only the last is terminal
-    terminal = [i == len(rewards) - 1 for i in range(len(rewards))]
-    assert terminal == [False, False, True]
+    # transition i runs from row i to row i+1, so the last decision point is
+    # only the s' of the last, terminal transition (whose bare-reward target
+    # test_semi_batch_two_transition_hand_example checks)
+    assert len(features) == len(actions) == len(rewards) + 1
     assert actions[0] == 0 and actions[1] == 1
     # a decision record more than there are slices
     monkeypatch.setattr(levelk, "_count_base_decisions", lambda game, p: -1)

@@ -327,7 +327,7 @@ def attacker_situations(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(attacker_situations())
-@example((1.0, 0.0, GridParams(q3_max=3.0)))  # both ends strike, tied
+@example((1.0, 0.0, GridParams(x1=0.0625, q3_max=2.0)))  # ends tie at 0.125
 def test_level0_attacker_equals_grid_scan(situation):
     v2, q3, params = situation
     assert level0_attacker(v2, q3, params) == scan_level0_attacker(v2, q3, params)
