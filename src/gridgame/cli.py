@@ -17,16 +17,15 @@ from pathlib import Path
 from . import experiment
 
 
-def _add_common(parser: argparse.ArgumentParser, *, levels_required: bool,
-                q3max_required: bool) -> None:
+def _add_common(parser: argparse.ArgumentParser, *, required: bool,
+                levels: bool = True) -> None:
+    # `required` makes the cell options mandatory rather than filters.
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--defender-level", type=int, required=levels_required,
-                        default=None)
-    parser.add_argument("--attacker-level", type=int, required=levels_required,
-                        default=None)
-    parser.add_argument("--q3max", type=float, required=q3max_required,
-                        default=None)
+    if levels:
+        for option in ("--defender-level", "--attacker-level"):
+            parser.add_argument(option, type=int, required=required, default=None)
+    parser.add_argument("--q3max", type=float, required=required, default=None)
     parser.add_argument("--seed", type=int, default=None)
 
 
@@ -37,16 +36,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="train and persist policy hierarchies")
-    _add_common(train, levels_required=False, q3max_required=False)
+    _add_common(train, required=False, levels=False)
 
     sweep = sub.add_parser("sweep", help="evaluate pairings across q3_max values")
-    _add_common(sweep, levels_required=False, q3max_required=False)
+    _add_common(sweep, required=False)
 
     ev = sub.add_parser("eval", help="evaluate one pairing")
-    _add_common(ev, levels_required=True, q3max_required=True)
+    _add_common(ev, required=True)
 
     trace = sub.add_parser("trace", help="write one rollout trace CSV")
-    _add_common(trace, levels_required=True, q3max_required=True)
+    _add_common(trace, required=True)
     return parser
 
 

@@ -30,7 +30,6 @@ from . import neural, scenario
 from .levelk import (PriorPolicy, QPolicy, TrainConfig, build_hierarchy,
                      evaluate)
 from .scenario import (ATTACKER, DEFENDER, GridParams, as_netform,
-                       attacker_feature_encoder, defender_feature_encoder,
                        level0_policies, simulate)
 
 MANIFEST_VERSION = 1
@@ -271,20 +270,25 @@ def save_policy(path: Path, policy: QPolicy, player: str, level: int,
 def load_policy(path: Path, grid: GridParams) -> QPolicy:
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
+    if not isinstance(payload, dict):
+        raise ValueError(f"policy file {path} does not hold a JSON object")
     if payload.get("format_version") != POLICY_FORMAT_VERSION:
         raise ValueError(
             f"unsupported policy format version {payload.get('format_version')!r} "
             f"in {path}")
-    spec, params = neural.network_from_dict(payload["network"])
+    missing = {"player", "epsilon", "network"} - payload.keys()
+    if missing:
+        raise ValueError(f"policy file {path} lacks {', '.join(sorted(missing))}")
     player = payload["player"]
-    if player == DEFENDER:
-        encoder = defender_feature_encoder(grid)
-    elif player == ATTACKER:
-        encoder = attacker_feature_encoder(grid)
-    else:
+    prior = level0_policies(grid).get(player) if isinstance(player, str) else None
+    if prior is None:
         raise ValueError(f"unknown player {player!r} in {path}")
-    return QPolicy(spec, params, float(payload["epsilon"]), encoder,
-                   spec.output_dim)
+    spec, params = neural.network_from_dict(payload["network"])
+    if (spec.input_dim, spec.output_dim) != (prior.feature_dim, prior.action_count):
+        raise ValueError(
+            f"{path} holds a {spec.input_dim}->{spec.output_dim} network; a "
+            f"{player} policy needs {prior.feature_dim}->{prior.action_count}")
+    return QPolicy(spec, params, float(payload["epsilon"]), prior.encoder)
 
 
 def resolve_policy(config: ExperimentConfig, out_dir: Path, player: str,
@@ -298,6 +302,15 @@ def resolve_policy(config: ExperimentConfig, out_dir: Path, player: str,
             f"no trained policy for {player} level {level} at q3_max={q3_max:g}, "
             f"seed={seed}: expected {path}; run 'train' first")
     return load_policy(path, grid)
+
+
+def resolve_pairing(config: ExperimentConfig, out_dir: Path,
+                    defender_level: int, attacker_level: int, q3_max: float,
+                    seed: int) -> dict[str, PriorPolicy | QPolicy]:
+    """The defender's and the attacker's policy for one pairing."""
+    return {player: resolve_policy(config, out_dir, player, level, q3_max, seed)
+            for player, level in ((DEFENDER, defender_level),
+                                  (ATTACKER, attacker_level))}
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +416,10 @@ def run_sweep(config: ExperimentConfig, out_dir: Path,
         game = as_netform(grid, config.horizon)
         for d_level, a_level in pairings:
             for s in _selected(config.seeds, seed):
-                defender = resolve_policy(config, out_dir, DEFENDER, d_level, q3, s)
-                attacker = resolve_policy(config, out_dir, ATTACKER, a_level, q3, s)
+                policies = resolve_pairing(config, out_dir, d_level, a_level,
+                                           q3, s)
                 rng = cell_rng(s, _SWEEP_TAG, _q3_key(q3), d_level, a_level)
-                report = evaluate(game, {DEFENDER: defender, ATTACKER: attacker},
-                                  config.eval_episodes, rng)
+                report = evaluate(game, policies, config.eval_episodes, rng)
                 records.append(SweepRecord(
                     q3, d_level, a_level, s,
                     report.mean_reward_per_step[DEFENDER],
@@ -423,13 +435,10 @@ def run_eval(config: ExperimentConfig, out_dir: Path, defender_level: int,
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = replace(config.grid, q3_max=q3_max)
     game = as_netform(grid, config.horizon)
-    defender = resolve_policy(config, out_dir, DEFENDER, defender_level,
-                              q3_max, seed)
-    attacker = resolve_policy(config, out_dir, ATTACKER, attacker_level,
-                              q3_max, seed)
+    policies = resolve_pairing(config, out_dir, defender_level,
+                               attacker_level, q3_max, seed)
     rng = cell_rng(seed, _EVAL_TAG, _q3_key(q3_max), defender_level, attacker_level)
-    report = evaluate(game, {DEFENDER: defender, ATTACKER: attacker},
-                      config.eval_episodes, rng)
+    report = evaluate(game, policies, config.eval_episodes, rng)
     name = f"eval_D{defender_level}A{attacker_level}_q{q3_max:g}_s{seed}.csv"
     rows = [(i, d, a) for i, (d, a) in enumerate(
         zip(report.per_episode[DEFENDER], report.per_episode[ATTACKER]), start=1)]
@@ -451,13 +460,11 @@ def run_trace(config: ExperimentConfig, out_dir: Path, defender_level: int,
     """One seeded greedy rollout; write the step-by-step trace CSV."""
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = replace(config.grid, q3_max=q3_max)
-    defender = resolve_policy(config, out_dir, DEFENDER, defender_level,
-                              q3_max, seed).greedy_copy()
-    attacker = resolve_policy(config, out_dir, ATTACKER, attacker_level,
-                              q3_max, seed).greedy_copy()
+    policies = {player: policy.greedy_copy() for player, policy in
+                resolve_pairing(config, out_dir, defender_level,
+                                attacker_level, q3_max, seed).items()}
     rng = cell_rng(seed, _TRACE_TAG, _q3_key(q3_max), defender_level, attacker_level)
-    records = simulate(grid, {DEFENDER: defender, ATTACKER: attacker},
-                       config.horizon, rng)
+    records = simulate(grid, policies, config.horizon, rng)
     rows = []
     for rec in records:
         s = rec.state

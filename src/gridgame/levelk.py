@@ -20,27 +20,17 @@ from .netform import Decision, IteratedGame, ParentValues, Policy, rollout
 
 
 @dataclass(frozen=True)
-class FeatureEncoder:
-    """Maps a decision node's parent values to a fixed-length feature vector."""
-
-    dim: int
-    fn: Callable[[ParentValues], np.ndarray]
-
-    def __call__(self, parent_values: ParentValues) -> np.ndarray:
-        return self.fn(parent_values)
-
-
-@dataclass(frozen=True)
 class PriorPolicy:
-    """A level-0 policy: a fixed decision rule plus the player's encoding.
+    """A level-0 policy: a fixed decision rule plus the player's interface.
 
-    The encoder and action count describe the player's interface for the
-    levels trained on top of this prior.
+    Every level trained on top of this prior decides at the same node, so it
+    shares the prior's action count and its encoder, which maps the node's
+    parent values to a vector of `feature_dim` features.
     """
 
-    name: str
     action_count: int
-    encoder: FeatureEncoder
+    feature_dim: int
+    encoder: Callable[[ParentValues], np.ndarray]
     fn: Policy
 
     def __call__(self, parent_values: ParentValues, rng: np.random.Generator) -> int:
@@ -57,12 +47,9 @@ class QPolicy:
     spec: neural.NetworkSpec
     params: neural.NetworkParams
     epsilon: float
-    encoder: FeatureEncoder
-    action_count: int
+    encoder: Callable[[ParentValues], np.ndarray]
 
     def __post_init__(self):
-        if self.action_count != self.spec.output_dim:
-            raise ValueError("action_count must equal the network output_dim")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
@@ -73,7 +60,7 @@ class QPolicy:
         return select_action(self, self.encoder(parent_values), rng)
 
     def greedy_copy(self) -> "QPolicy":
-        return QPolicy(self.spec, self.params, 0.0, self.encoder, self.action_count)
+        return QPolicy(self.spec, self.params, 0.0, self.encoder)
 
 
 @dataclass(frozen=True)
@@ -110,6 +97,8 @@ class TrainConfig:
             raise ValueError("epsilon_end must not exceed epsilon_start")
         if not 0.0 <= self.epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must be in [0, 1]")
+        if self.horizon is not None and self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if any(width < 1 for width in self.hidden_layers):
             raise ValueError(
                 f"hidden_layers must all be >= 1, got {self.hidden_layers}")
@@ -130,7 +119,7 @@ def select_action(policy: QPolicy, features: np.ndarray,
     """Argmax of the Q-values (ties to the lowest index) with probability
     1 - epsilon, otherwise uniform over all actions."""
     if policy.epsilon > 0.0 and rng.random() < policy.epsilon:
-        return int(rng.integers(policy.action_count))
+        return int(rng.integers(policy.spec.output_dim))
     return int(policy.q_values(features).argmax())
 
 
@@ -187,7 +176,7 @@ def _count_base_decisions(game: IteratedGame, player: str) -> int:
 
 def train_level(game: IteratedGame, trainee: str,
                 opponents: Mapping[str, Policy],
-                level0s: Mapping[str, PriorPolicy | QPolicy],
+                level0s: Mapping[str, PriorPolicy],
                 config: TrainConfig, rng: np.random.Generator) -> QPolicy:
     """Train one player's next-level policy against frozen opponents.
 
@@ -199,11 +188,10 @@ def train_level(game: IteratedGame, trainee: str,
     in-horizon consequence and only bootstraps the terminal transition.
     """
     prior = level0s[trainee]
-    spec = neural.NetworkSpec(prior.encoder.dim, config.hidden_layers,
+    spec = neural.NetworkSpec(prior.feature_dim, config.hidden_layers,
                               prior.action_count)
     params = neural.init(spec, config.init_scale, config.optimistic_bias, rng)
-    policy = QPolicy(spec, params, config.epsilon_start, prior.encoder,
-                     prior.action_count)
+    policy = QPolicy(spec, params, config.epsilon_start, prior.encoder)
     train_game = game if config.horizon is None else replace(game, horizon=config.horizon)
     base_skip = _count_base_decisions(train_game, trainee)
     for episode in range(config.episodes):
@@ -249,7 +237,7 @@ class LevelKHierarchy:
 
 
 def build_hierarchy(game: IteratedGame,
-                    level0s: Mapping[str, PriorPolicy | QPolicy],
+                    level0s: Mapping[str, PriorPolicy],
                     k_max: int,
                     config: TrainConfig | Mapping[str, TrainConfig],
                     rng: np.random.Generator) -> LevelKHierarchy:

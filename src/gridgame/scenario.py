@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from . import netform
-from .levelk import FeatureEncoder, PriorPolicy
+from .levelk import PriorPolicy
 from .netform import (FiniteDiscrete, GlueBinding, IteratedGame, RealVector,
                       Record, SemiBayesNet, boundary_kernel, chance,
                       constant_kernel, decision)
@@ -435,22 +435,10 @@ DEFENDER_FEATURE_DIM = 7
 ATTACKER_FEATURE_DIM = 6
 
 
-def defender_feature_encoder(params: GridParams) -> FeatureEncoder:
-    def encode(parent_values: Mapping) -> np.ndarray:
-        return encode_defender_features(parent_values[DEFENDER_MEMORY_NODE],
-                                        params)
-    return FeatureEncoder(DEFENDER_FEATURE_DIM, encode)
-
-
-def attacker_feature_encoder(params: GridParams) -> FeatureEncoder:
-    def encode(parent_values: Mapping) -> np.ndarray:
-        return encode_attacker_features(parent_values[ATTACKER_MEMORY_NODE],
-                                        params)
-    return FeatureEncoder(ATTACKER_FEATURE_DIM, encode)
-
-
 def level0_policies(params: GridParams) -> dict[str, PriorPolicy]:
-    """The scenario's priors, exposed with the players' feature interfaces."""
+    """The scenario's priors.  Each also fixes its player's interface for
+    every higher level: the action count and the feature encoding of the
+    player's memory."""
 
     def defender_fn(parent_values, rng):
         mem = parent_values[DEFENDER_MEMORY_NODE]
@@ -460,11 +448,19 @@ def level0_policies(params: GridParams) -> dict[str, PriorPolicy]:
         mem = parent_values[ATTACKER_MEMORY_NODE]
         return level0_attacker(mem.v2, mem.q3, params)
 
+    def defender_encoder(parent_values):
+        return encode_defender_features(parent_values[DEFENDER_MEMORY_NODE],
+                                        params)
+
+    def attacker_encoder(parent_values):
+        return encode_attacker_features(parent_values[ATTACKER_MEMORY_NODE],
+                                        params)
+
     return {
-        DEFENDER: PriorPolicy("defender_level0", DEFENDER_ACTIONS,
-                              defender_feature_encoder(params), defender_fn),
-        ATTACKER: PriorPolicy("attacker_level0", ATTACKER_ACTIONS,
-                              attacker_feature_encoder(params), attacker_fn),
+        DEFENDER: PriorPolicy(DEFENDER_ACTIONS, DEFENDER_FEATURE_DIM,
+                              defender_encoder, defender_fn),
+        ATTACKER: PriorPolicy(ATTACKER_ACTIONS, ATTACKER_FEATURE_DIM,
+                              attacker_encoder, attacker_fn),
     }
 
 

@@ -16,7 +16,10 @@ from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
 from gridgame.levelk import QPolicy, TrainConfig
 from gridgame.neural import NetworkSpec
 from gridgame.scenario import (ATTACKER, DEFENDER, GridParams,
-                               attacker_feature_encoder, power_flow)
+                               attacker_observation, defender_observation,
+                               initial_attacker_memory,
+                               initial_defender_memory, level0_policies,
+                               power_flow)
 from oracles import params_equal
 
 
@@ -172,12 +175,12 @@ def test_player_train_configs_bias_defaults():
 # policy files
 # ---------------------------------------------------------------------------
 
-def _dummy_policy(grid):
-    spec = NetworkSpec(6, (4,), 11)
+def _dummy_policy(grid, player=ATTACKER):
+    prior = level0_policies(grid)[player]
+    spec = NetworkSpec(prior.feature_dim, (4,), prior.action_count)
     rng = np.random.default_rng(0)
     from gridgame.neural import init
-    return QPolicy(spec, init(spec, 0.1, 2.0, rng), 0.0,
-                   attacker_feature_encoder(grid), 11)
+    return QPolicy(spec, init(spec, 0.1, 2.0, rng), 0.0, prior.encoder)
 
 
 def test_policy_save_load_round_trip(tmp_path):
@@ -189,6 +192,81 @@ def test_policy_save_load_round_trip(tmp_path):
     assert params_equal(loaded.params, policy.params)
     assert loaded.spec == policy.spec
     assert loaded.epsilon == policy.epsilon
+
+
+def test_loaded_policy_encodes_like_its_level0_prior(tmp_path):
+    grid = GridParams(q3_max=0.7)
+    priors = level0_policies(grid)
+    state = power_flow(1.4, 0.7, 1.0, 0.3, 1.02, grid)
+    parents = {
+        "defender_memory": initial_defender_memory(
+            defender_observation(state), grid),
+        "attacker_memory": initial_attacker_memory(
+            attacker_observation(state), grid),
+    }
+    for player in (DEFENDER, ATTACKER):
+        path = tmp_path / policy_filename(player, 1, 0.7, 1)
+        save_policy(path, _dummy_policy(grid, player), player, 1, 0.7, 1,
+                    TrainConfig())
+        features = load_policy(path, grid).encoder(parents)
+        assert features.tobytes() == priors[player].encoder(parents).tobytes()
+
+
+@pytest.mark.parametrize("player, shaped_as", [(DEFENDER, ATTACKER),
+                                                (ATTACKER, DEFENDER)])
+def test_network_of_the_other_player_refused_at_load(tmp_path, player,
+                                                      shaped_as):
+    grid = GridParams(q3_max=0.7)
+    path = tmp_path / policy_filename(player, 1, 0.7, 1)
+    save_policy(path, _dummy_policy(grid, shaped_as), player, 1, 0.7, 1,
+                TrainConfig())
+    wrong = "6->11" if shaped_as == ATTACKER else "7->3"
+    right = "7->3" if player == DEFENDER else "6->11"
+    with pytest.raises(ValueError) as info:
+        load_policy(path, grid)
+    assert str(path) in str(info.value)
+    assert wrong in str(info.value) and right in str(info.value)
+
+
+def _valid_policy_payload(tmp_path):
+    path = tmp_path / "valid.json"
+    grid = GridParams(q3_max=0.7)
+    save_policy(path, _dummy_policy(grid, DEFENDER), DEFENDER, 1, 0.7, 1,
+                TrainConfig())
+    return json.loads(path.read_text())
+
+
+def _drop(key):
+    return lambda payload: {k: v for k, v in payload.items() if k != key}
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda payload: [payload],
+    lambda payload: "defender",
+    _drop("player"),
+    _drop("epsilon"),
+    _drop("network"),
+    lambda payload: {**payload, "player": 7},
+    lambda payload: {**payload, "player": ["defender"]},
+    lambda payload: {**payload, "player": None},
+], ids=["list", "string", "no-player", "no-epsilon", "no-network",
+        "player-int", "player-list", "player-null"])
+def test_cli_malformed_policy_file_exits_with_error_line(tmp_path, capsys,
+                                                         corrupt):
+    config_path = write_config(tmp_path, {
+        "experiment": {"k_max": 1, "q3max_values": [0.7], "pairings": [[1, 0]],
+                       "eval_episodes": 1, "horizon": 5, "seeds": [1]},
+    })
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / policy_filename(DEFENDER, 1, 0.7, 1)
+    path.write_text(json.dumps(corrupt(_valid_policy_payload(tmp_path))))
+    code = main(["eval", "--config", str(config_path), "--out", str(out),
+                 "--defender-level", "1", "--attacker-level", "0",
+                 "--q3max", "0.7"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_policy_filename_format():
@@ -409,6 +487,22 @@ def test_cli_train_writes_manifest(tmp_path):
     assert (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("option", ["--defender-level", "--attacker-level"])
+def test_cli_train_refuses_level_options(tmp_path, capsys, option):
+    config_path = write_config(tmp_path, {
+        "experiment": {"k_max": 2, "q3max_values": [0.7], "pairings": [[0, 0]],
+                       "eval_episodes": 1, "horizon": 5, "seeds": [1]},
+        "train": {"episodes": 1, "hidden_layers": [2]},
+    })
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["train", "--config", str(config_path), "--out", str(out),
+              option, "7"])
+    assert info.value.code == 2
+    assert option in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     config_path = write_config(tmp_path, {"nope": {}})
     out = tmp_path / "out"
@@ -428,6 +522,7 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     ("train", "seed", 99),
     ("train", "optimistic_bias", 0.0),
     ("grid", "p2_range", [-1e308, 1e308]),
+    ("train", "horizon", 0),
 ])
 def test_cli_bad_config_value_exits_with_error_line(tmp_path, capsys, section,
                                                     key, value):

@@ -6,10 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridgame import levelk, neural
-from gridgame.levelk import (FeatureEncoder, PriorPolicy, QPolicy,
-                             TrainConfig, build_hierarchy, epsilon_schedule,
-                             evaluate, select_action, semi_batch_update,
-                             train_level)
+from gridgame.levelk import (PriorPolicy, QPolicy, TrainConfig,
+                             build_hierarchy, epsilon_schedule, evaluate,
+                             select_action, semi_batch_update, train_level)
 from gridgame.netform import (FiniteDiscrete, GlueBinding, IteratedGame,
                               SemiBayesNet, boundary_kernel, chance,
                               constant_kernel, decision)
@@ -26,8 +25,7 @@ def fixed_q_policy(q_values, epsilon=0.0):
     q_values = np.asarray(q_values, dtype=float)
     spec = NetworkSpec(1, (), q_values.size)
     params = NetworkParams([np.zeros((q_values.size, 1))], [q_values.copy()])
-    encoder = FeatureEncoder(1, lambda parents: np.zeros(1))
-    return QPolicy(spec, params, epsilon, encoder, q_values.size)
+    return QPolicy(spec, params, epsilon, lambda parents: np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +67,11 @@ def test_train_config_validation():
         TrainConfig(gamma=1.0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    for horizon in (0, -1):
+        with pytest.raises(ValueError, match="horizon"):
+            TrainConfig(horizon=horizon)
+    assert TrainConfig().horizon is None
+    assert TrainConfig(horizon=1).horizon == 1
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +234,9 @@ def clock_game(horizon):
     base = SemiBayesNet([chance("clock", clock, constant_kernel(0))])
     game = IteratedGame(base, kernel, GlueBinding({"clock": "clock_prev"}),
                         horizon, {PLAYER: lambda inst: 9.0 + inst["clock"]})
-    encoder = FeatureEncoder(1, lambda parents: np.array([parents["clock"] - 1.0]))
-    return game, PriorPolicy("clock", 2, encoder, lambda parents, rng: 0)
+    return game, PriorPolicy(
+        2, 1, lambda parents: np.array([parents["clock"] - 1.0]),
+        lambda parents, rng: 0)
 
 
 def test_episode_transitions_pairing_and_rewards(monkeypatch):
@@ -316,7 +320,7 @@ def test_opponent_parameters_untouched_by_training():
     level0s = scenario.level0_policies(params)
     opponent = QPolicy(NetworkSpec(6, (), 11),
                        NetworkParams([np.zeros((11, 6))], [np.arange(11.0)]),
-                       0.0, scenario.attacker_feature_encoder(params), 11)
+                       0.0, level0s[ATTACKER].encoder)
     before = opponent.params.copy()
     cfg = TrainConfig(episodes=3, hidden_layers=(4,))
     train_level(game, DEFENDER, {ATTACKER: opponent}, level0s, cfg,

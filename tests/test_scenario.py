@@ -473,13 +473,13 @@ def test_feature_normalization_anchors():
 
 
 def test_feature_dimensions_match_encoders():
-    d_enc = scenario.defender_feature_encoder(P)
-    a_enc = scenario.attacker_feature_encoder(P)
+    priors = level0_policies(P)
+    d_prior, a_prior = priors[DEFENDER], priors[ATTACKER]
     state = power_flow(1.4, 0.7, 1.0, 0.0, 1.0, P)
     d_mem = initial_defender_memory(defender_observation(state), P)
     a_mem = initial_attacker_memory(attacker_observation(state), P)
-    assert d_enc({"defender_memory": d_mem}).shape == (d_enc.dim,)
-    assert a_enc({"attacker_memory": a_mem}).shape == (a_enc.dim,)
+    assert d_prior.encoder({"defender_memory": d_mem}).shape == (d_prior.feature_dim,)
+    assert a_prior.encoder({"attacker_memory": a_mem}).shape == (a_prior.feature_dim,)
 
 
 def test_q3_feature_zero_when_capability_is_zero():

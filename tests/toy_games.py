@@ -7,7 +7,7 @@ Q-function tabular: one weight per state-action pair plus a shared bias.
 
 import numpy as np
 
-from gridgame.levelk import FeatureEncoder, PriorPolicy
+from gridgame.levelk import PriorPolicy
 from gridgame.netform import (FiniteDiscrete, GlueBinding, IteratedGame,
                               SemiBayesNet, boundary_kernel, chance,
                               constant_kernel, decision)
@@ -28,8 +28,7 @@ def single_state_game(horizon: int) -> IteratedGame:
 
 
 def single_state_prior() -> PriorPolicy:
-    encoder = FeatureEncoder(1, lambda parents: np.zeros(1))
-    return PriorPolicy("uniform", 2, encoder,
+    return PriorPolicy(2, 1, lambda parents: np.zeros(1),
                        lambda parents, rng: int(rng.integers(2)))
 
 
@@ -63,8 +62,7 @@ def chain_prior(n: int = 5) -> PriorPolicy:
         one_hot[int(parents["state"])] = 1.0
         return one_hot
 
-    return PriorPolicy("uniform", 2, FeatureEncoder(n, encode),
-                       lambda parents, rng: int(rng.integers(2)))
+    return PriorPolicy(2, n, encode, lambda parents, rng: int(rng.integers(2)))
 
 
 def value_iteration_single(gamma: float, sweeps: int = 10_000) -> np.ndarray:
