@@ -32,8 +32,8 @@ from .levelk import (PriorPolicy, QPolicy, TrainConfig, build_hierarchy,
 from .scenario import (ATTACKER, DEFENDER, GridParams, as_netform,
                        level0_policies, simulate)
 
-MANIFEST_VERSION = 1
-POLICY_FORMAT_VERSION = 1
+MANIFEST_VERSION = 2
+POLICY_FORMAT_VERSION = 2
 
 TRACE_COLUMNS = ("t", "V1", "V2", "V3", "p2", "q2", "q3", "P1", "Q1",
                  "R_D", "R_A", "metric_D", "metric_A")
@@ -46,8 +46,8 @@ _TRAIN_TAG, _SWEEP_TAG, _EVAL_TAG, _TRACE_TAG = 101, 102, 103, 104
 class ExperimentConfig:
     grid: GridParams
     train: TrainConfig
-    defender_optimistic_bias: float | None = None
-    attacker_optimistic_bias: float | None = None
+    defender_optimistic_bias: float = 0.0
+    attacker_optimistic_bias: float = 2.0
     k_max: int = 2
     q3max_values: tuple[float, ...] = (0.2, 0.7, 1.2, 1.6)
     pairings: tuple[tuple[int, int], ...] = ((0, 0),)
@@ -71,10 +71,13 @@ class ExperimentConfig:
                         f"q3max_values {first[key]!r} and {q!r} map to the "
                         f"same {key[0]}")
                 first[key] = q
-        for d_level, a_level in self.pairings:
+        for i, (d_level, a_level) in enumerate(self.pairings):
             if not (0 <= d_level <= self.k_max and 0 <= a_level <= self.k_max):
                 raise ValueError(
                     f"pairing ({d_level},{a_level}) exceeds k_max={self.k_max}")
+            if (d_level, a_level) in self.pairings[:i]:
+                raise ValueError(
+                    f"pairing ({d_level},{a_level}) is listed more than once")
         if self.eval_episodes < 1:
             raise ValueError("eval_episodes must be >= 1")
         if self.horizon < 1:
@@ -158,9 +161,6 @@ def config_from_dict(data: Any) -> ExperimentConfig:
                          "'experiment.defender_optimistic_bias' and "
                          "'experiment.attacker_optimistic_bias'")
     train = _build_from_dict(TrainConfig, train_data, "train")
-    if train.seed is not None:
-        raise ValueError("'train.seed' is not read by training; set the run "
-                         "seeds in 'experiment.seeds'")
     return _build_from_dict(ExperimentConfig, data.get("experiment", {}),
                             "experiment", grid=grid, train=train)
 
@@ -200,15 +200,11 @@ def player_train_configs(config: ExperimentConfig) -> dict[str, TrainConfig]:
     each player's single-step reward range (0 for the defender, whose rewards
     are <= 0; 2 for the attacker).  Seeding the attacker at the discounted-sum
     ceiling instead drowns the sparse TD signal and stalls learning."""
-    d_bias = config.defender_optimistic_bias
-    a_bias = config.attacker_optimistic_bias
-    if d_bias is None:
-        d_bias = 0.0
-    if a_bias is None:
-        a_bias = 2.0
     return {
-        DEFENDER: replace(config.train, optimistic_bias=d_bias),
-        ATTACKER: replace(config.train, optimistic_bias=a_bias),
+        DEFENDER: replace(config.train,
+                          optimistic_bias=config.defender_optimistic_bias),
+        ATTACKER: replace(config.train,
+                          optimistic_bias=config.attacker_optimistic_bias),
     }
 
 
@@ -252,22 +248,21 @@ def _atomic_write_text(path: Path, text: str) -> None:
 
 def save_policy(path: Path, policy: QPolicy, player: str, level: int,
                 q3_max: float, seed: int, train: TrainConfig) -> None:
-    train_dict = dataclasses.asdict(train)
-    train_dict["hidden_layers"] = list(train.hidden_layers)
     payload = {
         "format_version": POLICY_FORMAT_VERSION,
         "player": player,
         "level": level,
         "q3_max": q3_max,
         "seed": seed,
-        "epsilon": policy.epsilon,
-        "train_config": train_dict,
-        "network": neural.network_to_dict(policy.spec, policy.params),
+        "train_config": dataclasses.asdict(train),
+        "network": neural.network_to_dict(policy.params),
     }
     _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1))
 
 
 def load_policy(path: Path, grid: GridParams) -> QPolicy:
+    """The greedy policy stored at `path`.  Of its keys only `player` and
+    `network` are read; the others are provenance."""
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)
     if not isinstance(payload, dict):
@@ -276,19 +271,23 @@ def load_policy(path: Path, grid: GridParams) -> QPolicy:
         raise ValueError(
             f"unsupported policy format version {payload.get('format_version')!r} "
             f"in {path}")
-    missing = {"player", "epsilon", "network"} - payload.keys()
+    missing = {"player", "network"} - payload.keys()
     if missing:
         raise ValueError(f"policy file {path} lacks {', '.join(sorted(missing))}")
     player = payload["player"]
     prior = level0_policies(grid).get(player) if isinstance(player, str) else None
     if prior is None:
         raise ValueError(f"unknown player {player!r} in {path}")
-    spec, params = neural.network_from_dict(payload["network"])
+    try:
+        params = neural.network_from_dict(payload["network"])
+    except (TypeError, ValueError) as exc:  # TypeError: a non-numeric entry
+        raise ValueError(f"policy file {path}: {exc}") from exc
+    spec = params.spec
     if (spec.input_dim, spec.output_dim) != (prior.feature_dim, prior.action_count):
         raise ValueError(
             f"{path} holds a {spec.input_dim}->{spec.output_dim} network; a "
             f"{player} policy needs {prior.feature_dim}->{prior.action_count}")
-    return QPolicy(spec, params, float(payload["epsilon"]), prior.encoder)
+    return QPolicy(params, 0.0, prior.encoder)
 
 
 def resolve_policy(config: ExperimentConfig, out_dir: Path, player: str,
@@ -406,10 +405,14 @@ def run_sweep(config: ExperimentConfig, out_dir: Path,
               attacker_level: int | None = None) -> list[SweepRecord]:
     """Evaluate every configured pairing at every q3_max and seed; write
     sweep.csv."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     pairings = [(d, a) for d, a in config.pairings
                 if (defender_level is None or d == defender_level)
                 and (attacker_level is None or a == attacker_level)]
+    if config.pairings and not pairings:  # refused before anything is written
+        raise ValueError(f"no configured pairing {list(config.pairings)} matches "
+                         f"the level filter defender={defender_level}, "
+                         f"attacker={attacker_level}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     records: list[SweepRecord] = []
     for q3 in _selected(config.q3max_values, q3_max):
         grid = replace(config.grid, q3_max=q3)
@@ -460,9 +463,8 @@ def run_trace(config: ExperimentConfig, out_dir: Path, defender_level: int,
     """One seeded greedy rollout; write the step-by-step trace CSV."""
     out_dir.mkdir(parents=True, exist_ok=True)
     grid = replace(config.grid, q3_max=q3_max)
-    policies = {player: policy.greedy_copy() for player, policy in
-                resolve_pairing(config, out_dir, defender_level,
-                                attacker_level, q3_max, seed).items()}
+    policies = resolve_pairing(config, out_dir, defender_level,
+                               attacker_level, q3_max, seed)
     rng = cell_rng(seed, _TRACE_TAG, _q3_key(q3_max), defender_level, attacker_level)
     records = simulate(grid, policies, config.horizon, rng)
     rows = []

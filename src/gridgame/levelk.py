@@ -44,7 +44,6 @@ class PriorPolicy:
 class QPolicy:
     """Epsilon-greedy policy over a discrete action set backed by a Q network."""
 
-    spec: neural.NetworkSpec
     params: neural.NetworkParams
     epsilon: float
     encoder: Callable[[ParentValues], np.ndarray]
@@ -60,14 +59,13 @@ class QPolicy:
         return select_action(self, self.encoder(parent_values), rng)
 
     def greedy_copy(self) -> "QPolicy":
-        return QPolicy(self.spec, self.params, 0.0, self.encoder)
+        return QPolicy(self.params, 0.0, self.encoder)
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """SARSA hyperparameters.  `horizon=None` trains on the game's own horizon.
-    `seed` is read by nothing (training streams are seeded by the caller's
-    rng); it stays so that stored `train_config` records keep their keys."""
+    Training streams are seeded by the caller's rng, so no seed is kept here."""
 
     episodes: int = 3000
     horizon: int | None = None
@@ -76,11 +74,9 @@ class TrainConfig:
     epsilon_start: float = 0.5
     epsilon_end: float = 0.01
     epsilon_decay: float = 0.999
-    epsilon_eval: float = 0.0
     optimistic_bias: float = 0.0
     init_scale: float = 0.1
     hidden_layers: tuple[int, ...] = (16, 16)
-    seed: int | None = None
 
     def __post_init__(self):
         if self.episodes < 0:
@@ -89,7 +85,7 @@ class TrainConfig:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        for name in ("epsilon_start", "epsilon_end", "epsilon_eval"):
+        for name in ("epsilon_start", "epsilon_end"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value}")
@@ -119,7 +115,7 @@ def select_action(policy: QPolicy, features: np.ndarray,
     """Argmax of the Q-values (ties to the lowest index) with probability
     1 - epsilon, otherwise uniform over all actions."""
     if policy.epsilon > 0.0 and rng.random() < policy.epsilon:
-        return int(rng.integers(policy.spec.output_dim))
+        return int(rng.integers(policy.params.biases[-1].size))
     return int(policy.q_values(features).argmax())
 
 
@@ -181,7 +177,8 @@ def train_level(game: IteratedGame, trainee: str,
     """Train one player's next-level policy against frozen opponents.
 
     The trainee's action set and feature encoding are taken from its level-0
-    prior.  Opponent policy objects are consulted but never modified.
+    prior.  Opponent policy objects are consulted but never modified.  The
+    trained policy is returned greedy (epsilon 0).
 
     The decision recorded at slice t earns the reward evaluated on slice t+1
     (its consequences land there); the final decision of an episode has no
@@ -191,7 +188,7 @@ def train_level(game: IteratedGame, trainee: str,
     spec = neural.NetworkSpec(prior.feature_dim, config.hidden_layers,
                               prior.action_count)
     params = neural.init(spec, config.init_scale, config.optimistic_bias, rng)
-    policy = QPolicy(spec, params, config.epsilon_start, prior.encoder)
+    policy = QPolicy(params, config.epsilon_start, prior.encoder)
     train_game = game if config.horizon is None else replace(game, horizon=config.horizon)
     base_skip = _count_base_decisions(train_game, trainee)
     for episode in range(config.episodes):
@@ -218,7 +215,7 @@ def train_level(game: IteratedGame, trainee: str,
             raise TrainingDiverged(
                 f"training diverged for '{trainee}' at episode {episode}: "
                 "non-finite parameters")
-    policy.epsilon = config.epsilon_eval
+    policy.epsilon = 0.0
     return policy
 
 

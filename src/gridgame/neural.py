@@ -15,8 +15,6 @@ from typing import Sequence
 
 import numpy as np
 
-FORMAT_VERSION = 1
-
 
 @dataclass(frozen=True)
 class NetworkSpec:
@@ -35,16 +33,29 @@ class NetworkSpec:
 
 
 class NetworkParams:
-    """Weight matrices (out x in) and bias vectors, one pair per layer."""
+    """Weight matrices (out x in) and bias vectors, one pair per layer.  The
+    layers must chain, so their shapes alone fix the network's `spec`."""
 
     def __init__(self, weights: Sequence[np.ndarray], biases: Sequence[np.ndarray]):
         if len(weights) != len(biases):
             raise ValueError("weights and biases must pair up layer by layer")
         self.weights = [np.asarray(w, dtype=float) for w in weights]
         self.biases = [np.asarray(b, dtype=float) for b in biases]
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.ndim != 1 or w.shape[0] != b.shape[0]:
-                raise ValueError(f"inconsistent layer shapes {w.shape} / {b.shape}")
+        if not self.weights:
+            raise ValueError("a network needs at least one layer")
+        first = self.weights[0]
+        width = first.shape[1] if first.ndim == 2 else None
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            if b.ndim != 1 or w.shape != (b.size, width) or not w.size:
+                raise ValueError(f"layer {i}: weights {w.shape} and biases "
+                                 f"{b.shape} do not chain onto width {width}")
+            width = b.size
+
+    @property
+    def spec(self) -> NetworkSpec:
+        return NetworkSpec(self.weights[0].shape[1],
+                           tuple(b.size for b in self.biases[:-1]),
+                           self.biases[-1].size)
 
     @property
     def n_layers(self) -> int:
@@ -190,36 +201,18 @@ def apply_update(params: NetworkParams, gradient: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Serialization (versioned, full round-trip float precision via JSON repr)
+# Serialization (full round-trip float precision via JSON repr)
 # ---------------------------------------------------------------------------
 
-def network_to_dict(spec: NetworkSpec, params: NetworkParams) -> dict:
-    return {
-        "format_version": FORMAT_VERSION,
-        "spec": {
-            "input_dim": spec.input_dim,
-            "hidden_layers": list(spec.hidden_layers),
-            "output_dim": spec.output_dim,
-        },
-        "weights": [w.tolist() for w in params.weights],
-        "biases": [b.tolist() for b in params.biases],
-    }
+def network_to_dict(params: NetworkParams) -> dict:
+    return {"weights": [w.tolist() for w in params.weights],
+            "biases": [b.tolist() for b in params.biases]}
 
 
-def network_from_dict(data: dict) -> tuple[NetworkSpec, NetworkParams]:
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported network format version {version!r}")
-    spec = NetworkSpec(
-        input_dim=int(data["spec"]["input_dim"]),
-        hidden_layers=tuple(int(h) for h in data["spec"]["hidden_layers"]),
-        output_dim=int(data["spec"]["output_dim"]),
-    )
-    params = NetworkParams([np.array(w, dtype=float) for w in data["weights"]],
-                           [np.array(b, dtype=float) for b in data["biases"]])
-    expected = [(spec.layer_dims[i + 1], spec.layer_dims[i])
-                for i in range(len(spec.layer_dims) - 1)]
-    if [w.shape for w in params.weights] != expected:
-        raise ValueError("stored weight shapes do not match the stored spec")
-    return spec, params
-
+def network_from_dict(data: object) -> NetworkParams:
+    if not isinstance(data, dict):
+        raise ValueError(f"a network must be a JSON object, got {data!r}")
+    for key in ("weights", "biases"):
+        if not isinstance(data.get(key), list):
+            raise ValueError(f"a network needs a '{key}' list")
+    return NetworkParams(data["weights"], data["biases"])

@@ -14,7 +14,7 @@ from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
                                  resolve_policy, run_eval, run_sweep, run_trace,
                                  run_train, save_policy, write_csv)
 from gridgame.levelk import QPolicy, TrainConfig
-from gridgame.neural import NetworkSpec
+from gridgame.neural import NetworkSpec, init
 from gridgame.scenario import (ATTACKER, DEFENDER, GridParams,
                                attacker_observation, defender_observation,
                                initial_attacker_memory,
@@ -116,9 +116,10 @@ def test_p2_range_of_non_finite_width_rejected():
     {"q3max_values": [1234567.0, 1234568.0]},  # same file name only
     {"q3max_values": [0.7, 0.7]},
     {"seeds": [1, 2, 1]},
+    {"pairings": [[0, 0], [0, 0]]},  # two identical sweep rows
 ])
 def test_colliding_config_values_rejected(experiment):
-    with pytest.raises(ValueError, match="q3max_values|seeds"):
+    with pytest.raises(ValueError, match=r"q3max_values|seeds|pairing \(0,0\)"):
         config_from_dict({"experiment": experiment})
 
 
@@ -133,10 +134,10 @@ def test_duplicate_config_key_rejected(tmp_path, text, key):
         load_config(path)
 
 
-def test_train_seed_refused_pointing_to_experiment_seeds():
-    with pytest.raises(ValueError, match=r"train\.seed.*experiment\.seeds"):
-        config_from_dict({"train": {"seed": 99}})
-    assert config_from_dict({"train": {"seed": None}}).train.seed is None
+def test_train_seed_refused_as_unknown_key():
+    for value in (99, None):
+        with pytest.raises(ValueError, match=r"unknown key\(s\) in 'train': seed"):
+            config_from_dict({"train": {"seed": value}})
 
 
 @pytest.mark.parametrize("value", [5.0, 0.0])
@@ -169,6 +170,10 @@ def test_player_train_configs_bias_defaults():
                         "defender_optimistic_bias": -1.0}})
     assert player_train_configs(overridden)[ATTACKER].optimistic_bias == 7.0
     assert player_train_configs(overridden)[DEFENDER].optimistic_bias == -1.0
+    for key in ("defender_optimistic_bias", "attacker_optimistic_bias"):
+        with pytest.raises(ValueError,
+                           match=f"'experiment.{key}' must be a finite number"):
+            config_from_dict({"experiment": {key: None}})
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +184,7 @@ def _dummy_policy(grid, player=ATTACKER):
     prior = level0_policies(grid)[player]
     spec = NetworkSpec(prior.feature_dim, (4,), prior.action_count)
     rng = np.random.default_rng(0)
-    from gridgame.neural import init
-    return QPolicy(spec, init(spec, 0.1, 2.0, rng), 0.0, prior.encoder)
+    return QPolicy(init(spec, 0.1, 2.0, rng), 0.0, prior.encoder)
 
 
 def test_policy_save_load_round_trip(tmp_path):
@@ -190,8 +194,24 @@ def test_policy_save_load_round_trip(tmp_path):
     save_policy(path, policy, ATTACKER, 1, 0.7, 3, TrainConfig())
     loaded = load_policy(path, grid)
     assert params_equal(loaded.params, policy.params)
-    assert loaded.spec == policy.spec
+    assert loaded.params.spec == policy.params.spec
     assert loaded.epsilon == policy.epsilon
+    assert sorted(json.loads(path.read_text())) == [
+        "format_version", "level", "network", "player", "q3_max", "seed",
+        "train_config"]
+
+
+@pytest.mark.parametrize("version", [1, 99, None])
+def test_policy_of_another_format_version_refused(tmp_path, version):
+    grid = GridParams(q3_max=0.7)
+    path = tmp_path / policy_filename(ATTACKER, 1, 0.7, 3)
+    save_policy(path, _dummy_policy(grid), ATTACKER, 1, 0.7, 3, TrainConfig())
+    payload = json.loads(path.read_text())
+    payload["format_version"] = version
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError,
+                       match=f"unsupported policy format version {version!r}"):
+        load_policy(path, grid)
 
 
 def test_loaded_policy_encodes_like_its_level0_prior(tmp_path):
@@ -240,17 +260,30 @@ def _drop(key):
     return lambda payload: {k: v for k, v in payload.items() if k != key}
 
 
+def _network(**network):
+    return lambda payload: {**payload, "network": network}
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda payload: [payload],
     lambda payload: "defender",
     _drop("player"),
-    _drop("epsilon"),
     _drop("network"),
     lambda payload: {**payload, "player": 7},
     lambda payload: {**payload, "player": ["defender"]},
     lambda payload: {**payload, "player": None},
-], ids=["list", "string", "no-player", "no-epsilon", "no-network",
-        "player-int", "player-list", "player-null"])
+    lambda payload: {**payload, "network": []},
+    lambda payload: {**payload, "network": {
+        "biases": payload["network"]["biases"]}},
+    _network(weights=[[[0.0] * 7, [0.0] * 6]], biases=[[0.0, 0.0]]),
+    _network(weights=[[[0.0] * 7] * 4, [[0.0] * 5] * 3],
+             biases=[[0.0] * 4, [0.0] * 3]),
+    _network(weights=[[[{"w": 0.0}] * 7] * 3], biases=[[0.0] * 3]),
+    lambda payload: {**payload, "format_version": 1},
+], ids=["list", "string", "no-player", "no-network", "player-int",
+        "player-list", "player-null", "network-list", "no-weights",
+        "ragged-weights", "unchained-layers", "non-numeric-weights",
+        "format-version-1"])
 def test_cli_malformed_policy_file_exits_with_error_line(tmp_path, capsys,
                                                          corrupt):
     config_path = write_config(tmp_path, {
@@ -324,6 +357,8 @@ def test_train_k0_writes_manifest_only(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["policies"] == []
     assert manifest["config"] == config_to_dict(config)
+    assert manifest["config"]["experiment"]["defender_optimistic_bias"] == 0.0
+    assert manifest["config"]["experiment"]["attacker_optimistic_bias"] == 2.0
 
 
 def test_train_k1_writes_both_policies(tmp_path):
@@ -550,6 +585,25 @@ def test_cli_missing_config_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "absent.json"),
                  "--out", str(tmp_path)])
     assert code == 1
+
+
+def test_cli_sweep_level_filter_matching_no_pairing_writes_nothing(
+        tmp_path, capsys):
+    config_path = write_config(tmp_path, {
+        "experiment": {"k_max": 1, "q3max_values": [0.7],
+                       "pairings": [[0, 0], [0, 1]], "eval_episodes": 1,
+                       "horizon": 5, "seeds": [1]},
+    })
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "sweep.csv").write_bytes(b"kept\n")
+    code = main(["sweep", "--config", str(config_path), "--out", str(out),
+                 "--defender-level", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "defender=1" in err
+    assert (out / "sweep.csv").read_bytes() == b"kept\n"
+    assert [p.name for p in out.iterdir()] == ["sweep.csv"]
 
 
 def test_cli_unknown_sweep_value_rejected(tmp_path, capsys):

@@ -23,9 +23,8 @@ from gridgame.scenario import ATTACKER, DEFENDER, GridParams
 def fixed_q_policy(q_values, epsilon=0.0):
     """QPolicy whose network always outputs `q_values` (zero-weight net)."""
     q_values = np.asarray(q_values, dtype=float)
-    spec = NetworkSpec(1, (), q_values.size)
     params = NetworkParams([np.zeros((q_values.size, 1))], [q_values.copy()])
-    return QPolicy(spec, params, epsilon, lambda parents: np.zeros(1))
+    return QPolicy(params, epsilon, lambda parents: np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +281,7 @@ def test_episode_transitions_pairing_and_rewards(monkeypatch):
 def test_zero_episodes_returns_optimistic_policy():
     game = single_state_game(10)
     cfg = TrainConfig(episodes=0, optimistic_bias=7.5, init_scale=0.0,
-                      hidden_layers=(4,), epsilon_eval=0.0)
+                      hidden_layers=(4,))
     policy = train_level(game, PLAYER, {}, {PLAYER: single_state_prior()}, cfg,
                          np.random.default_rng(0))
     assert np.array_equal(policy.q_values(np.zeros(1)), [7.5, 7.5])
@@ -318,8 +317,7 @@ def test_opponent_parameters_untouched_by_training():
     params = GridParams(q3_max=0.7)
     game = scenario.as_netform(params, horizon=10)
     level0s = scenario.level0_policies(params)
-    opponent = QPolicy(NetworkSpec(6, (), 11),
-                       NetworkParams([np.zeros((11, 6))], [np.arange(11.0)]),
+    opponent = QPolicy(NetworkParams([np.zeros((11, 6))], [np.arange(11.0)]),
                        0.0, level0s[ATTACKER].encoder)
     before = opponent.params.copy()
     cfg = TrainConfig(episodes=3, hidden_layers=(4,))

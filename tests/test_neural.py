@@ -257,22 +257,36 @@ def test_vector_round_trip():
 def test_network_dict_round_trip_is_exact():
     rng = np.random.default_rng(13)
     spec, params = random_network(rng)
-    spec2, params2 = network_from_dict(network_to_dict(spec, params))
-    assert spec2 == spec
+    params2 = network_from_dict(network_to_dict(params))
+    assert params2.spec == spec
     assert params_equal(params2, params)
 
 
-def test_unknown_format_version_rejected():
-    data = network_to_dict(NetworkSpec(1, (), 1),
-                           NetworkParams([np.zeros((1, 1))], [np.zeros(1)]))
-    data["format_version"] = 99
-    with pytest.raises(ValueError, match="version"):
-        network_from_dict(data)
-
-
 def test_shape_mismatch_rejected():
-    data = network_to_dict(NetworkSpec(2, (), 1),
-                           NetworkParams([np.zeros((1, 2))], [np.zeros(1)]))
-    data["spec"]["input_dim"] = 3
-    with pytest.raises(ValueError, match="shapes"):
+    # layer 1 expects the 3 outputs of layer 0 but takes 2 inputs
+    with pytest.raises(ValueError, match="layer 1.*chain onto width 3"):
+        NetworkParams([np.zeros((3, 2)), np.zeros((1, 2))],
+                      [np.zeros(3), np.zeros(1)])
+    with pytest.raises(ValueError, match="layer 0"):
+        NetworkParams([np.zeros((2, 2))], [np.zeros(1)])
+    with pytest.raises(ValueError, match="at least one layer"):
+        NetworkParams([], [])
+    with pytest.raises(ValueError, match="layer 0"):  # zero input width
+        NetworkParams([np.zeros((1, 0))], [np.zeros(1)])
+    assert NetworkParams([np.zeros((3, 2)), np.zeros((1, 3))],
+                         [np.zeros(3), np.zeros(1)]).spec == NetworkSpec(2, (3,), 1)
+
+
+@pytest.mark.parametrize("data, message", [
+    ([], "must be a JSON object"),
+    ({"biases": [[0.0]]}, "needs a 'weights' list"),
+    ({"weights": [[0.0]]}, "needs a 'biases' list"),
+    ({"weights": {"0": [[0.0]]}, "biases": [[0.0]]}, "needs a 'weights' list"),
+    ({"weights": [[[0.0, 1.0], [2.0]]], "biases": [[0.0, 0.0]]}, "sequence"),
+    ({"weights": [5.0], "biases": [[0.0]]}, "layer 0"),
+    ({"weights": [[[0.0]]], "biases": [[0.0], [0.0]]}, "pair up"),
+], ids=["list", "no-weights", "no-biases", "weights-object", "ragged",
+        "scalar-layer", "unpaired"])
+def test_malformed_network_dict_rejected(data, message):
+    with pytest.raises(ValueError, match=message):
         network_from_dict(data)
