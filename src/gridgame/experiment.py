@@ -176,9 +176,17 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return data
 
 
-def load_config(path: str | os.PathLike) -> ExperimentConfig:
+def _read_json(path: str | os.PathLike, kind: str, **options) -> object:
     with open(path, "r", encoding="utf-8") as handle:
-        return config_from_dict(json.load(handle, object_pairs_hook=_unique_keys))
+        try:
+            return json.load(handle, **options)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from None
+
+
+def load_config(path: str | os.PathLike) -> ExperimentConfig:
+    return config_from_dict(
+        _read_json(path, "config", object_pairs_hook=_unique_keys))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -263,8 +271,7 @@ def save_policy(path: Path, policy: QPolicy, player: str, level: int,
 def load_policy(path: Path, grid: GridParams) -> QPolicy:
     """The greedy policy stored at `path`.  Of its keys only `player` and
     `network` are read; the others are provenance."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
+    payload = _read_json(path, "policy")
     if not isinstance(payload, dict):
         raise ValueError(f"policy file {path} does not hold a JSON object")
     if payload.get("format_version") != POLICY_FORMAT_VERSION:
@@ -408,7 +415,9 @@ def run_sweep(config: ExperimentConfig, out_dir: Path,
     pairings = [(d, a) for d, a in config.pairings
                 if (defender_level is None or d == defender_level)
                 and (attacker_level is None or a == attacker_level)]
-    if config.pairings and not pairings:  # refused before anything is written
+    if not config.pairings:  # both refused before anything is written
+        raise ValueError("the config lists no pairings to sweep")
+    if not pairings:
         raise ValueError(f"no configured pairing {list(config.pairings)} matches "
                          f"the level filter defender={defender_level}, "
                          f"attacker={attacker_level}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -24,6 +24,8 @@ Kernel = Callable[[ParentValues, np.random.Generator], Value]
 Policy = Callable[[ParentValues, np.random.Generator], Value]
 RewardFn = Callable[[Mapping[str, Value]], float]
 Instantiation = dict[str, Value]
+_Step = tuple[str, tuple[str, ...], Kernel | None, str | None,
+              Callable[[Value], bool]]
 
 
 # ---------------------------------------------------------------------------
@@ -170,14 +172,15 @@ class SemiBayesNet:
 @dataclass(frozen=True)
 class _SlicePlan:
     """What `sample_slice` reads of a net, resolved once per net: the node
-    names, the root names, and in topological order one step per node of
-    (name, parents, chance kernel or None, decision owner or None, the bound
-    `contains` of the node's space)."""
+    names, the root names, and one step per node of (name, parents, chance
+    kernel or None, decision owner or None, the bound `contains` of the
+    node's space), the roots' steps apart from the others.  Only roots can be
+    glued, so only `root_steps` may hold a node that is already set."""
 
     names: frozenset[str]
     roots: frozenset[str]
-    steps: tuple[tuple[str, tuple[str, ...], Kernel | None, str | None,
-                       Callable[[Value], bool]], ...]
+    root_steps: tuple[_Step, ...]
+    steps: tuple[_Step, ...]
 
 
 @dataclass(frozen=True)
@@ -330,17 +333,19 @@ def _slice_plan(net: SemiBayesNet) -> _SlicePlan:
     Raises ValueError like `topological_order` if the net has a cycle.
     """
     if net._plan is None:
-        steps = []
+        root_steps, steps = [], []
         for name in topological_order(net):
             node = net.node(name)
             if isinstance(node.kind, Chance):
                 kernel, owner = node.kind.kernel, None
             else:
                 kernel, owner = None, node.kind.owner
-            steps.append((name, node.parents, kernel, owner, node.space.contains))
+            step = (name, node.parents, kernel, owner, node.space.contains)
+            (steps if node.parents else root_steps).append(step)
         net._plan = _SlicePlan(
             names=frozenset(net._by_name),
-            roots=frozenset(name for name in net._by_name if net.is_root(name)),
+            roots=frozenset(step[0] for step in root_steps),
+            root_steps=tuple(root_steps),
             steps=tuple(steps))
     return net._plan
 
@@ -350,36 +355,52 @@ def sample_slice(net: SemiBayesNet, boundary: Mapping[str, Value],
                  rng: np.random.Generator) -> Instantiation:
     """Ancestral sampling of one net, with glued roots preassigned.
 
-    Chance nodes are drawn from their kernels, decision nodes from the owning
-    player's policy, both on the node's parent values.  Every produced value
-    is checked against the node's space on every call.
+    The roots not in `boundary` are drawn first, in declaration order, then
+    the other nodes in `topological_order`.  Chance nodes are drawn from their
+    kernels, decision nodes from the owning player's policy, both on a fresh
+    mapping of the node's parent values.  Every produced value is checked
+    against the node's space on every call.
     """
     plan = _slice_plan(net)
-    inst: Instantiation = {}
-    for name in boundary:
-        if name not in plan.names:
-            raise ValueError(f"boundary value for unknown node '{name}'")
-        if name not in plan.roots:
-            raise ValueError(f"boundary value for non-root node '{name}'")
-        inst[name] = boundary[name]
-    for name, parents, kernel, owner, contains in plan.steps:
+    if not plan.roots.issuperset(boundary):
+        for name in boundary:
+            if name not in plan.names:
+                raise ValueError(f"boundary value for unknown node '{name}'")
+            if name not in plan.roots:
+                raise ValueError(f"boundary value for non-root node '{name}'")
+    inst: Instantiation = dict(boundary)
+    for name, _, kernel, owner, contains in plan.root_steps:
         if name in inst:
             continue
-        parent_values = {p: inst[p] for p in parents}
-        if kernel is not None:
-            value = kernel(parent_values, rng)
-        else:
-            policy = policies.get(owner)
-            if policy is None:
-                raise ValueError(
-                    f"no policy for player '{owner}' (node '{name}')")
-            value = policy(parent_values, rng)
+        draw = kernel if kernel is not None else policies.get(owner)
+        if draw is None:
+            _no_policy(owner, name)
+        value = draw({}, rng)
         if not contains(value):
-            raise ValueError(
-                f"value {value!r} for node '{name}' is outside its space "
-                f"{net.node(name).space}")
+            _outside_space(net, name, value)
+        inst[name] = value
+    for name, parents, kernel, owner, contains in plan.steps:
+        # A plain loop: a comprehension is one more function call in 3.11.
+        parent_values = {}
+        for parent in parents:
+            parent_values[parent] = inst[parent]
+        draw = kernel if kernel is not None else policies.get(owner)
+        if draw is None:
+            _no_policy(owner, name)
+        value = draw(parent_values, rng)
+        if not contains(value):
+            _outside_space(net, name, value)
         inst[name] = value
     return inst
+
+
+def _no_policy(owner: str, name: str) -> NoReturn:
+    raise ValueError(f"no policy for player '{owner}' (node '{name}')")
+
+
+def _outside_space(net: SemiBayesNet, name: str, value: Value) -> NoReturn:
+    raise ValueError(f"value {value!r} for node '{name}' is outside its space "
+                     f"{net.node(name).space}")
 
 
 def rollout(game: IteratedGame, policies: Mapping[str, Policy],
@@ -393,21 +414,23 @@ def rollout(game: IteratedGame, policies: Mapping[str, Policy],
     base_inst = sample_slice(game.base, {}, policies, rng)
     slices: list[Instantiation] = []
     rewards: dict[str, list[float]] = {player: [] for player in game.rewards}
+    pairs = tuple(game.binding.pairs.items())
+    scorers = [(player, reward_fn, rewards[player])
+               for player, reward_fn in game.rewards.items()]
+    kernel = game.kernel
     prev = base_inst
     for _ in range(game.horizon):
-        boundary = {}
-        for source, target in game.binding.pairs.items():
-            if source not in prev:
-                raise ValueError(
-                    f"missing boundary value: previous slice has no node "
-                    f"'{source}'")
-            boundary[target] = prev[source]
-        inst = sample_slice(game.kernel, boundary, policies, rng)
-        for player, reward_fn in game.rewards.items():
+        try:
+            boundary = {target: prev[source] for source, target in pairs}
+        except KeyError as exc:
+            raise ValueError(f"missing boundary value: previous slice has no "
+                             f"node '{exc.args[0]}'") from None
+        inst = sample_slice(kernel, boundary, policies, rng)
+        for player, reward_fn, values in scorers:
             value = float(reward_fn(inst))
             if not math.isfinite(value):
                 raise ValueError(f"non-finite reward for player '{player}'")
-            rewards[player].append(value)
+            values.append(value)
         slices.append(inst)
         prev = inst
     return Trajectory(base_inst, slices, rewards)

@@ -113,15 +113,18 @@ def forward(params: NetworkParams, x: Sequence[float]) -> np.ndarray:
     Each layer's `w.dot(a)` is a new array, so the bias add and tanh run in
     place on it without touching `x`; the float operations are those of
     `tanh(w @ a + b)`.  For one input `dot` makes the same matrix-vector
-    product as `@` with less call overhead.
+    product as `@` with less call overhead, and a positional `out` costs less
+    than the keyword.
     """
     a = np.asarray(x, dtype=float)
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = w.dot(a)
-        a += b
-        if i != last:
-            np.tanh(a, out=a)
+    weights, biases = params.weights, params.biases
+    last = len(weights) - 1
+    for i in range(last):
+        a = weights[i].dot(a)
+        a += biases[i]
+        np.tanh(a, a)
+    a = weights[last].dot(a)
+    a += biases[last]
     return a
 
 
@@ -215,4 +218,8 @@ def network_from_dict(data: object) -> NetworkParams:
     for key in ("weights", "biases"):
         if not isinstance(data.get(key), list):
             raise ValueError(f"a network needs a '{key}' list")
-    return NetworkParams(data["weights"], data["biases"])
+    params = NetworkParams(data["weights"], data["biases"])
+    # A JSON null reads as NaN, and json.load accepts NaN and Infinity.
+    if not params.all_finite():
+        raise ValueError("a network's weights and biases must all be finite")
+    return params

@@ -394,40 +394,31 @@ def attacker_observation(state: GridState) -> tuple[float, ...]:
 #   attacker metric  v / (m + 1)
 #   action index  centered at the midpoint, scaled to +/-1
 
-def _norm_voltage(v: float) -> float:
-    return (v - 1.0) / 0.1
-
-
-def _norm_flow(v: float) -> float:
-    return v / 2.0
-
-
-def _norm_action(index: float, count: int) -> float:
-    half = (count - 1) / 2.0
-    return (index - half) / half if half > 0 else 0.0
+_DEFENDER_HALF = (DEFENDER_ACTIONS - 1) / 2.0
+_ATTACKER_HALF = (ATTACKER_ACTIONS - 1) / 2.0
 
 
 def encode_defender_features(mem: DefenderMemory, params: GridParams) -> np.ndarray:
     return np.array([
-        _norm_voltage(mem.v1),
-        _norm_voltage(mem.v2),
-        _norm_voltage(mem.v3),
-        _norm_flow(mem.p1),
-        _norm_flow(mem.q1),
+        (mem.v1 - 1.0) / 0.1,
+        (mem.v2 - 1.0) / 0.1,
+        (mem.v3 - 1.0) / 0.1,
+        mem.p1 / 2.0,
+        mem.q1 / 2.0,
         mem.metric,
-        _norm_action(mem.prev_action, DEFENDER_ACTIONS),
+        (mem.prev_action - _DEFENDER_HALF) / _DEFENDER_HALF,
     ])
 
 
 def encode_attacker_features(mem: AttackerMemory, params: GridParams) -> np.ndarray:
     q3_norm = mem.q3 / params.q3_max if params.q3_max > 0 else 0.0
     return np.array([
-        _norm_voltage(mem.v2),
-        _norm_voltage(mem.v3),
-        _norm_flow(mem.p3),
+        (mem.v2 - 1.0) / 0.1,
+        (mem.v3 - 1.0) / 0.1,
+        mem.p3 / 2.0,
         q3_norm,
         mem.metric / (params.memory_window + 1),
-        _norm_action(mem.prev_action, ATTACKER_ACTIONS),
+        (mem.prev_action - _ATTACKER_HALF) / _ATTACKER_HALF,
     ])
 
 

@@ -93,3 +93,19 @@ def n_params(spec) -> int:
     """Length of the flat parameter vector of a `neural.NetworkSpec`."""
     dims = spec.layer_dims
     return sum(dims[i + 1] * dims[i] + dims[i + 1] for i in range(len(dims) - 1))
+
+
+# The feature encoders' affine normalizations, one function per feature kind;
+# `scenario.encode_*_features` compute them inline.
+
+def norm_voltage(v: float) -> float:
+    return (v - 1.0) / 0.1
+
+
+def norm_flow(v: float) -> float:
+    return v / 2.0
+
+
+def norm_action(index: float, count: int) -> float:
+    half = (count - 1) / 2.0
+    return (index - half) / half if half > 0 else 0.0

@@ -260,6 +260,17 @@ def _drop(key):
     return lambda payload: {k: v for k, v in payload.items() if k != key}
 
 
+def _first_number(key, value):
+    """Set the first number of the network's first `key` array to `value`."""
+    def corrupt(payload):
+        numbers = payload["network"][key][0]
+        if key == "weights":
+            numbers = numbers[0]
+        numbers[0] = value
+        return payload
+    return corrupt
+
+
 def _network(**network):
     return lambda payload: {**payload, "network": network}
 
@@ -280,10 +291,12 @@ def _network(**network):
              biases=[[0.0] * 4, [0.0] * 3]),
     _network(weights=[[[{"w": 0.0}] * 7] * 3], biases=[[0.0] * 3]),
     lambda payload: {**payload, "format_version": 1},
+    _first_number("weights", None),
+    _first_number("biases", float("nan")),
 ], ids=["list", "string", "no-player", "no-network", "player-int",
         "player-list", "player-null", "network-list", "no-weights",
         "ragged-weights", "unchained-layers", "non-numeric-weights",
-        "format-version-1"])
+        "format-version-1", "null-weight", "nan-bias"])
 def test_cli_malformed_policy_file_exits_with_error_line(tmp_path, capsys,
                                                          corrupt):
     config_path = write_config(tmp_path, {
@@ -587,23 +600,60 @@ def test_cli_missing_config_file(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("pairings, filters, message", [
+    ([[0, 0], [0, 1]], ["--defender-level", "1"], "defender=1"),
+    ([], [], "no pairings"),
+], ids=["level-filter", "no-pairings"])
 def test_cli_sweep_level_filter_matching_no_pairing_writes_nothing(
-        tmp_path, capsys):
+        tmp_path, capsys, pairings, filters, message):
     config_path = write_config(tmp_path, {
         "experiment": {"k_max": 1, "q3max_values": [0.7],
-                       "pairings": [[0, 0], [0, 1]], "eval_episodes": 1,
+                       "pairings": pairings, "eval_episodes": 1,
                        "horizon": 5, "seeds": [1]},
     })
     out = tmp_path / "out"
     out.mkdir()
     (out / "sweep.csv").write_bytes(b"kept\n")
     code = main(["sweep", "--config", str(config_path), "--out", str(out),
-                 "--defender-level", "1"])
+                 *filters])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "defender=1" in err
+    assert err.startswith("error:") and message in err
     assert (out / "sweep.csv").read_bytes() == b"kept\n"
     assert [p.name for p in out.iterdir()] == ["sweep.csv"]
+
+
+def test_cli_train_runs_with_no_pairings(tmp_path):
+    config_path = write_config(tmp_path, {
+        "train": {"episodes": 1, "hidden_layers": [2]},
+        "experiment": {"k_max": 1, "q3max_values": [0.7], "pairings": [],
+                       "eval_episodes": 1, "horizon": 5, "seeds": [1]},
+    })
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+    assert (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("kind", ["config", "policy"])
+def test_cli_truncated_json_file_exits_with_error_line_naming_it(
+        tmp_path, capsys, kind):
+    config = {"experiment": {"k_max": 1, "q3max_values": [0.7],
+                             "pairings": [[1, 0]], "eval_episodes": 1,
+                             "horizon": 5, "seeds": [1]}}
+    config_path = write_config(tmp_path, config)
+    out = tmp_path / "out"
+    out.mkdir()
+    policy_path = out / policy_filename(DEFENDER, 1, 0.7, 1)
+    save_policy(policy_path, _dummy_policy(GridParams(q3_max=0.7), DEFENDER),
+                DEFENDER, 1, 0.7, 1, TrainConfig())
+    path = config_path if kind == "config" else policy_path
+    path.write_bytes(path.read_bytes()[:100])
+    code = main(["eval", "--config", str(config_path), "--out", str(out),
+                 "--defender-level", "1", "--attacker-level", "0",
+                 "--q3max", "0.7"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_cli_unknown_sweep_value_rejected(tmp_path, capsys):

@@ -257,6 +257,8 @@ def test_checks_still_run_once_the_plan_is_cached():
     for boundary, players, message in [
             ({"Z": 0.5}, policies, "unknown node 'Z'"),
             ({"B": 0.5}, policies, "non-root node 'B'"),
+            ({"A": 0.5, "Z": 0.5}, policies, "unknown node 'Z'"),
+            ({"A": 0.5, "B": 0.5}, policies, "non-root node 'B'"),
             ({}, {}, "no policy for player 'p1'"),
             ({}, {"p1": lambda parents, rng: 2}, "value 2 for node 'D'")]:
         with pytest.raises(ValueError, match=message):
@@ -266,6 +268,41 @@ def test_checks_still_run_once_the_plan_is_cached():
         sample_slice(net, {}, policies, rng)
     with pytest.raises(ValueError, match="value 7.0 for node 'B'"):
         sample_slice(net, {"A": 7.0}, policies, rng)
+
+
+def test_every_draw_gets_a_fresh_mapping_of_exactly_its_parents():
+    seen = []
+
+    def recording(value):
+        def draw(parents, rng):
+            seen.append((parents, list(parents.items())))
+            result = value(parents)
+            parents.clear()
+            parents["junk"] = 1.0
+            return result
+        return draw
+
+    net = SemiBayesNet([
+        chance("X", BoundedReal(0, 1), recording(lambda p: 0.25)),
+        chance("G", BoundedReal(0, 1), boundary_kernel("G")),
+        chance("Y", BoundedReal(0, 1), recording(lambda p: p["X"] / 2),
+               parents=("X",)),
+        chance("C", BoundedReal(0, 1), recording(lambda p: p["G"] - p["Y"]),
+               parents=("Y", "G", "X")),
+        decision("D", FiniteDiscrete(2), "p1", parents=("C", "X")),
+    ])
+    policies = {"p1": recording(lambda p: 1)}
+    boundary = {"G": 0.5}
+    expected = {"X": 0.25, "G": 0.5, "Y": 0.125, "C": 0.375, "D": 1}
+    for _ in range(2):
+        inst = sample_slice(net, boundary, policies, np.random.default_rng(0))
+        assert inst == expected and boundary == {"G": 0.5}
+    assert [items for _, items in seen] == [
+        [], [("X", 0.25)], [("Y", 0.125), ("G", 0.5), ("X", 0.25)],
+        [("C", 0.375), ("X", 0.25)]] * 2
+    mappings = [parents for parents, _ in seen]
+    assert len({id(parents) for parents in mappings}) == len(mappings)
+    assert all(type(parents) is dict for parents in mappings)
 
 
 def test_unfilled_glued_root_raises():

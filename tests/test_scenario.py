@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from gridgame import netform, scenario
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
-                               DEFENDER, GridParams,
+                               ATTACKER_ACTIONS, DEFENDER, DEFENDER_ACTIONS,
+                               AttackerMemory, DefenderMemory, GridParams,
                                apply_defender_action, as_netform,
                                attacker_levels, attacker_observation,
                                defender_observation,
@@ -17,7 +18,8 @@ from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
                                level0_policies, power_flow, simulate,
                                transition)
 from oracles import (attacker_memory_metric, defender_memory_metric,
-                     defender_move_domain, scan_level0_attacker)
+                     defender_move_domain, norm_action, norm_flow,
+                     norm_voltage, scan_level0_attacker)
 
 P = GridParams(q3_max=0.7)
 
@@ -470,6 +472,35 @@ def test_feature_normalization_anchors():
     a_mem = initial_attacker_memory((1.0, 1.0, 1.0, 0.0), P)
     max_metric = a_mem._replace(terms=(1.0,) * (P.memory_window + 1))
     assert encode_attacker_features(max_metric, P)[4] == pytest.approx(1.0)
+
+
+any_finite = st.floats(allow_nan=False, allow_infinity=False)
+window_terms = st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=2,
+                        max_size=6).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(d_fields=st.tuples(*[any_finite] * 5),
+       d_action=st.integers(0, DEFENDER_ACTIONS - 1), d_terms=window_terms,
+       a_fields=st.tuples(*[any_finite] * 4),
+       a_action=st.integers(0, ATTACKER_ACTIONS - 1), a_terms=window_terms,
+       q3_max=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=10)))
+def test_encoders_are_bitwise_the_composed_normalizations(
+        d_fields, d_action, d_terms, a_fields, a_action, a_terms, q3_max):
+    params = GridParams(q3_max=q3_max, memory_window=len(a_terms) - 1)
+    v1, v2, v3, p1, q1 = d_fields
+    d_mem = DefenderMemory(v1, v2, v3, p1, q1, d_action, d_terms)
+    expected = np.array([norm_voltage(v1), norm_voltage(v2), norm_voltage(v3),
+                         norm_flow(p1), norm_flow(q1), d_mem.metric,
+                         norm_action(d_action, DEFENDER_ACTIONS)])
+    assert encode_defender_features(d_mem, params).tobytes() == expected.tobytes()
+    v2, v3, p3, q3 = a_fields
+    a_mem = AttackerMemory(v2, v3, p3, q3, a_action, a_terms)
+    expected = np.array([norm_voltage(v2), norm_voltage(v3), norm_flow(p3),
+                         q3 / q3_max if q3_max > 0 else 0.0,
+                         a_mem.metric / len(a_terms),
+                         norm_action(a_action, ATTACKER_ACTIONS)])
+    assert encode_attacker_features(a_mem, params).tobytes() == expected.tobytes()
 
 
 def test_feature_dimensions_match_encoders():
