@@ -5,7 +5,7 @@ evaluates configured pairings across the q3_max grid into sweep.csv, `eval`
 scores a single pairing, and `trace` writes one step-by-step rollout for
 plotting.  All read a JSON config (see `experiment.load_config`) and an
 output directory; identical (config, seed) invocations produce identical
-bytes.
+bytes, whatever `--jobs` says.
 """
 
 from __future__ import annotations
@@ -40,6 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="evaluate pairings across q3_max values")
     _add_common(sweep, required=False)
+    for command in (train, sweep):
+        command.add_argument(
+            "--jobs", type=int, default=None,
+            help="worker processes (default: the usable CPUs; at most one "
+                 "per CPU and per work unit)")
 
     ev = sub.add_parser("eval", help="evaluate one pairing")
     _add_common(ev, required=True)
@@ -56,7 +61,8 @@ def main(argv: list[str] | None = None) -> int:
         out_dir = Path(args.out)
         if args.command == "train":
             written, failures = experiment.run_train(
-                config, out_dir, q3_max=args.q3max, seed=args.seed)
+                config, out_dir, q3_max=args.q3max, seed=args.seed,
+                jobs=args.jobs)
             print(f"wrote {len(written)} policy file(s) and manifest.json "
                   f"to {out_dir}")
             for failure in failures:
@@ -66,7 +72,7 @@ def main(argv: list[str] | None = None) -> int:
             records = experiment.run_sweep(
                 config, out_dir, q3_max=args.q3max, seed=args.seed,
                 defender_level=args.defender_level,
-                attacker_level=args.attacker_level)
+                attacker_level=args.attacker_level, jobs=args.jobs)
             print(f"wrote {len(records)} row(s) to {out_dir / 'sweep.csv'}")
             return 0
         seed = args.seed if args.seed is not None else config.seeds[0]

@@ -5,11 +5,13 @@ A single JSON document configures everything; unknown keys are rejected so
 typos fail fast.  Every run cell (pairing x q3_max x seed) derives its own
 generator deterministically from the seed and the cell coordinates, and all
 files are written atomically, so a (config, seed) pair fully determines every
-output byte.  Floats are rendered with repr, which round-trips exactly.
+output byte, with any number of workers.  Floats are rendered with repr,
+which round-trips exactly.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -58,6 +60,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
+        if not self.q3max_values:
+            raise ValueError("q3max_values must list at least one value")
         if not all(q > 0 for q in self.q3max_values):
             raise ValueError("q3max_values must all be > 0")
         # Each q3_max value keys its cells' RNG streams and, through the q3
@@ -365,53 +369,112 @@ def _selected(values: Sequence, chosen) -> list:
     raise ValueError(f"{chosen!r} is not one of the configured values {values}")
 
 
+def worker_count(jobs: int | None, units: int) -> int:
+    """Worker processes for `units` independent work units: `jobs`, by
+    default the CPUs this process may use, capped at those CPUs and at
+    `units`; 1 where processes cannot fork."""
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if not hasattr(os, "fork"):  # the workers are forked
+        return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus if jobs is None else jobs, cpus, units)
+
+
+@contextlib.contextmanager
+def _in_order(unit_fn, config: ExperimentConfig, out_dir: Path,
+              units: list, workers: int):
+    """`unit_fn(config, out_dir, unit)` for each unit, yielded (or raised) in
+    the order of `units` however many workers run them."""
+    work = functools.partial(unit_fn, config, out_dir)
+    if workers == 1:
+        yield map(work, units)
+        return
+    import multiprocessing  # here, not at the top: it slows every start-up
+    # fork: workers start at once from the loaded modules, and the program
+    # has started no threads of its own that a fork could break
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        yield pool.imap(work, units, chunksize=1)
+
+
+def _train_cell(config: ExperimentConfig, out_dir: Path,
+                cell: tuple[float, int]) -> tuple[list[str], str | None]:
+    """Train one (q3_max, seed) cell's hierarchy and save its policies.
+    Returns (written policy files, the cell's training failure or None)."""
+    q3, s = cell
+    grid = replace(config.grid, q3_max=q3)
+    train_cfgs = player_train_configs(config)
+    rng = cell_rng(s, _TRAIN_TAG, _q3_key(q3))
+    try:
+        hierarchy = build_hierarchy(as_netform(grid, config.horizon),
+                                    level0_policies(grid), config.k_max,
+                                    train_cfgs, rng)
+    except Exception as exc:  # report the cell, keep training the others
+        return [], f"q3_max={q3:g} seed={s}: {exc}"
+    written = []
+    for player in (DEFENDER, ATTACKER):
+        for level in range(1, config.k_max + 1):
+            name = policy_filename(player, level, q3, s)
+            save_policy(out_dir / name, hierarchy.policy(player, level),
+                        player, level, q3, s, train_cfgs[player])
+            written.append(name)
+    return written, None
+
+
 def run_train(config: ExperimentConfig, out_dir: Path,
               q3_max: float | None = None, seed: int | None = None,
-              ) -> tuple[list[str], list[str]]:
-    """Build level hierarchies for every (q3_max, seed) cell and persist every
-    trained policy.  Returns (written policy files, per-cell failures);
-    failures do not stop the remaining cells.
+              jobs: int | None = None) -> tuple[list[str], list[str]]:
+    """Build level hierarchies for every (q3_max, seed) cell on `jobs`
+    workers (see `worker_count`) and persist every trained policy.  Returns
+    (written policy files, per-cell failures); failures do not stop the
+    remaining cells.  manifest.json lists the cells finished so far.
     """
+    cells = [(q3, s) for q3 in _selected(config.q3max_values, q3_max)
+             for s in _selected(config.seeds, seed)]
+    workers = worker_count(jobs, len(cells))
     out_dir.mkdir(parents=True, exist_ok=True)
-    train_cfgs = player_train_configs(config)
     written: list[str] = []
     failures: list[str] = []
-    for q3 in _selected(config.q3max_values, q3_max):
-        grid = replace(config.grid, q3_max=q3)
-        game = as_netform(grid, config.horizon)
-        level0s = level0_policies(grid)
-        for s in _selected(config.seeds, seed):
-            rng = cell_rng(s, _TRAIN_TAG, _q3_key(q3))
-            try:
-                hierarchy = build_hierarchy(game, level0s, config.k_max,
-                                            train_cfgs, rng)
-            except Exception as exc:  # report the cell, keep sweeping
-                failures.append(f"q3_max={q3:g} seed={s}: {exc}")
-                continue
-            for player in (DEFENDER, ATTACKER):
-                for level in range(1, config.k_max + 1):
-                    policy = hierarchy.policy(player, level)
-                    name = policy_filename(player, level, q3, s)
-                    save_policy(out_dir / name, policy, player, level, q3, s,
-                                train_cfgs[player])
-                    written.append(name)
-    manifest = {
-        "format_version": MANIFEST_VERSION,
-        "config": config_to_dict(config),
-        "policies": written,
-        "failures": failures,
-    }
-    _atomic_write_text(out_dir / "manifest.json",
-                       json.dumps(manifest, sort_keys=True, indent=1))
+    manifest = {"format_version": MANIFEST_VERSION,
+                "config": config_to_dict(config),
+                "policies": written, "failures": failures}
+
+    def write_manifest():
+        _atomic_write_text(out_dir / "manifest.json",
+                           json.dumps(manifest, sort_keys=True, indent=1))
+
+    write_manifest()
+    with _in_order(_train_cell, config, out_dir, cells, workers) as results:
+        for names, failure in results:
+            written += names
+            if failure is not None:
+                failures.append(failure)
+            write_manifest()
     return written, failures
+
+
+def _sweep_row(config: ExperimentConfig, out_dir: Path,
+               row: tuple[float, int, int, int]) -> SweepRecord:
+    """Evaluate one (q3_max, defender level, attacker level, seed) row."""
+    q3, d_level, a_level, s = row
+    game = as_netform(replace(config.grid, q3_max=q3), config.horizon)
+    policies = resolve_pairing(config, out_dir, d_level, a_level, q3, s)
+    rng = cell_rng(s, _SWEEP_TAG, _q3_key(q3), d_level, a_level)
+    report = evaluate(game, policies, config.eval_episodes, rng)
+    return SweepRecord(q3, d_level, a_level, s,
+                       report.mean_reward_per_step[DEFENDER],
+                       report.mean_reward_per_step[ATTACKER],
+                       config.eval_episodes, config.horizon)
 
 
 def run_sweep(config: ExperimentConfig, out_dir: Path,
               q3_max: float | None = None, seed: int | None = None,
               defender_level: int | None = None,
-              attacker_level: int | None = None) -> list[SweepRecord]:
-    """Evaluate every configured pairing at every q3_max and seed; write
-    sweep.csv."""
+              attacker_level: int | None = None,
+              jobs: int | None = None) -> list[SweepRecord]:
+    """Evaluate every configured pairing at every q3_max and seed on `jobs`
+    workers (see `worker_count`); write sweep.csv."""
     pairings = [(d, a) for d, a in config.pairings
                 if (defender_level is None or d == defender_level)
                 and (attacker_level is None or a == attacker_level)]
@@ -421,22 +484,12 @@ def run_sweep(config: ExperimentConfig, out_dir: Path,
         raise ValueError(f"no configured pairing {list(config.pairings)} matches "
                          f"the level filter defender={defender_level}, "
                          f"attacker={attacker_level}")
+    rows = [(q3, d, a, s) for q3 in _selected(config.q3max_values, q3_max)
+            for d, a in pairings for s in _selected(config.seeds, seed)]
+    workers = worker_count(jobs, len(rows))
     out_dir.mkdir(parents=True, exist_ok=True)
-    records: list[SweepRecord] = []
-    for q3 in _selected(config.q3max_values, q3_max):
-        grid = replace(config.grid, q3_max=q3)
-        game = as_netform(grid, config.horizon)
-        for d_level, a_level in pairings:
-            for s in _selected(config.seeds, seed):
-                policies = resolve_pairing(config, out_dir, d_level, a_level,
-                                           q3, s)
-                rng = cell_rng(s, _SWEEP_TAG, _q3_key(q3), d_level, a_level)
-                report = evaluate(game, policies, config.eval_episodes, rng)
-                records.append(SweepRecord(
-                    q3, d_level, a_level, s,
-                    report.mean_reward_per_step[DEFENDER],
-                    report.mean_reward_per_step[ATTACKER],
-                    config.eval_episodes, config.horizon))
+    with _in_order(_sweep_row, config, out_dir, rows, workers) as results:
+        records = list(results)
     write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, records)
     return records
 

@@ -1,10 +1,15 @@
 import csv
 import json
+import math
+import multiprocessing
 import os
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridgame.cli import main
 from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
@@ -12,10 +17,12 @@ from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
                                  config_to_dict, load_config, load_policy,
                                  player_train_configs, policy_filename,
                                  resolve_policy, run_eval, run_sweep, run_trace,
-                                 run_train, save_policy, write_csv)
+                                 run_train, save_policy, worker_count,
+                                 write_csv)
 from gridgame.levelk import QPolicy, TrainConfig
 from gridgame.neural import NetworkSpec, init
-from gridgame.scenario import (ATTACKER, DEFENDER, GridParams,
+from gridgame.scenario import (ATTACKER, ATTACKER_ACTIONS, DEFENDER,
+                               DEFENDER_ACTIONS, GridParams,
                                attacker_observation, defender_observation,
                                initial_attacker_memory,
                                initial_defender_memory, level0_policies,
@@ -86,8 +93,9 @@ def test_config_validates_pairings_against_k_max():
 
 
 def test_config_rejects_nonpositive_sweep_values():
-    with pytest.raises(ValueError, match="q3max_values"):
-        config_from_dict({"experiment": {"q3max_values": [0.0]}})
+    for values in ([0.0], []):
+        with pytest.raises(ValueError, match="q3max_values"):
+            config_from_dict({"experiment": {"q3max_values": values}})
 
 
 @pytest.mark.parametrize("data, key", [
@@ -146,6 +154,97 @@ def test_train_optimistic_bias_refused_pointing_to_player_biases(value):
                        r"experiment\.defender_optimistic_bias.*"
                        r"experiment\.attacker_optimistic_bias"):
         config_from_dict({"train": {"optimistic_bias": value}})
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+unit = st.floats(0.0, 1.0)
+
+
+@st.composite
+def grids(draw):
+    v1_min = draw(st.floats(0.5, 1.0))
+    v1_max = v1_min + draw(st.floats(1e-6, 0.5))
+    band = draw(st.floats(0.001, 0.1))
+    p2_lo = draw(st.floats(-10.0, 10.0))
+    return GridParams(
+        r1=draw(finite), r2=draw(finite), x1=draw(finite), x2=draw(finite),
+        v0=draw(finite), tap_step=draw(st.floats(1e-6, 1.0)),
+        v1_min=v1_min, v1_max=v1_max, band_halfwidth=band,
+        strike_threshold=band + draw(st.floats(1e-6, 1.0)),
+        q3_max=draw(st.floats(0.0, 1e6)), p3=draw(finite),
+        p2_range=(p2_lo, p2_lo + draw(st.floats(0.0, 10.0))),
+        q2_factor=draw(finite), memory_window=draw(st.integers(1, 50)),
+        v1_start=draw(st.floats(v1_min, v1_max)),
+        defender_start_action=draw(st.integers(0, DEFENDER_ACTIONS - 1)),
+        attacker_start_action=draw(st.integers(0, ATTACKER_ACTIONS - 1)))
+
+
+@st.composite
+def trains(draw):
+    epsilon_start = draw(unit)
+    return TrainConfig(
+        episodes=draw(st.integers(0, 10 ** 6)),
+        horizon=draw(st.none() | st.integers(1, 10 ** 4)),
+        gamma=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        learning_rate=draw(st.floats(1e-9, 10.0)),
+        epsilon_start=epsilon_start,
+        epsilon_end=draw(st.floats(0.0, epsilon_start)),
+        epsilon_decay=draw(unit), init_scale=draw(finite),
+        hidden_layers=tuple(draw(st.lists(st.integers(1, 64), max_size=3))))
+
+
+@st.composite
+def experiment_configs(draw):
+    k_max = draw(st.integers(0, 3))
+    level = st.integers(0, k_max)
+    # thousandths up to 1000 keep both the RNG key and the file name apart
+    q3_steps = draw(st.lists(st.integers(1, 999_999), min_size=1, max_size=4,
+                             unique=True))
+    return ExperimentConfig(
+        grid=draw(grids()), train=draw(trains()),
+        defender_optimistic_bias=draw(finite),
+        attacker_optimistic_bias=draw(finite), k_max=k_max,
+        q3max_values=tuple(n / 1000 for n in q3_steps),
+        pairings=tuple(draw(st.lists(st.tuples(level, level), max_size=4,
+                                     unique=True))),
+        eval_episodes=draw(st.integers(1, 10 ** 4)),
+        horizon=draw(st.integers(1, 10 ** 4)),
+        seeds=tuple(draw(st.lists(st.integers(0, 2 ** 32), min_size=1,
+                                  max_size=4, unique=True))))
+
+
+@settings(deadline=None)
+@given(experiment_configs())
+def test_config_round_trips_through_its_dict_and_json(config):
+    data = config_to_dict(config)
+    assert config_from_dict(data) == config
+    assert config_from_dict(json.loads(json.dumps(data))) == config
+
+
+def _bad_values(hint):
+    """Values that the config check must refuse for a field of type `hint`."""
+    if hint is int or hint == int | None:
+        return ["1", 1.5, True, [1], {}] + ([None] if hint is int else [])
+    if hint is float:
+        return [math.nan, math.inf, -math.inf, "0.5", False, None, [0.5]]
+    return ["x", 1, None, {}, [math.nan], [None]]  # a tuple field
+
+
+_CONFIG_FIELDS = [
+    (section, key, typing.get_type_hints(cls)[key])
+    for section, cls in (("grid", GridParams), ("train", TrainConfig),
+                         ("experiment", ExperimentConfig))
+    for key in config_to_dict(default_config())[section]]
+
+
+@settings(deadline=None)
+@given(st.sampled_from(_CONFIG_FIELDS).flatmap(
+    lambda field: st.tuples(st.just(field[:2]),
+                            st.sampled_from(_bad_values(field[2])))))
+def test_ill_typed_or_non_finite_value_at_any_key_rejected_naming_it(case):
+    (section, key), value = case
+    with pytest.raises(ValueError, match=rf"'{section}\.{key}'"):
+        config_from_dict({section: {key: value}})
 
 
 def test_config_overrides_apply():
@@ -402,21 +501,49 @@ def test_train_divergence_reported_per_cell(tmp_path, monkeypatch):
 
     config = tiny_config(seeds=[1, 2])
     real = experiment_module.build_hierarchy
-    calls = []
+    # Worker processes each hold their own copy of any state a call could
+    # record, so the failing cell is told by the stream it was given.
+    first_cell = experiment_module.cell_rng(
+        1, experiment_module._TRAIN_TAG, experiment_module._q3_key(0.7))
 
     def flaky_hierarchy(game, level0s, k_max, configs, rng):
-        calls.append(1)
-        if len(calls) == 1:
+        if rng.bit_generator.state == first_cell.bit_generator.state:
             raise TrainingDiverged("non-finite parameters at episode 0")
         return real(game, level0s, k_max, configs, rng)
 
     monkeypatch.setattr(experiment_module, "build_hierarchy", flaky_hierarchy)
-    written, failures = run_train(config, tmp_path)
-    assert len(failures) == 1 and "seed=1" in failures[0]
-    assert sorted(written) == ["attacker_L1_q0.7_s2.json",
-                               "defender_L1_q0.7_s2.json"]
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        written, failures = run_train(config, out, jobs=jobs)
+        assert len(failures) == 1 and "seed=1" in failures[0]
+        assert sorted(written) == ["attacker_L1_q0.7_s2.json",
+                                   "defender_L1_q0.7_s2.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == failures
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_train_manifest_lists_the_cells_finished_before_a_crash(
+        tmp_path, monkeypatch, jobs):
+    from gridgame import experiment as experiment_module
+
+    config = tiny_config(seeds=[1, 2])
+    real = experiment_module.save_policy
+
+    def failing_save(path, policy, player, level, q3_max, seed, train):
+        if seed == 2:
+            raise OSError("disk full")
+        real(path, policy, player, level, q3_max, seed, train)
+
+    monkeypatch.setattr(experiment_module, "save_policy", failing_save)
+    with pytest.raises(OSError, match="disk full"):
+        run_train(config, tmp_path, jobs=jobs)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
-    assert manifest["failures"] == failures
+    assert config_from_dict(manifest["config"]) == config
+    assert manifest["policies"] == ["defender_L1_q0.7_s1.json",
+                                    "attacker_L1_q0.7_s1.json"]
+    assert manifest["failures"] == []
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +698,7 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     ("train", "optimistic_bias", 0.0),
     ("grid", "p2_range", [-1e308, 1e308]),
     ("train", "horizon", 0),
+    ("experiment", "q3max_values", []),
 ])
 def test_cli_bad_config_value_exits_with_error_line(tmp_path, capsys, section,
                                                     key, value):
@@ -665,3 +793,78 @@ def test_cli_unknown_sweep_value_rejected(tmp_path, capsys):
                  "--out", str(tmp_path / "out"), "--q3max", "0.9"])
     assert code == 1
     assert "0.9" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# worker processes (--jobs)
+# ---------------------------------------------------------------------------
+
+TWO_CELLS = {
+    "train": {"episodes": 2, "hidden_layers": [4]},
+    "experiment": {"k_max": 1, "q3max_values": [0.7, 1.2],
+                   "pairings": [[0, 0], [1, 0], [0, 1], [1, 1]],
+                   "eval_episodes": 2, "horizon": 10, "seeds": [1]},
+}
+
+
+def test_worker_count_defaults_to_the_cpus_and_caps_any_request(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    assert worker_count(None, 10 ** 9) == cpus
+    assert worker_count(10 ** 9, 10 ** 9) == cpus
+    assert worker_count(10 ** 9, 1) == 1
+    assert worker_count(None, 1) == 1
+    assert worker_count(1, 10 ** 9) == 1
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match=f"jobs must be >= 1, got {jobs}"):
+            worker_count(jobs, 3)
+    monkeypatch.delattr(os, "fork")
+    assert worker_count(10 ** 9, 10 ** 9) == 1
+
+
+def test_cli_jobs_1_and_2_write_identical_bytes(tmp_path, capsys):
+    config_path = write_config(tmp_path, TWO_CELLS)
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        for command in ("train", "sweep"):
+            assert main([command, "--config", str(config_path),
+                         "--out", str(out), "--jobs", jobs]) == 0
+            assert multiprocessing.active_children() == []
+        outputs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outputs["1"]) == 6  # 4 policies, manifest.json, sweep.csv
+    assert outputs["1"] == outputs["2"]
+    printed = capsys.readouterr().out.splitlines()
+    assert [line.replace("jobs2", "jobs1") for line in printed[2:]] == printed[:2]
+
+
+def test_cli_sweep_reports_the_first_missing_policy_in_config_order(
+        tmp_path, capsys):
+    config_path = write_config(tmp_path, TWO_CELLS)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+    (out / policy_filename(DEFENDER, 1, 1.2, 1)).unlink()
+    (out / policy_filename(ATTACKER, 1, 0.7, 1)).unlink()
+    capsys.readouterr()
+    errors = []
+    for jobs in ("1", "2"):
+        assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                     "--jobs", jobs]) == 1
+        assert multiprocessing.active_children() == []
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error:")
+    assert policy_filename(ATTACKER, 1, 0.7, 1) in errors[0]
+    assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_nonpositive_jobs_refused_before_anything_is_written(
+        tmp_path, capsys, command, jobs):
+    config_path = write_config(tmp_path, TWO_CELLS)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config_path), "--out", str(out),
+                 "--jobs", jobs]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"jobs must be >= 1, got {jobs}" in err
+    assert not out.exists()
