@@ -298,7 +298,7 @@ def load_policy(path: Path, grid: GridParams) -> QPolicy:
         raise ValueError(
             f"{path} holds a {spec.input_dim}->{spec.output_dim} network; a "
             f"{player} policy needs {prior.feature_dim}->{prior.action_count}")
-    return QPolicy(params, 0.0, prior.encoder)
+    return QPolicy(params, prior.encoder)
 
 
 def resolve_policy(config: ExperimentConfig, out_dir: Path, player: str,
@@ -515,7 +515,7 @@ def run_eval(config: ExperimentConfig, out_dir: Path, defender_level: int,
         "attacker_avg_reward_per_step": report.mean_reward_per_step[ATTACKER],
         "defender_std": report.std(DEFENDER),
         "attacker_std": report.std(ATTACKER),
-        "episodes": report.episodes,
+        "episodes": config.eval_episodes,
         "csv": name,
     }
 

@@ -36,30 +36,21 @@ class PriorPolicy:
     def __call__(self, parent_values: ParentValues, rng: np.random.Generator) -> int:
         return self.fn(parent_values, rng)
 
-    def greedy_copy(self) -> "PriorPolicy":
-        return self
 
-
-@dataclass
+@dataclass(frozen=True)
 class QPolicy:
-    """Epsilon-greedy policy over a discrete action set backed by a Q network."""
+    """Greedy policy over a discrete action set backed by a Q network: the
+    argmax of the Q-values, ties to the lowest index.  It never draws from
+    the rng; exploration exists only inside `train_level`."""
 
     params: neural.NetworkParams
-    epsilon: float
     encoder: Callable[[ParentValues], np.ndarray]
-
-    def __post_init__(self):
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
 
     def q_values(self, features: np.ndarray) -> np.ndarray:
         return neural.forward(self.params, features)
 
     def __call__(self, parent_values: ParentValues, rng: np.random.Generator) -> int:
-        return select_action(self, self.encoder(parent_values), rng)
-
-    def greedy_copy(self) -> "QPolicy":
-        return QPolicy(self.params, 0.0, self.encoder)
+        return int(neural.forward(self.params, self.encoder(parent_values)).argmax())
 
 
 @dataclass(frozen=True)
@@ -85,6 +76,8 @@ class TrainConfig:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
+        if self.init_scale < 0:
+            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
         for name in ("epsilon_start", "epsilon_end"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -110,13 +103,14 @@ def epsilon_schedule(episode_index: int, config: TrainConfig) -> float:
     return config.epsilon_end + gap * config.epsilon_decay ** episode_index
 
 
-def select_action(policy: QPolicy, features: np.ndarray,
-                  rng: np.random.Generator) -> int:
-    """Argmax of the Q-values (ties to the lowest index) with probability
-    1 - epsilon, otherwise uniform over all actions."""
-    if policy.epsilon > 0.0 and rng.random() < policy.epsilon:
-        return int(rng.integers(policy.params.biases[-1].size))
-    return int(policy.q_values(features).argmax())
+def select_action(params: neural.NetworkParams, epsilon: float,
+                  features: np.ndarray, rng: np.random.Generator) -> int:
+    """Training's epsilon-greedy step: argmax of the Q-values (ties to the
+    lowest index) with probability 1 - epsilon, otherwise uniform over all
+    actions.  At epsilon 0 it draws nothing."""
+    if epsilon > 0.0 and rng.random() < epsilon:
+        return int(rng.integers(params.biases[-1].size))
+    return int(neural.forward(params, features).argmax())
 
 
 def semi_batch_update(params: neural.NetworkParams, features: np.ndarray,
@@ -150,16 +144,20 @@ def semi_batch_update(params: neural.NetworkParams, features: np.ndarray,
 
 
 class _RecordingPolicy:
-    """Wraps the trainee: plays epsilon-greedy and logs features and action."""
+    """The trainee for one episode: plays epsilon-greedy on `params` and logs
+    features and action."""
 
-    def __init__(self, policy: QPolicy):
-        self.policy = policy
+    def __init__(self, params: neural.NetworkParams, epsilon: float,
+                 encoder: Callable[[ParentValues], np.ndarray]):
+        self.params = params
+        self.epsilon = epsilon
+        self.encoder = encoder
         self.features: list[np.ndarray] = []
         self.actions: list[int] = []
 
     def __call__(self, parent_values: ParentValues, rng: np.random.Generator) -> int:
-        features = self.policy.encoder(parent_values)
-        action = select_action(self.policy, features, rng)
+        features = self.encoder(parent_values)
+        action = select_action(self.params, self.epsilon, features, rng)
         self.features.append(features)
         self.actions.append(action)
         return action
@@ -177,8 +175,7 @@ def train_level(game: IteratedGame, trainee: str,
     """Train one player's next-level policy against frozen opponents.
 
     The trainee's action set and feature encoding are taken from its level-0
-    prior.  Opponent policy objects are consulted but never modified.  The
-    trained policy is returned greedy (epsilon 0).
+    prior.  Opponent policy objects are consulted but never modified.
 
     The decision recorded at slice t earns the reward evaluated on slice t+1
     (its consequences land there); the final decision of an episode has no
@@ -188,12 +185,11 @@ def train_level(game: IteratedGame, trainee: str,
     spec = neural.NetworkSpec(prior.feature_dim, config.hidden_layers,
                               prior.action_count)
     params = neural.init(spec, config.init_scale, config.optimistic_bias, rng)
-    policy = QPolicy(params, config.epsilon_start, prior.encoder)
     train_game = game if config.horizon is None else replace(game, horizon=config.horizon)
     base_skip = _count_base_decisions(train_game, trainee)
     for episode in range(config.episodes):
-        policy.epsilon = epsilon_schedule(episode, config)
-        recorder = _RecordingPolicy(policy)
+        recorder = _RecordingPolicy(params, epsilon_schedule(episode, config),
+                                    prior.encoder)
         policies: dict[str, Policy] = dict(opponents)
         policies[trainee] = recorder
         trajectory = rollout(train_game, policies, rng)
@@ -204,19 +200,18 @@ def train_level(game: IteratedGame, trainee: str,
                              f"{len(rewards)} slices")
         features = np.array(recorder.features[base_skip:])
         try:
-            policy.params = semi_batch_update(
-                policy.params, features, recorder.actions[base_skip:],
+            params = semi_batch_update(
+                params, features, recorder.actions[base_skip:],
                 rewards[1:], config.gamma, config.learning_rate)
         except (TrainingDiverged, ValueError) as exc:
             raise TrainingDiverged(
                 f"training diverged for '{trainee}' at episode {episode}: {exc}"
             ) from exc
-        if not policy.params.all_finite():
+        if not params.all_finite():
             raise TrainingDiverged(
                 f"training diverged for '{trainee}' at episode {episode}: "
                 "non-finite parameters")
-    policy.epsilon = 0.0
-    return policy
+    return QPolicy(params, prior.encoder)
 
 
 @dataclass
@@ -264,8 +259,6 @@ def build_hierarchy(game: IteratedGame,
 
 @dataclass
 class EvalReport:
-    episodes: int
-    horizon: int
     mean_reward_per_step: dict[str, float]
     per_episode: dict[str, list[float]]
 
@@ -273,21 +266,17 @@ class EvalReport:
         return float(np.std(self.per_episode[player]))
 
 
-def evaluate(game: IteratedGame, policies: Mapping[str, PriorPolicy | QPolicy],
+def evaluate(game: IteratedGame, policies: Mapping[str, Policy],
              episodes: int, rng: np.random.Generator) -> EvalReport:
-    """Average reward per step over independent greedy rollouts.
-
-    Policies are coerced to their greedy (epsilon = 0) copies; per-episode
-    means are kept for variance reporting.
-    """
+    """Average reward per step over independent rollouts; per-episode means
+    are kept for variance reporting."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    greedy = {player: policy.greedy_copy() for player, policy in policies.items()}
     per_episode: dict[str, list[float]] = {player: [] for player in game.rewards}
     for _ in range(episodes):
-        trajectory = rollout(game, greedy, rng)
+        trajectory = rollout(game, policies, rng)
         for player, rewards in trajectory.rewards.items():
             per_episode[player].append(sum(rewards) / game.horizon)
     means = {player: sum(values) / episodes
              for player, values in per_episode.items()}
-    return EvalReport(episodes, game.horizon, means, per_episode)
+    return EvalReport(means, per_episode)

@@ -69,6 +69,8 @@ class GridParams:
     attacker_start_action: int = 5       # grid midpoint, q3 = 0
 
     def __post_init__(self):
+        if self.v0 <= 0:
+            raise ValueError(f"v0 must be > 0, got {self.v0}")
         if not self.v1_min < self.v1_max:
             raise ValueError("need v1_min < v1_max")
         if self.tap_step <= 0:

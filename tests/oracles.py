@@ -10,9 +10,11 @@ import math
 
 import numpy as np
 
+from gridgame.netform import rollout
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP,
                                ATTACKER_ACTIONS, GridParams,
-                               apply_defender_action, attacker_levels)
+                               apply_defender_action, as_netform,
+                               attacker_levels, level0_policies)
 
 
 def defender_move_domain(v1: float, params: GridParams) -> tuple[float, ...]:
@@ -87,6 +89,29 @@ def params_equal(a, b) -> bool:
     return a.n_layers == b.n_layers and all(
         np.array_equal(x, y)
         for x, y in zip(a.weights + a.biases, b.weights + b.biases))
+
+
+def assert_draws_nothing(policy, grid: GridParams, player: str,
+                         seed: int = 0) -> None:
+    """Call `policy` at every decision `player` meets in three 30-step
+    level-0 rollouts of `grid` and check that it never touches the rng."""
+    level0s = level0_policies(grid)
+    inputs = []
+
+    def recorder(parents, rng):
+        inputs.append(dict(parents))
+        return level0s[player](parents, rng)
+
+    game = as_netform(grid, 30)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):
+        rollout(game, {**level0s, player: recorder}, rng)
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    for parents in inputs:
+        policy(parents, rng)
+    assert rng.bit_generator.state == state
+    assert len(inputs) == 90
 
 
 def n_params(spec) -> int:

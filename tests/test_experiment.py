@@ -27,7 +27,7 @@ from gridgame.scenario import (ATTACKER, ATTACKER_ACTIONS, DEFENDER,
                                initial_attacker_memory,
                                initial_defender_memory, level0_policies,
                                power_flow)
-from oracles import params_equal
+from oracles import assert_draws_nothing, params_equal
 
 
 def default_config():
@@ -168,7 +168,7 @@ def grids(draw):
     p2_lo = draw(st.floats(-10.0, 10.0))
     return GridParams(
         r1=draw(finite), r2=draw(finite), x1=draw(finite), x2=draw(finite),
-        v0=draw(finite), tap_step=draw(st.floats(1e-6, 1.0)),
+        v0=draw(st.floats(1e-6, 1e6)), tap_step=draw(st.floats(1e-6, 1.0)),
         v1_min=v1_min, v1_max=v1_max, band_halfwidth=band,
         strike_threshold=band + draw(st.floats(1e-6, 1.0)),
         q3_max=draw(st.floats(0.0, 1e6)), p3=draw(finite),
@@ -189,7 +189,7 @@ def trains(draw):
         learning_rate=draw(st.floats(1e-9, 10.0)),
         epsilon_start=epsilon_start,
         epsilon_end=draw(st.floats(0.0, epsilon_start)),
-        epsilon_decay=draw(unit), init_scale=draw(finite),
+        epsilon_decay=draw(unit), init_scale=draw(st.floats(0.0, 1e6)),
         hidden_layers=tuple(draw(st.lists(st.integers(1, 64), max_size=3))))
 
 
@@ -283,7 +283,7 @@ def _dummy_policy(grid, player=ATTACKER):
     prior = level0_policies(grid)[player]
     spec = NetworkSpec(prior.feature_dim, (4,), prior.action_count)
     rng = np.random.default_rng(0)
-    return QPolicy(init(spec, 0.1, 2.0, rng), 0.0, prior.encoder)
+    return QPolicy(init(spec, 0.1, 2.0, rng), prior.encoder)
 
 
 def test_policy_save_load_round_trip(tmp_path):
@@ -294,10 +294,18 @@ def test_policy_save_load_round_trip(tmp_path):
     loaded = load_policy(path, grid)
     assert params_equal(loaded.params, policy.params)
     assert loaded.params.spec == policy.params.spec
-    assert loaded.epsilon == policy.epsilon
     assert sorted(json.loads(path.read_text())) == [
         "format_version", "level", "network", "player", "q3_max", "seed",
         "train_config"]
+
+
+@pytest.mark.parametrize("player", [DEFENDER, ATTACKER])
+def test_loaded_policy_never_draws_from_the_rng(tmp_path, player):
+    grid = GridParams(q3_max=0.7)
+    path = tmp_path / policy_filename(player, 1, 0.7, 3)
+    save_policy(path, _dummy_policy(grid, player), player, 1, 0.7, 3,
+                TrainConfig())
+    assert_draws_nothing(load_policy(path, grid), grid, player)
 
 
 @pytest.mark.parametrize("version", [1, 99, None])
@@ -699,6 +707,8 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     ("grid", "p2_range", [-1e308, 1e308]),
     ("train", "horizon", 0),
     ("experiment", "q3max_values", []),
+    ("grid", "v0", 0.0),
+    ("train", "init_scale", -1.0),
 ])
 def test_cli_bad_config_value_exits_with_error_line(tmp_path, capsys, section,
                                                     key, value):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,18 +14,18 @@ from gridgame.netform import (FiniteDiscrete, GlueBinding, IteratedGame,
                               SemiBayesNet, boundary_kernel, chance,
                               constant_kernel, decision)
 from gridgame.neural import NetworkParams, NetworkSpec
-from oracles import params_equal
+from oracles import assert_draws_nothing, params_equal
 from toy_games import PLAYER, single_state_game, single_state_prior
 
 from gridgame import scenario
 from gridgame.scenario import ATTACKER, DEFENDER, GridParams
 
 
-def fixed_q_policy(q_values, epsilon=0.0):
+def fixed_q_policy(q_values):
     """QPolicy whose network always outputs `q_values` (zero-weight net)."""
     q_values = np.asarray(q_values, dtype=float)
     params = NetworkParams([np.zeros((q_values.size, 1))], [q_values.copy()])
-    return QPolicy(params, epsilon, lambda parents: np.zeros(1))
+    return QPolicy(params, lambda parents: np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -80,24 +81,49 @@ def test_train_config_validation():
 def test_select_action_pure_argmax():
     policy = fixed_q_policy([1.0, 3.0, 2.0])
     rng = np.random.default_rng(0)
-    assert select_action(policy, np.zeros(1), rng) == 1
+    assert select_action(policy.params, 0.0, np.zeros(1), rng) == 1
 
 
 def test_select_action_tie_breaks_to_lowest_index():
     policy = fixed_q_policy([2.0, 2.0, 1.0])
     rng = np.random.default_rng(0)
-    assert select_action(policy, np.zeros(1), rng) == 0
+    assert select_action(policy.params, 0.0, np.zeros(1), rng) == 0
 
 
 def test_select_action_fully_random_is_uniform():
-    policy = fixed_q_policy([5.0, 0.0, 0.0], epsilon=1.0)
+    policy = fixed_q_policy([5.0, 0.0, 0.0])
     rng = np.random.default_rng(1)
     counts = np.zeros(3)
     draws = 100_000
     for _ in range(draws):
-        counts[select_action(policy, np.zeros(1), rng)] += 1
+        counts[select_action(policy.params, 1.0, np.zeros(1), rng)] += 1
     freq = counts / draws
     assert np.abs(freq - 1 / 3).max() < 0.01
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       hidden=st.lists(st.integers(1, 6), max_size=2))
+def test_select_action_at_epsilon_zero_is_the_greedy_policy(seed, hidden):
+    # Training's step at epsilon 0 plays exactly what the trained policy
+    # plays, and neither draws from the rng.
+    net_rng = np.random.default_rng(seed)
+    spec = NetworkSpec(int(net_rng.integers(1, 6)), tuple(hidden),
+                       int(net_rng.integers(1, 6)))
+    params = neural.init(spec, 1.0, float(net_rng.normal()), net_rng)
+    policy = QPolicy(params, lambda parents: parents["x"])
+    rng = np.random.default_rng(seed)
+    state = rng.bit_generator.state
+    for _ in range(20):
+        x = net_rng.normal(size=spec.input_dim)
+        assert select_action(params, 0.0, x, rng) == policy({"x": x}, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_q_policy_is_frozen():
+    policy = fixed_q_policy([1.0, 2.0])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.params = fixed_q_policy([2.0, 1.0]).params
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +279,7 @@ def test_episode_transitions_pairing_and_rewards(monkeypatch):
     real_update = levelk.semi_batch_update
     monkeypatch.setattr(levelk, "semi_batch_update", spy)
     monkeypatch.setattr(levelk, "select_action",
-                        lambda policy, features, rng: int(features[0]) % 2)
+                        lambda params, epsilon, features, rng: int(features[0]) % 2)
     game, prior = clock_game(4)
     config = TrainConfig(episodes=1, hidden_layers=())
     train_level(game, PLAYER, {}, {PLAYER: prior}, config,
@@ -285,7 +311,18 @@ def test_zero_episodes_returns_optimistic_policy():
     policy = train_level(game, PLAYER, {}, {PLAYER: single_state_prior()}, cfg,
                          np.random.default_rng(0))
     assert np.array_equal(policy.q_values(np.zeros(1)), [7.5, 7.5])
-    assert policy.epsilon == 0.0
+
+
+@pytest.mark.parametrize("player", [DEFENDER, ATTACKER])
+def test_trained_policy_never_draws_from_the_rng(player):
+    grid = GridParams(q3_max=0.7)
+    level0s = scenario.level0_policies(grid)
+    opponents = {other: level0s[other] for other in level0s if other != player}
+    policy = train_level(scenario.as_netform(grid, horizon=10), player,
+                         opponents, level0s,
+                         TrainConfig(episodes=3, hidden_layers=(4,)),
+                         np.random.default_rng(0))
+    assert_draws_nothing(policy, grid, player)
 
 
 def test_train_level_is_deterministic_given_seed():
@@ -318,7 +355,7 @@ def test_opponent_parameters_untouched_by_training():
     game = scenario.as_netform(params, horizon=10)
     level0s = scenario.level0_policies(params)
     opponent = QPolicy(NetworkParams([np.zeros((11, 6))], [np.arange(11.0)]),
-                       0.0, level0s[ATTACKER].encoder)
+                       level0s[ATTACKER].encoder)
     before = opponent.params.copy()
     cfg = TrainConfig(episodes=3, hidden_layers=(4,))
     train_level(game, DEFENDER, {ATTACKER: opponent}, level0s, cfg,
@@ -408,7 +445,7 @@ def test_evaluate_single_episode_equals_rollout_mean():
     policy = fixed_q_policy([0.0, 1.0])  # greedy always plays action 1
     report = evaluate(game, {PLAYER: policy}, 1, np.random.default_rng(5))
     from gridgame.netform import rollout
-    traj = rollout(game, {PLAYER: policy.greedy_copy()}, np.random.default_rng(5))
+    traj = rollout(game, {PLAYER: policy}, np.random.default_rng(5))
     assert report.per_episode[PLAYER][0] == pytest.approx(
         sum(traj.rewards[PLAYER]) / game.horizon, abs=0)
 
@@ -421,13 +458,6 @@ def test_evaluate_same_seed_identical_report():
     b = evaluate(game, level0s, 5, np.random.default_rng(11))
     assert a.mean_reward_per_step == b.mean_reward_per_step
     assert a.per_episode == b.per_episode
-
-
-def test_evaluate_uses_greedy_copies_without_mutating_inputs():
-    policy = fixed_q_policy([0.0, 1.0], epsilon=0.7)
-    game = single_state_game(10)
-    evaluate(game, {PLAYER: policy}, 2, np.random.default_rng(0))
-    assert policy.epsilon == 0.7
 
 
 def test_evaluate_reward_accounting_against_recomputation():
