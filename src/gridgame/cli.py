@@ -11,6 +11,7 @@ bytes, whatever `--jobs` says.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -54,8 +55,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built on the first `main` call, not at import; reused after."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         config = experiment.load_config(args.config)
         out_dir = Path(args.out)
@@ -76,6 +83,8 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {len(records)} row(s) to {out_dir / 'sweep.csv'}")
             return 0
         seed = args.seed if args.seed is not None else config.seeds[0]
+        if seed < 0:  # only --seed can be; the config's seeds are checked
+            raise ValueError(f"--seed must be >= 0, got {seed}")
         if args.command == "eval":
             summary = experiment.run_eval(config, out_dir, args.defender_level,
                                           args.attacker_level, args.q3max, seed)

@@ -5,8 +5,8 @@ A single JSON document configures everything; unknown keys are rejected so
 typos fail fast.  Every run cell (pairing x q3_max x seed) derives its own
 generator deterministically from the seed and the cell coordinates, and all
 files are written atomically, so a (config, seed) pair fully determines every
-output byte, with any number of workers.  Floats are rendered with repr,
-which round-trips exactly.
+output byte, with any number of workers.  `csv` writes floats (numpy's
+too) with `float.__repr__`, which round-trips exactly.
 """
 
 from __future__ import annotations
@@ -303,6 +303,9 @@ def load_policy(path: Path, grid: GridParams) -> QPolicy:
 
 def resolve_policy(config: ExperimentConfig, out_dir: Path, player: str,
                    level: int, q3_max: float, seed: int) -> PriorPolicy | QPolicy:
+    if not 0 <= level <= config.k_max:
+        raise ValueError(f"{player} level {level} is outside 0..k_max="
+                         f"{config.k_max}")
     grid = replace(config.grid, q3_max=q3_max)
     if level == 0:
         return level0_policies(grid)[player]
@@ -327,19 +330,12 @@ def resolve_pairing(config: ExperimentConfig, out_dir: Path,
 # CSV helpers
 # ---------------------------------------------------------------------------
 
-def _render(value: Any) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path: Path, columns: Sequence[str],
               rows: Sequence[Sequence[Any]]) -> None:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_render(v) for v in row])
+    writer.writerows(rows)
     _atomic_write_text(path, buffer.getvalue())
 
 
@@ -497,11 +493,11 @@ def run_sweep(config: ExperimentConfig, out_dir: Path,
 def run_eval(config: ExperimentConfig, out_dir: Path, defender_level: int,
              attacker_level: int, q3_max: float, seed: int) -> dict:
     """Evaluate one pairing; write a per-episode CSV and return the summary."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = replace(config.grid, q3_max=q3_max)
     game = as_netform(grid, config.horizon)
     policies = resolve_pairing(config, out_dir, defender_level,
                                attacker_level, q3_max, seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rng = cell_rng(seed, _EVAL_TAG, _q3_key(q3_max), defender_level, attacker_level)
     report = evaluate(game, policies, config.eval_episodes, rng)
     name = f"eval_D{defender_level}A{attacker_level}_q{q3_max:g}_s{seed}.csv"
@@ -523,10 +519,10 @@ def run_eval(config: ExperimentConfig, out_dir: Path, defender_level: int,
 def run_trace(config: ExperimentConfig, out_dir: Path, defender_level: int,
               attacker_level: int, q3_max: float, seed: int) -> Path:
     """One seeded greedy rollout; write the step-by-step trace CSV."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     grid = replace(config.grid, q3_max=q3_max)
     policies = resolve_pairing(config, out_dir, defender_level,
                                attacker_level, q3_max, seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     rng = cell_rng(seed, _TRACE_TAG, _q3_key(q3_max), defender_level, attacker_level)
     records = simulate(grid, policies, config.horizon, rng)
     rows = []

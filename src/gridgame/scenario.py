@@ -583,8 +583,7 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
 # Native loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: int
     state: GridState
     defender_memory: DefenderMemory

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridgame import cli
 from gridgame.cli import main
 from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
                                  ExperimentConfig, config_from_dict,
@@ -439,6 +440,15 @@ def test_resolve_missing_trained_policy_raises(tmp_path):
         resolve_policy(config, tmp_path, DEFENDER, 1, 0.7, 1)
 
 
+def test_csv_writes_floats_with_repr_and_numpy_floats_as_floats(tmp_path):
+    path = tmp_path / "values.csv"
+    write_csv(path, ("a", "b", "c", "d"),
+              [(np.float64(0.1), 0.1 + 0.2, 1 / 3, 7), (-0.0, 1e-300, 2.5e16, True)])
+    assert path.read_text() == ("a,b,c,d\n"
+                                "0.1,0.30000000000000004,0.3333333333333333,7\n"
+                                "-0.0,1e-300,2.5e+16,True\n")
+
+
 def test_failed_write_leaves_target_and_no_temp_file(tmp_path):
     path = tmp_path / "sweep.csv"
     write_csv(path, ("a",), [(1.5,)])
@@ -684,6 +694,83 @@ def test_cli_train_refuses_level_options(tmp_path, capsys, option):
     assert info.value.code == 2
     assert option in capsys.readouterr().err
     assert not out.exists()
+
+
+def _level0_config(tmp_path, k_max=2, seeds=(3,)):
+    return write_config(tmp_path, {
+        "experiment": {"k_max": k_max, "q3max_values": [0.2],
+                       "pairings": [[0, 0]], "eval_episodes": 1, "horizon": 5,
+                       "seeds": list(seeds)},
+    })
+
+
+def _cell(defender=0, attacker=0, *extra):
+    return ["--defender-level", str(defender), "--attacker-level", str(attacker),
+            "--q3max", "0.2", *extra]
+
+
+@pytest.mark.parametrize("command", ["eval", "trace"])
+@pytest.mark.parametrize("player", [DEFENDER, ATTACKER])
+@pytest.mark.parametrize("level", [-1, 3])
+def test_cli_level_outside_k_max_refused_before_anything_is_written(
+        tmp_path, capsys, command, player, level):
+    config_path = _level0_config(tmp_path, k_max=2)
+    out = tmp_path / "out"
+    out.mkdir()
+    # a policy left over from a run with a larger k_max is not scored
+    leftover = policy_filename(player, 3, 0.2, 3)
+    save_policy(out / leftover, _dummy_policy(GridParams(q3_max=0.2), player),
+                player, 3, 0.2, 3, TrainConfig())
+    levels = (level, 0) if player == DEFENDER else (0, level)
+    code = main([command, "--config", str(config_path), "--out", str(out),
+                 *_cell(*levels)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{player} level {level} is outside 0..k_max=2" in err
+    assert [p.name for p in out.iterdir()] == [leftover]
+
+
+@pytest.mark.parametrize("command", ["eval", "trace"])
+def test_cli_negative_seed_refused_naming_it(tmp_path, capsys, command):
+    config_path = _level0_config(tmp_path)
+    out = tmp_path / "out"
+    code = main([command, "--config", str(config_path), "--out", str(out),
+                 *_cell(0, 0, "--seed", "-3")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed must be >= 0, got -3" in err
+    assert not out.exists()
+
+
+def test_cli_builds_its_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    built = []
+    real_build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda: built.append(1) or real_build())
+    cli._parser.cache_clear()
+    config_path = _level0_config(tmp_path)
+    common = ["--config", str(config_path), "--out", str(tmp_path / "out")]
+    for command in ("trace", "eval", "trace"):
+        assert main([command, *common, *_cell()]) == 0
+    assert main(["sweep", *common]) == 0
+    assert len(built) == 1
+
+
+def test_cli_failed_parse_leaves_the_next_parse_correct(tmp_path, capsys):
+    config_path = _level0_config(tmp_path, seeds=(3, 4))
+    out = tmp_path / "out"
+    common = ["--config", str(config_path), "--out", str(out)]
+    assert main(["trace", *common, *_cell(0, 0, "--seed", "4")]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["trace", *common, *_cell(0, 0, "--seed", "4", "--bogus")])
+    assert info.value.code == 2
+    assert "--bogus" in capsys.readouterr().err
+    # no --seed: the config's first seed, not a value of an earlier call
+    assert main(["trace", *common, *_cell()]) == 0
+    assert capsys.readouterr().out == f"wrote {out / 'trace_D0A0_q0.2_s3.csv'}\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "trace_D0A0_q0.2_s3.csv", "trace_D0A0_q0.2_s4.csv"]
 
 
 def test_cli_bad_config_exits_nonzero(tmp_path, capsys):

@@ -4,6 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridgame import netform, scenario
+from gridgame.levelk import QPolicy
+from gridgame.neural import NetworkSpec, init
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
                                ATTACKER_ACTIONS, DEFENDER, DEFENDER_ACTIONS,
                                AttackerMemory, DefenderMemory, GridParams,
@@ -550,6 +552,79 @@ def test_netform_rollout_matches_native_loop():
             rec.attacker_memory
         assert traj.rewards[DEFENDER][t] == rec.defender_reward
         assert traj.rewards[ATTACKER][t] == rec.attacker_reward
+
+
+def _exploring(inner, action_count, epsilon):
+    """A test-side policy that draws from the rng at every decision: with
+    probability `epsilon` a uniform action, else `inner`'s."""
+    def policy(parent_values, rng):
+        if rng.random() < epsilon:
+            return int(rng.integers(action_count))
+        return inner(parent_values, rng)
+    return policy
+
+
+@st.composite
+def battle_policies(draw, params):
+    """One policy per player: level-0, a random-network greedy QPolicy, or
+    either of them wrapped to explore."""
+    policies = {}
+    for player, prior in level0_policies(params).items():
+        inner = prior
+        if draw(st.booleans()):
+            spec = NetworkSpec(prior.feature_dim, (4,), prior.action_count)
+            net_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            inner = QPolicy(init(spec, 1.0, 0.0, net_rng), prior.encoder)
+        if draw(st.booleans()):
+            inner = _exploring(inner, prior.action_count,
+                               draw(st.floats(0.1, 0.9)))
+        policies[player] = inner
+    return policies
+
+
+@st.composite
+def battles(draw):
+    lo = draw(st.floats(1.0, 1.6))
+    params = GridParams(
+        q3_max=draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0))),
+        memory_window=draw(st.integers(1, 8)),
+        p2_range=(lo, lo + draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))))
+    return (params, draw(battle_policies(params)), draw(st.integers(1, 30)),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(battles())
+def test_netform_rollout_and_native_loop_agree_bit_for_bit(battle):
+    """Whatever the policies draw, both paths consume the rng in the same
+    order and produce the same bits (repr is exact for floats)."""
+    params, policies, horizon, seed = battle
+    net_rng, native_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    traj = netform.rollout(as_netform(params, horizon), policies, net_rng)
+    records = simulate(params, policies, horizon, native_rng)
+    assert len(records) == len(traj.slices) == horizon
+    for t, rec in enumerate(records):
+        inst = traj.slices[t]
+        assert repr(inst[scenario.STATE_NODE]) == repr(rec.state)
+        assert repr(inst[scenario.DEFENDER_MEMORY_NODE]) == \
+            repr(rec.defender_memory)
+        assert repr(inst[scenario.ATTACKER_MEMORY_NODE]) == \
+            repr(rec.attacker_memory)
+        assert repr(traj.rewards[DEFENDER][t]) == repr(rec.defender_reward)
+        assert repr(traj.rewards[ATTACKER][t]) == repr(rec.attacker_reward)
+    assert net_rng.bit_generator.state == native_rng.bit_generator.state
+
+
+def test_simulate_records_expose_what_run_trace_reads():
+    rec = simulate(P, level0_policies(P), 3, np.random.default_rng(5))[-1]
+    assert rec._fields == ("t", "state", "defender_memory", "attacker_memory",
+                           "defender_reward", "attacker_reward")
+    assert rec.t == 3
+    assert isinstance(rec.state, scenario.GridState)
+    assert isinstance(rec.defender_memory.metric, float)
+    assert isinstance(rec.attacker_memory.metric, int)
+    assert isinstance(rec.defender_reward, float)
+    assert isinstance(rec.attacker_reward, float)
 
 
 def test_invalid_params_rejected():
