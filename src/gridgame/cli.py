@@ -82,14 +82,12 @@ def main(argv: list[str] | None = None) -> int:
                 attacker_level=args.attacker_level, jobs=args.jobs)
             print(f"wrote {len(records)} row(s) to {out_dir / 'sweep.csv'}")
             return 0
-        seed = args.seed if args.seed is not None else config.seeds[0]
-        if seed < 0:  # only --seed can be; the config's seeds are checked
-            raise ValueError(f"--seed must be >= 0, got {seed}")
         if args.command == "eval":
             summary = experiment.run_eval(config, out_dir, args.defender_level,
-                                          args.attacker_level, args.q3max, seed)
+                                          args.attacker_level, args.q3max,
+                                          args.seed)
             print(f"pairing D{args.defender_level}/A{args.attacker_level} "
-                  f"at q3_max={args.q3max:g}, seed={seed}")
+                  f"at q3_max={args.q3max:g}, seed={summary['seed']}")
             print(f"  defender avg reward/step: "
                   f"{summary['defender_avg_reward_per_step']:.6f} "
                   f"(per-episode std {summary['defender_std']:.6f})")
@@ -101,7 +99,8 @@ def main(argv: list[str] | None = None) -> int:
             return 0
         if args.command == "trace":
             path = experiment.run_trace(config, out_dir, args.defender_level,
-                                        args.attacker_level, args.q3max, seed)
+                                        args.attacker_level, args.q3max,
+                                        args.seed)
             print(f"wrote {path}")
             return 0
         raise AssertionError(f"unhandled command {args.command!r}")

@@ -208,10 +208,12 @@ def config_to_dict(config: ExperimentConfig) -> dict:
 
 
 def player_train_configs(config: ExperimentConfig) -> dict[str, TrainConfig]:
-    """Per-player training configs: the optimistic start sits at the top of
-    each player's single-step reward range (0 for the defender, whose rewards
-    are <= 0; 2 for the attacker).  Seeding the attacker at the discounted-sum
-    ceiling instead drowns the sparse TD signal and stalls learning."""
+    """Per-player training configs with each player's optimistic start.  The
+    defender's default, 0, is the top of its single-step reward range (its
+    rewards are <= 0); the attacker's, 2, is twice the top of its range
+    {0, 1} (see `scenario.attacker_reward`).  Seeding the attacker at the
+    discounted-sum ceiling instead drowns the sparse TD signal and stalls
+    learning."""
     return {
         DEFENDER: replace(config.train,
                           optimistic_bias=config.defender_optimistic_bias),
@@ -491,8 +493,12 @@ def run_sweep(config: ExperimentConfig, out_dir: Path,
 
 
 def run_eval(config: ExperimentConfig, out_dir: Path, defender_level: int,
-             attacker_level: int, q3_max: float, seed: int) -> dict:
-    """Evaluate one pairing; write a per-episode CSV and return the summary."""
+             attacker_level: int, q3_max: float,
+             seed: int | None = None) -> dict:
+    """Evaluate one pairing at a configured q3_max and seed (by default the
+    first); write a per-episode CSV and return the summary."""
+    q3_max = _selected(config.q3max_values, q3_max)[0]
+    seed = _selected(config.seeds, seed)[0]
     grid = replace(config.grid, q3_max=q3_max)
     game = as_netform(grid, config.horizon)
     policies = resolve_pairing(config, out_dir, defender_level,
@@ -512,13 +518,18 @@ def run_eval(config: ExperimentConfig, out_dir: Path, defender_level: int,
         "defender_std": report.std(DEFENDER),
         "attacker_std": report.std(ATTACKER),
         "episodes": config.eval_episodes,
+        "seed": seed,
         "csv": name,
     }
 
 
 def run_trace(config: ExperimentConfig, out_dir: Path, defender_level: int,
-              attacker_level: int, q3_max: float, seed: int) -> Path:
-    """One seeded greedy rollout; write the step-by-step trace CSV."""
+              attacker_level: int, q3_max: float,
+              seed: int | None = None) -> Path:
+    """One greedy rollout at a configured q3_max and seed (by default the
+    first); write the step-by-step trace CSV."""
+    q3_max = _selected(config.q3max_values, q3_max)[0]
+    seed = _selected(config.seeds, seed)[0]
     grid = replace(config.grid, q3_max=q3_max)
     policies = resolve_pairing(config, out_dir, defender_level,
                                attacker_level, q3_max, seed)

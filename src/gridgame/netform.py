@@ -4,7 +4,8 @@ A semi Bayes net is a DAG whose chance nodes carry sampling kernels and whose
 decision nodes are owned by players but carry no distribution; the player
 policies are supplied at sampling time.  An iterated game repeats a kernel net
 T times, threading selected node values forward through a glue binding, and
-scores each repetition with per-player reward functions.
+scores each repetition with per-player reward functions.  Nets and games are
+checked when they are built, so one that exists is valid.
 
 The iterated net is never materialized as one rolled-out DAG; `rollout`
 applies the kernel lazily, slice by slice.
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, NoReturn, Sequence
 
 import numpy as np
@@ -142,22 +144,56 @@ def boundary_kernel(name: str) -> Kernel:
 class SemiBayesNet:
     """An ordered collection of nodes; players derived from decision owners.
 
-    Construction is permissive: structural problems (duplicate names, dangling
-    parents, cycles, ownership violations) are reported by `validate` rather
-    than raised, so malformed nets can be inspected.
+    Construction raises one ValueError naming every violation: a duplicate
+    node name, a parent listed twice or missing from the net, a cycle, or a
+    player owning more than one decision node.  It also builds what
+    `sample_slice` reads: one step per node of (name, parents, chance kernel
+    or None, decision owner or None, the bound `contains` of the node's
+    space), in `topological_order`, the roots' steps apart from the others.
+    Only roots can be glued, so only the root steps may meet a node that is
+    already set.
     """
 
     def __init__(self, nodes: Sequence[NodeSpec]):
         self.nodes: tuple[NodeSpec, ...] = tuple(nodes)
         self._by_name: dict[str, NodeSpec] = {}
+        owned: dict[str, list[str]] = {}
+        violations = []
         for node in self.nodes:
-            self._by_name.setdefault(node.name, node)
-        players = []
+            if node.name in self._by_name:
+                violations.append(f"duplicate node name '{node.name}'")
+            else:
+                self._by_name[node.name] = node
+            if isinstance(node.kind, Decision):
+                owned.setdefault(node.kind.owner, []).append(node.name)
+        self.players: tuple[str, ...] = tuple(owned)
         for node in self.nodes:
-            if isinstance(node.kind, Decision) and node.kind.owner not in players:
-                players.append(node.kind.owner)
-        self.players: tuple[str, ...] = tuple(players)
-        self._plan: _SlicePlan | None = None
+            if len(set(node.parents)) != len(node.parents):
+                violations.append(f"node '{node.name}' lists a parent twice")
+            violations += [f"node '{node.name}' references missing parent "
+                           f"'{parent}'" for parent in node.parents
+                           if parent not in self._by_name]
+        violations += [f"player '{player}' owns {len(names)} decision nodes "
+                       f"({', '.join(names)}); exactly one is required"
+                       for player, names in owned.items() if len(names) != 1]
+        try:
+            order = topological_order(self)
+        except ValueError as exc:
+            violations.append(str(exc))
+        if violations:
+            raise ValueError("invalid net: " + "; ".join(violations))
+        root_steps, steps = [], []
+        for name in order:
+            node = self._by_name[name]
+            if isinstance(node.kind, Chance):
+                kernel, owner = node.kind.kernel, None
+            else:
+                kernel, owner = None, node.kind.owner
+            step = (name, node.parents, kernel, owner, node.space.contains)
+            (steps if node.parents else root_steps).append(step)
+        self._roots = frozenset(step[0] for step in root_steps)
+        self._root_steps: tuple[_Step, ...] = tuple(root_steps)
+        self._steps: tuple[_Step, ...] = tuple(steps)
 
     def node(self, name: str) -> NodeSpec:
         return self._by_name[name]
@@ -165,33 +201,31 @@ class SemiBayesNet:
     def __contains__(self, name: str) -> bool:
         return name in self._by_name
 
-    def is_root(self, name: str) -> bool:
-        return not self._by_name[name].parents
-
-
-@dataclass(frozen=True)
-class _SlicePlan:
-    """What `sample_slice` reads of a net, resolved once per net: the node
-    names, the root names, and one step per node of (name, parents, chance
-    kernel or None, decision owner or None, the bound `contains` of the
-    node's space), the roots' steps apart from the others.  Only roots can be
-    glued, so only `root_steps` may hold a node that is already set."""
-
-    names: frozenset[str]
-    roots: frozenset[str]
-    root_steps: tuple[_Step, ...]
-    steps: tuple[_Step, ...]
-
 
 @dataclass(frozen=True)
 class GlueBinding:
-    """Maps node names of the preceding slice to root names of the next kernel."""
+    """Maps node names of the preceding slice to root names of the next
+    kernel.  `pairs` is a read-only copy, so changing the caller's mapping
+    later cannot unglue a checked game."""
 
     pairs: Mapping[str, str]
+
+    def __post_init__(self):
+        object.__setattr__(self, "pairs", MappingProxyType(dict(self.pairs)))
 
 
 @dataclass(frozen=True)
 class IteratedGame:
+    """A base net followed by `horizon` slices of a kernel net, each glued
+    onto the one before through `binding`.
+
+    Construction raises one ValueError naming every violation: a horizon
+    below 1, a binding that does not glue the base onto the kernel or the
+    kernel onto itself (a source missing from the preceding net, a target
+    that is not a kernel root, differing spaces, two sources on one target),
+    or a kernel player without a reward function.
+    """
+
     base: SemiBayesNet
     kernel: SemiBayesNet
     binding: GlueBinding
@@ -199,55 +233,22 @@ class IteratedGame:
     rewards: Mapping[str, RewardFn]
 
     def __post_init__(self):
+        violations = []
         if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+            violations.append(f"horizon must be >= 1, got {self.horizon}")
+        for label, prev in (("base->kernel", self.base),
+                            ("kernel->kernel", self.kernel)):
+            violations += [f"{label}: {v}" for v in
+                           _glue_violations(prev, self.kernel, self.binding)]
+        violations += [f"no reward function for player '{player}'"
+                       for player in self.kernel.players
+                       if player not in self.rewards]
+        if violations:
+            raise ValueError("invalid game: " + "; ".join(violations))
 
 
-@dataclass
-class Trajectory:
-    base: Instantiation
-    slices: list[Instantiation]
-    rewards: dict[str, list[float]]
-
-
-# ---------------------------------------------------------------------------
-# Validation
-# ---------------------------------------------------------------------------
-
-def validate(net: SemiBayesNet) -> list[str]:
-    """Return all invariant violations of the net (empty list if valid)."""
-    violations = []
-    seen: set[str] = set()
-    for node in net.nodes:
-        if node.name in seen:
-            violations.append(f"duplicate node name '{node.name}'")
-        seen.add(node.name)
-    for node in net.nodes:
-        if len(set(node.parents)) != len(node.parents):
-            violations.append(f"node '{node.name}' lists a parent twice")
-        for parent in node.parents:
-            if parent not in net:
-                violations.append(
-                    f"node '{node.name}' references missing parent '{parent}'")
-    owners: dict[str, list[str]] = {}
-    for node in net.nodes:
-        if isinstance(node.kind, Decision):
-            owners.setdefault(node.kind.owner, []).append(node.name)
-    for player, owned in owners.items():
-        if len(owned) != 1:
-            violations.append(
-                f"player '{player}' owns {len(owned)} decision nodes "
-                f"({', '.join(owned)}); exactly one is required")
-    try:
-        topological_order(net)
-    except ValueError as exc:
-        violations.append(str(exc))
-    return violations
-
-
-def validate_glue(prev: SemiBayesNet, kernel: SemiBayesNet,
-                  binding: GlueBinding) -> list[str]:
-    """Check that `binding` legally glues `prev` outputs onto `kernel` roots."""
+def _glue_violations(prev: SemiBayesNet, kernel: SemiBayesNet,
+                     binding: GlueBinding) -> list[str]:
     violations = []
     targets = list(binding.pairs.values())
     if len(set(targets)) != len(targets):
@@ -259,7 +260,7 @@ def validate_glue(prev: SemiBayesNet, kernel: SemiBayesNet,
         if target not in kernel:
             violations.append(f"binding target '{target}' not in kernel net")
             continue
-        if not kernel.is_root(target):
+        if kernel.node(target).parents:
             violations.append(
                 f"binding target '{target}' has parents; glue targets must be roots")
         if prev.node(source).space != kernel.node(target).space:
@@ -269,19 +270,11 @@ def validate_glue(prev: SemiBayesNet, kernel: SemiBayesNet,
     return violations
 
 
-def validate_game(game: IteratedGame) -> list[str]:
-    """Validate both nets, the binding for the first and repeated gluings,
-    and reward coverage of the kernel's players."""
-    violations = [f"base: {v}" for v in validate(game.base)]
-    violations += [f"kernel: {v}" for v in validate(game.kernel)]
-    violations += [f"base->kernel: {v}"
-                   for v in validate_glue(game.base, game.kernel, game.binding)]
-    violations += [f"kernel->kernel: {v}"
-                   for v in validate_glue(game.kernel, game.kernel, game.binding)]
-    for player in game.kernel.players:
-        if player not in game.rewards:
-            violations.append(f"no reward function for player '{player}'")
-    return violations
+@dataclass
+class Trajectory:
+    base: Instantiation
+    slices: list[Instantiation]
+    rewards: dict[str, list[float]]
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +285,9 @@ def topological_order(net: SemiBayesNet) -> list[str]:
     """Parents-before-children order, stable by declaration order among ties.
 
     Raises ValueError naming a node on a cycle if the parent relation is
-    cyclic.  Nodes whose parents are missing from the net are treated as
-    blocked and reported the same way.
+    cyclic, which only a net under construction can be.  Nodes whose parents
+    are missing from the net are treated as blocked and reported the same
+    way.
     """
     placed: set[str] = set()
     order: list[str] = []
@@ -327,29 +321,6 @@ def _cycle_witness(net: SemiBayesNet, remaining: list[str], placed: set[str]) ->
     return current
 
 
-def _slice_plan(net: SemiBayesNet) -> _SlicePlan:
-    """The net's cached sampling plan, built on first use.
-
-    Raises ValueError like `topological_order` if the net has a cycle.
-    """
-    if net._plan is None:
-        root_steps, steps = [], []
-        for name in topological_order(net):
-            node = net.node(name)
-            if isinstance(node.kind, Chance):
-                kernel, owner = node.kind.kernel, None
-            else:
-                kernel, owner = None, node.kind.owner
-            step = (name, node.parents, kernel, owner, node.space.contains)
-            (steps if node.parents else root_steps).append(step)
-        net._plan = _SlicePlan(
-            names=frozenset(net._by_name),
-            roots=frozenset(step[0] for step in root_steps),
-            root_steps=tuple(root_steps),
-            steps=tuple(steps))
-    return net._plan
-
-
 def sample_slice(net: SemiBayesNet, boundary: Mapping[str, Value],
                  policies: Mapping[str, Policy],
                  rng: np.random.Generator) -> Instantiation:
@@ -361,15 +332,14 @@ def sample_slice(net: SemiBayesNet, boundary: Mapping[str, Value],
     mapping of the node's parent values.  Every produced value is checked
     against the node's space on every call.
     """
-    plan = _slice_plan(net)
-    if not plan.roots.issuperset(boundary):
+    if not net._roots.issuperset(boundary):
         for name in boundary:
-            if name not in plan.names:
+            if name not in net:
                 raise ValueError(f"boundary value for unknown node '{name}'")
-            if name not in plan.roots:
+            if name not in net._roots:
                 raise ValueError(f"boundary value for non-root node '{name}'")
     inst: Instantiation = dict(boundary)
-    for name, _, kernel, owner, contains in plan.root_steps:
+    for name, _, kernel, owner, contains in net._root_steps:
         if name in inst:
             continue
         draw = kernel if kernel is not None else policies.get(owner)
@@ -379,7 +349,7 @@ def sample_slice(net: SemiBayesNet, boundary: Mapping[str, Value],
         if not contains(value):
             _outside_space(net, name, value)
         inst[name] = value
-    for name, parents, kernel, owner, contains in plan.steps:
+    for name, parents, kernel, owner, contains in net._steps:
         # A plain loop: a comprehension is one more function call in 3.11.
         parent_values = {}
         for parent in parents:
@@ -420,11 +390,7 @@ def rollout(game: IteratedGame, policies: Mapping[str, Policy],
     kernel = game.kernel
     prev = base_inst
     for _ in range(game.horizon):
-        try:
-            boundary = {target: prev[source] for source, target in pairs}
-        except KeyError as exc:
-            raise ValueError(f"missing boundary value: previous slice has no "
-                             f"node '{exc.args[0]}'") from None
+        boundary = {target: prev[source] for source, target in pairs}
         inst = sample_slice(kernel, boundary, policies, rng)
         for player, reward_fn, values in scorers:
             value = float(reward_fn(inst))

@@ -739,7 +739,26 @@ def test_cli_negative_seed_refused_naming_it(tmp_path, capsys, command):
                  *_cell(0, 0, "--seed", "-3")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "--seed must be >= 0, got -3" in err
+    assert err.startswith("error:")
+    assert "-3 is not one of the configured values (3,)" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "sweep", "eval", "trace"])
+@pytest.mark.parametrize("option, value", [("--q3max", "0.3"), ("--seed", "9")])
+def test_cli_unlisted_q3max_or_seed_refused_before_anything_is_written(
+        tmp_path, capsys, command, option, value):
+    config_path = _level0_config(tmp_path)
+    out = tmp_path / "out"
+    cell = {"--q3max": "0.2", "--seed": "3", option: value}
+    args = [command, "--config", str(config_path), "--out", str(out),
+            "--q3max", cell["--q3max"], "--seed", cell["--seed"]]
+    if command in ("eval", "trace"):
+        args += ["--defender-level", "0", "--attacker-level", "0"]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"{value} is not one of the configured values" in err
     assert not out.exists()
 
 

@@ -5,8 +5,7 @@ from gridgame.netform import (BoundedReal, Chance, Decision, FiniteDiscrete,
                               GlueBinding, IteratedGame, NodeSpec, RealVector,
                               Record, SemiBayesNet, boundary_kernel, chance,
                               constant_kernel, decision, rollout, sample_slice,
-                              topological_order, validate, validate_game,
-                              validate_glue)
+                              topological_order)
 from gridgame.scenario import DefenderMemory, GridState
 
 STATE = GridState(1.4, 0.7, 1.0, 0.0, 1.0, -1.0, 0.0, 0.4, 0.7, 0.967, 0.997)
@@ -58,41 +57,41 @@ def test_invalid_spaces_rejected(bad):
 
 
 # ---------------------------------------------------------------------------
-# validate
+# net checks at construction
 # ---------------------------------------------------------------------------
 
 def test_validate_empty_net():
-    assert validate(SemiBayesNet([])) == []
+    net = SemiBayesNet([])
+    assert net.nodes == () and net.players == ()
 
 
 def test_validate_two_cycle():
-    net = SemiBayesNet([
-        chance("A", BoundedReal(0, 1), constant_kernel(0.0), parents=("B",)),
-        chance("B", BoundedReal(0, 1), constant_kernel(0.0), parents=("A",)),
-    ])
-    violations = validate(net)
-    assert any("cycle" in v for v in violations)
+    with pytest.raises(ValueError, match="cycle"):
+        SemiBayesNet([
+            chance("A", BoundedReal(0, 1), constant_kernel(0.0), parents=("B",)),
+            chance("B", BoundedReal(0, 1), constant_kernel(0.0), parents=("A",)),
+        ])
 
 
 def test_validate_one_decision_node_per_player():
-    net = SemiBayesNet([
-        decision("D1", FiniteDiscrete(2), "p1"),
-        decision("D2", FiniteDiscrete(2), "p1"),
-    ])
-    violations = validate(net)
-    assert any("p1" in v and "decision" in v for v in violations)
+    with pytest.raises(ValueError, match="player 'p1' owns 2 decision nodes"):
+        SemiBayesNet([
+            decision("D1", FiniteDiscrete(2), "p1"),
+            decision("D2", FiniteDiscrete(2), "p1"),
+        ])
 
 
 def test_validate_dangling_parent_and_duplicates():
-    net = SemiBayesNet([
-        chance("A", BoundedReal(0, 1), constant_kernel(0.0), parents=("ghost",)),
-        chance("A", BoundedReal(0, 1), constant_kernel(0.0)),
-        chance("B", BoundedReal(0, 1), constant_kernel(0.0), parents=("A", "A")),
-    ])
-    violations = validate(net)
-    assert any("ghost" in v for v in violations)
-    assert any("duplicate node name" in v for v in violations)
-    assert any("parent twice" in v for v in violations)
+    with pytest.raises(ValueError) as info:
+        SemiBayesNet([
+            chance("A", BoundedReal(0, 1), constant_kernel(0.0), parents=("ghost",)),
+            chance("A", BoundedReal(0, 1), constant_kernel(0.0)),
+            chance("B", BoundedReal(0, 1), constant_kernel(0.0), parents=("A", "A")),
+        ])
+    message = str(info.value)
+    assert "missing parent 'ghost'" in message
+    assert "duplicate node name 'A'" in message
+    assert "node 'B' lists a parent twice" in message
 
 
 def test_valid_net_has_no_violations():
@@ -100,55 +99,68 @@ def test_valid_net_has_no_violations():
         chance("A", BoundedReal(0, 1), uniform_kernel(0, 1)),
         decision("D", FiniteDiscrete(2), "p1", parents=("A",)),
     ])
-    assert validate(net) == []
+    assert net.players == ("p1",)
 
 
 # ---------------------------------------------------------------------------
-# validate_glue
+# glue checks at game construction
 # ---------------------------------------------------------------------------
 
-def _single_node_net(name, space, parents=()):
-    return SemiBayesNet([chance(name, space, constant_kernel(0.0), parents=parents)])
+def _glued(base_nodes, kernel_nodes, pairs):
+    return IteratedGame(SemiBayesNet(base_nodes), SemiBayesNet(kernel_nodes),
+                        GlueBinding(pairs), 1, {})
+
+
+def _root(name, space):
+    return chance(name, space, boundary_kernel(name))
+
+
+def _copy(name, space, parent):
+    return chance(name, space, copy_parent_kernel(parent), parents=(parent,))
 
 
 def test_glue_matching_spaces_ok():
-    prev = _single_node_net("S", BoundedReal(0, 2))
-    kernel = _single_node_net("S_in", BoundedReal(0, 2))
-    assert validate_glue(prev, kernel, GlueBinding({"S": "S_in"})) == []
+    span = BoundedReal(0, 2)
+    game = _glued([chance("S", span, constant_kernel(0.0))],
+                  [_root("S_in", span), _copy("S", span, "S_in")], {"S": "S_in"})
+    assert rollout(game, {}, np.random.default_rng(0)).slices == [
+        {"S_in": 0.0, "S": 0.0}]
 
 
 def test_glue_target_must_be_root():
-    prev = _single_node_net("S", BoundedReal(0, 2))
-    kernel = SemiBayesNet([
-        chance("R", BoundedReal(0, 2), constant_kernel(0.0)),
-        chance("S_in", BoundedReal(0, 2), copy_parent_kernel("R"), parents=("R",)),
-    ])
-    violations = validate_glue(prev, kernel, GlueBinding({"S": "S_in"}))
-    assert any("root" in v for v in violations)
+    span = BoundedReal(0, 2)
+    with pytest.raises(ValueError, match="binding target 'S_in' has parents; "
+                                         "glue targets must be roots"):
+        _glued([chance("S", span, constant_kernel(0.0))],
+               [_root("R", span), _copy("S_in", span, "R"), _copy("S", span, "S_in")],
+               {"S": "S_in"})
 
 
 def test_glue_space_mismatch():
-    prev = _single_node_net("S", FiniteDiscrete(3))
-    kernel = _single_node_net("S_in", FiniteDiscrete(4))
-    violations = validate_glue(prev, kernel, GlueBinding({"S": "S_in"}))
-    assert any("space mismatch" in v for v in violations)
+    with pytest.raises(ValueError, match="base->kernel: space mismatch for "
+                                         "glued pair S -> S_in"):
+        _glued([chance("S", FiniteDiscrete(3), constant_kernel(0))],
+               [_root("S_in", FiniteDiscrete(4)), _copy("S", FiniteDiscrete(4), "S_in")],
+               {"S": "S_in"})
 
 
 def test_glue_must_be_injective():
-    prev = SemiBayesNet([
-        chance("A", BoundedReal(0, 1), constant_kernel(0.0)),
-        chance("B", BoundedReal(0, 1), constant_kernel(0.0)),
-    ])
-    kernel = _single_node_net("R", BoundedReal(0, 1))
-    violations = validate_glue(prev, kernel, GlueBinding({"A": "R", "B": "R"}))
-    assert any("injective" in v for v in violations)
+    span = BoundedReal(0, 1)
+    with pytest.raises(ValueError, match="injective"):
+        _glued([chance("A", span, constant_kernel(0.0)),
+                chance("B", span, constant_kernel(0.0))],
+               [_root("R", span), _copy("A", span, "R"), _copy("B", span, "R")],
+               {"A": "R", "B": "R"})
 
 
 def test_glue_unknown_source_or_target():
-    prev = _single_node_net("S", BoundedReal(0, 1))
-    kernel = _single_node_net("R", BoundedReal(0, 1))
-    assert validate_glue(prev, kernel, GlueBinding({"nope": "R"}))
-    assert validate_glue(prev, kernel, GlueBinding({"S": "nope"}))
+    span = BoundedReal(0, 1)
+    base = [chance("S", span, constant_kernel(0.0))]
+    kernel = [_root("R", span), _copy("S", span, "R")]
+    with pytest.raises(ValueError, match="binding source 'nope' not in preceding net"):
+        _glued(base, kernel, {"nope": "R"})
+    with pytest.raises(ValueError, match="binding target 'nope' not in kernel net"):
+        _glued(base, kernel, {"S": "nope"})
 
 
 # ---------------------------------------------------------------------------
@@ -184,12 +196,11 @@ def test_topological_diamond():
 
 
 def test_topological_cycle_names_a_node():
-    net = SemiBayesNet([
-        chance("A", BoundedReal(0, 1), constant_kernel(0.0), parents=("B",)),
-        chance("B", BoundedReal(0, 1), constant_kernel(0.0), parents=("A",)),
-    ])
-    with pytest.raises(ValueError, match="cycle.*'[AB]'"):
-        topological_order(net)
+    with pytest.raises(ValueError, match="cycle detected through node '[AB]'"):
+        SemiBayesNet([
+            chance("A", BoundedReal(0, 1), constant_kernel(0.0), parents=("B",)),
+            chance("B", BoundedReal(0, 1), constant_kernel(0.0), parents=("A",)),
+        ])
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +264,6 @@ def test_checks_still_run_once_the_plan_is_cached():
     policies = {"p1": lambda parents, rng: 1}
     rng = np.random.default_rng(0)
     assert sample_slice(net, {}, policies, rng) == {"A": 0.25, "B": 0.25, "D": 1}
-    assert net._plan is not None
     for boundary, players, message in [
             ({"Z": 0.5}, policies, "unknown node 'Z'"),
             ({"B": 0.5}, policies, "non-root node 'B'"),
@@ -400,10 +410,37 @@ def test_rollout_policy_consulted_every_slice():
 
 def test_rollout_missing_boundary_source():
     game = _counter_game(2)
-    bad = IteratedGame(game.base, game.kernel, GlueBinding({"nope": "S_prev"}),
-                       2, game.rewards)
-    with pytest.raises(ValueError, match="missing boundary"):
-        rollout(bad, {}, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="binding source 'nope' not in preceding net"):
+        IteratedGame(game.base, game.kernel, GlueBinding({"nope": "S_prev"}),
+                     2, game.rewards)
+
+
+def test_binding_keeps_a_read_only_copy_of_its_pairs():
+    game = _counter_game(3)
+    pairs = {"S": "S_prev"}
+    game = IteratedGame(game.base, game.kernel, GlueBinding(pairs), 3,
+                        game.rewards)
+    pairs["S"] = "nope"
+    pairs["ghost"] = "S_prev"
+    assert dict(game.binding.pairs) == {"S": "S_prev"}
+    with pytest.raises(TypeError):
+        game.binding.pairs["S"] = "nope"
+    traj = rollout(game, {}, np.random.default_rng(0))
+    assert [s["S"] for s in traj.slices] == [1.0, 2.0, 3.0]
+
+
+def test_invalid_game_names_every_violation_in_one_error():
+    game = _counter_game(2)
+    kernel = SemiBayesNet(list(game.kernel.nodes) + [
+        decision("D", FiniteDiscrete(2), "p2", parents=("S",))])
+    with pytest.raises(ValueError) as info:
+        IteratedGame(game.base, kernel, GlueBinding({"nope": "S_prev"}), 0,
+                     game.rewards)
+    message = str(info.value)
+    assert "horizon must be >= 1, got 0" in message
+    assert "base->kernel: binding source 'nope' not in preceding net" in message
+    assert "kernel->kernel: binding source 'nope' not in preceding net" in message
+    assert "no reward function for player 'p2'" in message
 
 
 def test_gluing_closure_on_randomized_games():
@@ -426,7 +463,6 @@ def test_gluing_closure_on_randomized_games():
         ])
         game = IteratedGame(base, kernel, GlueBinding({"S": "S_prev"}),
                             int(rng.integers(1, 12)), {})
-        assert validate_game(game) == []
         traj = rollout(game, {}, np.random.default_rng(trial))
         for inst in [traj.base] + traj.slices:
             for name, value in inst.items():
@@ -448,8 +484,8 @@ def test_validate_game_reports_reward_gap():
         decision("D", FiniteDiscrete(2), "p1", parents=("S",)),
     ])
     base = SemiBayesNet([chance("S", BoundedReal(0, 1), constant_kernel(0.0))])
-    game = IteratedGame(base, kernel, GlueBinding({"S": "S_prev"}), 3, {})
-    assert any("reward" in v for v in validate_game(game))
+    with pytest.raises(ValueError, match="no reward function for player 'p1'"):
+        IteratedGame(base, kernel, GlueBinding({"S": "S_prev"}), 3, {})
 
 
 def test_node_spec_shape():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -525,11 +527,15 @@ def test_q3_feature_zero_when_capability_is_zero():
 # net encoding
 # ---------------------------------------------------------------------------
 
-def test_emitted_nets_are_valid():
+def test_emitted_game_with_a_renamed_binding_source_is_refused():
     game = as_netform(P)
-    assert netform.validate(game.base) == []
-    assert netform.validate(game.kernel) == []
-    assert netform.validate_game(game) == []
+    pairs = dict(game.binding.pairs)
+    pairs["stat"] = pairs.pop(scenario.STATE_NODE)
+    with pytest.raises(ValueError) as info:
+        replace(game, binding=netform.GlueBinding(pairs))
+    message = str(info.value)
+    for label in ("base->kernel", "kernel->kernel"):
+        assert f"{label}: binding source 'stat' not in preceding net" in message
 
 
 def test_kernel_has_one_decision_node_per_player():
