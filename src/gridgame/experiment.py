@@ -20,7 +20,6 @@ import json
 import math
 import os
 import secrets
-import types
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -103,11 +102,6 @@ def _checked(key: str, value: Any, hint: Any) -> Any:
     `key` if it does not match the field type `hint`.  Integers must not be
     bools; floats must be finite."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        if value is None and type(None) in args:
-            return None
-        (inner,) = [arg for arg in args if arg is not type(None)]
-        return _checked(key, value, inner)
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"'{key}' must be a list, got {value!r}")
@@ -136,11 +130,26 @@ def _field_types(cls) -> dict[str, Any]:
     return typing.get_type_hints(cls)
 
 
+# Fields that a config section must not set, because another key sets them,
+# with where their value comes from.  `config_from_dict` refuses them and
+# `config_to_dict` leaves them out.
+_SET_ELSEWHERE = {
+    ("grid", "q3_max"): "per cell; use 'experiment.q3max_values'",
+    ("train", "optimistic_bias"): (
+        "per player; use 'experiment.defender_optimistic_bias' and "
+        "'experiment.attacker_optimistic_bias'"),
+}
+
+
 def _build_from_dict(cls, data: Any, context: str, **fixed):
     """`cls` built from one config section, with the fields in `fixed` given
     by the caller rather than the section."""
     if not isinstance(data, Mapping):
         raise ValueError(f"'{context}' must be a JSON object, got {data!r}")
+    for key in data:
+        if (context, key) in _SET_ELSEWHERE:
+            raise ValueError(
+                f"'{context}.{key}' is set {_SET_ELSEWHERE[context, key]}")
     hints = _field_types(cls)
     fields = {f.name for f in dataclasses.fields(cls)} - set(fixed)
     unknown = set(data) - fields
@@ -159,12 +168,7 @@ def config_from_dict(data: Any) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown top-level key(s): {', '.join(sorted(unknown))}")
     grid = _build_from_dict(GridParams, data.get("grid", {}), "grid")
-    train_data = data.get("train", {})
-    if isinstance(train_data, Mapping) and "optimistic_bias" in train_data:
-        raise ValueError("'train.optimistic_bias' is set per player; use "
-                         "'experiment.defender_optimistic_bias' and "
-                         "'experiment.attacker_optimistic_bias'")
-    train = _build_from_dict(TrainConfig, train_data, "train")
+    train = _build_from_dict(TrainConfig, data.get("train", {}), "train")
     return _build_from_dict(ExperimentConfig, data.get("experiment", {}),
                             "experiment", grid=grid, train=train)
 
@@ -194,17 +198,14 @@ def load_config(path: str | os.PathLike) -> ExperimentConfig:
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
-    """Full config, defaults included, as a JSON-serializable dict."""
-    data = dataclasses.asdict(config)
-    grid = data.pop("grid")
-    train = data.pop("train")
-    grid["p2_range"] = list(grid["p2_range"])
-    train["hidden_layers"] = list(train["hidden_layers"])
-    del train["optimistic_bias"]  # set per player, not a 'train' key
-    data["q3max_values"] = list(data["q3max_values"])
-    data["pairings"] = [list(p) for p in data["pairings"]]
-    data["seeds"] = list(data["seeds"])
-    return {"grid": grid, "train": train, "experiment": data}
+    """Full config, defaults included, as a JSON-serializable dict that
+    `config_from_dict` accepts: keys set elsewhere are left out."""
+    data = json.loads(json.dumps(dataclasses.asdict(config)))  # tuples to lists
+    sections = {"grid": data.pop("grid"), "train": data.pop("train"),
+                "experiment": data}
+    for section, key in _SET_ELSEWHERE:
+        del sections[section][key]
+    return sections
 
 
 def player_train_configs(config: ExperimentConfig) -> dict[str, TrainConfig]:
@@ -232,6 +233,11 @@ def _q3_key(q3_max: float) -> int:
 
 def cell_rng(seed: int, tag: int, *coords: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(tag)] + [int(c) for c in coords])
+
+
+def cell_grid(config: ExperimentConfig, q3_max: float) -> GridParams:
+    """The grid that every command plays in a cell at `q3_max`."""
+    return replace(config.grid, q3_max=q3_max)
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +314,7 @@ def resolve_policy(config: ExperimentConfig, out_dir: Path, player: str,
     if not 0 <= level <= config.k_max:
         raise ValueError(f"{player} level {level} is outside 0..k_max="
                          f"{config.k_max}")
-    grid = replace(config.grid, q3_max=q3_max)
+    grid = cell_grid(config, q3_max)
     if level == 0:
         return level0_policies(grid)[player]
     path = out_dir / policy_filename(player, level, q3_max, seed)
@@ -359,12 +365,14 @@ class SweepRecord(NamedTuple):
 SWEEP_COLUMNS = SweepRecord._fields
 
 
-def _selected(values: Sequence, chosen) -> list:
+def _selected(values: Sequence, chosen, option: str) -> list:
+    """All of `values`, or only `chosen`, which `option` picked from them."""
     if chosen is None:
         return list(values)
     if chosen in values:
         return [chosen]
-    raise ValueError(f"{chosen!r} is not one of the configured values {values}")
+    raise ValueError(
+        f"{option} {chosen!r} is not one of the configured values {values}")
 
 
 def worker_count(jobs: int | None, units: int) -> int:
@@ -401,7 +409,7 @@ def _train_cell(config: ExperimentConfig, out_dir: Path,
     """Train one (q3_max, seed) cell's hierarchy and save its policies.
     Returns (written policy files, the cell's training failure or None)."""
     q3, s = cell
-    grid = replace(config.grid, q3_max=q3)
+    grid = cell_grid(config, q3)
     train_cfgs = player_train_configs(config)
     rng = cell_rng(s, _TRAIN_TAG, _q3_key(q3))
     try:
@@ -428,8 +436,8 @@ def run_train(config: ExperimentConfig, out_dir: Path,
     (written policy files, per-cell failures); failures do not stop the
     remaining cells.  manifest.json lists the cells finished so far.
     """
-    cells = [(q3, s) for q3 in _selected(config.q3max_values, q3_max)
-             for s in _selected(config.seeds, seed)]
+    cells = [(q3, s) for q3 in _selected(config.q3max_values, q3_max, "--q3max")
+             for s in _selected(config.seeds, seed, "--seed")]
     workers = worker_count(jobs, len(cells))
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[str] = []
@@ -456,7 +464,7 @@ def _sweep_row(config: ExperimentConfig, out_dir: Path,
                row: tuple[float, int, int, int]) -> SweepRecord:
     """Evaluate one (q3_max, defender level, attacker level, seed) row."""
     q3, d_level, a_level, s = row
-    game = as_netform(replace(config.grid, q3_max=q3), config.horizon)
+    game = as_netform(cell_grid(config, q3), config.horizon)
     policies = resolve_pairing(config, out_dir, d_level, a_level, q3, s)
     rng = cell_rng(s, _SWEEP_TAG, _q3_key(q3), d_level, a_level)
     report = evaluate(game, policies, config.eval_episodes, rng)
@@ -482,8 +490,8 @@ def run_sweep(config: ExperimentConfig, out_dir: Path,
         raise ValueError(f"no configured pairing {list(config.pairings)} matches "
                          f"the level filter defender={defender_level}, "
                          f"attacker={attacker_level}")
-    rows = [(q3, d, a, s) for q3 in _selected(config.q3max_values, q3_max)
-            for d, a in pairings for s in _selected(config.seeds, seed)]
+    rows = [(q3, d, a, s) for q3 in _selected(config.q3max_values, q3_max, "--q3max")
+            for d, a in pairings for s in _selected(config.seeds, seed, "--seed")]
     workers = worker_count(jobs, len(rows))
     out_dir.mkdir(parents=True, exist_ok=True)
     with _in_order(_sweep_row, config, out_dir, rows, workers) as results:
@@ -497,9 +505,9 @@ def run_eval(config: ExperimentConfig, out_dir: Path, defender_level: int,
              seed: int | None = None) -> dict:
     """Evaluate one pairing at a configured q3_max and seed (by default the
     first); write a per-episode CSV and return the summary."""
-    q3_max = _selected(config.q3max_values, q3_max)[0]
-    seed = _selected(config.seeds, seed)[0]
-    grid = replace(config.grid, q3_max=q3_max)
+    q3_max = _selected(config.q3max_values, q3_max, "--q3max")[0]
+    seed = _selected(config.seeds, seed, "--seed")[0]
+    grid = cell_grid(config, q3_max)
     game = as_netform(grid, config.horizon)
     policies = resolve_pairing(config, out_dir, defender_level,
                                attacker_level, q3_max, seed)
@@ -528,9 +536,9 @@ def run_trace(config: ExperimentConfig, out_dir: Path, defender_level: int,
               seed: int | None = None) -> Path:
     """One greedy rollout at a configured q3_max and seed (by default the
     first); write the step-by-step trace CSV."""
-    q3_max = _selected(config.q3max_values, q3_max)[0]
-    seed = _selected(config.seeds, seed)[0]
-    grid = replace(config.grid, q3_max=q3_max)
+    q3_max = _selected(config.q3max_values, q3_max, "--q3max")[0]
+    seed = _selected(config.seeds, seed, "--seed")[0]
+    grid = cell_grid(config, q3_max)
     policies = resolve_pairing(config, out_dir, defender_level,
                                attacker_level, q3_max, seed)
     out_dir.mkdir(parents=True, exist_ok=True)

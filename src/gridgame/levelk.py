@@ -10,7 +10,7 @@ the pre-update network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -55,11 +55,10 @@ class QPolicy:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SARSA hyperparameters.  `horizon=None` trains on the game's own horizon.
-    Training streams are seeded by the caller's rng, so no seed is kept here."""
+    """SARSA hyperparameters.  Training streams are seeded by the caller's
+    rng, so no seed is kept here."""
 
     episodes: int = 3000
-    horizon: int | None = None
     gamma: float = 0.95
     learning_rate: float = 0.1
     epsilon_start: float = 0.5
@@ -86,8 +85,6 @@ class TrainConfig:
             raise ValueError("epsilon_end must not exceed epsilon_start")
         if not 0.0 <= self.epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must be in [0, 1]")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         if any(width < 1 for width in self.hidden_layers):
             raise ValueError(
                 f"hidden_layers must all be >= 1, got {self.hidden_layers}")
@@ -185,14 +182,13 @@ def train_level(game: IteratedGame, trainee: str,
     spec = neural.NetworkSpec(prior.feature_dim, config.hidden_layers,
                               prior.action_count)
     params = neural.init(spec, config.init_scale, config.optimistic_bias, rng)
-    train_game = game if config.horizon is None else replace(game, horizon=config.horizon)
-    base_skip = _count_base_decisions(train_game, trainee)
+    base_skip = _count_base_decisions(game, trainee)
     for episode in range(config.episodes):
         recorder = _RecordingPolicy(params, epsilon_schedule(episode, config),
                                     prior.encoder)
         policies: dict[str, Policy] = dict(opponents)
         policies[trainee] = recorder
-        trajectory = rollout(train_game, policies, rng)
+        trajectory = rollout(game, policies, rng)
         rewards = trajectory.rewards[trainee]
         decisions = len(recorder.actions) - base_skip
         if decisions != len(rewards):

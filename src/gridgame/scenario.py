@@ -486,6 +486,12 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
     d_act_space = FiniteDiscrete(DEFENDER_ACTIONS)
     a_act_space = FiniteDiscrete(ATTACKER_ACTIONS)
     prev = "_prev"
+    # the nodes the binding threads into the next slice, each read there as
+    # a root named with `prev`
+    glued = ((STATE_NODE, state_space), (DEFENDER_MEMORY_NODE, d_mem_space),
+             (ATTACKER_MEMORY_NODE, a_mem_space),
+             (DEFENDER_ACTION_NODE, d_act_space),
+             (ATTACKER_ACTION_NODE, a_act_space))
 
     def state_kernel(parents, rng):
         return advance_state(parents[STATE_NODE + prev],
@@ -512,15 +518,8 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
                                     params)
 
     kernel = SemiBayesNet([
-        chance(STATE_NODE + prev, state_space, boundary_kernel(STATE_NODE + prev)),
-        chance(DEFENDER_MEMORY_NODE + prev, d_mem_space,
-               boundary_kernel(DEFENDER_MEMORY_NODE + prev)),
-        chance(ATTACKER_MEMORY_NODE + prev, a_mem_space,
-               boundary_kernel(ATTACKER_MEMORY_NODE + prev)),
-        chance(DEFENDER_ACTION_NODE + prev, d_act_space,
-               boundary_kernel(DEFENDER_ACTION_NODE + prev)),
-        chance(ATTACKER_ACTION_NODE + prev, a_act_space,
-               boundary_kernel(ATTACKER_ACTION_NODE + prev)),
+        *(chance(name + prev, space, boundary_kernel(name + prev))
+          for name, space in glued),
         chance(STATE_NODE, state_space, state_kernel,
                parents=(STATE_NODE + prev, DEFENDER_ACTION_NODE + prev,
                         ATTACKER_ACTION_NODE + prev)),
@@ -563,13 +562,7 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
                constant_kernel(params.attacker_start_action)),
     ])
 
-    binding = GlueBinding({
-        STATE_NODE: STATE_NODE + prev,
-        DEFENDER_MEMORY_NODE: DEFENDER_MEMORY_NODE + prev,
-        ATTACKER_MEMORY_NODE: ATTACKER_MEMORY_NODE + prev,
-        DEFENDER_ACTION_NODE: DEFENDER_ACTION_NODE + prev,
-        ATTACKER_ACTION_NODE: ATTACKER_ACTION_NODE + prev,
-    })
+    binding = GlueBinding({name: name + prev for name, _ in glued})
 
     rewards = {
         DEFENDER: lambda inst: defender_reward(inst[STATE_NODE].V2,

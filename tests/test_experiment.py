@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import typing
 from pathlib import Path
 
@@ -37,7 +38,6 @@ def default_config():
 
 def tiny_config(**experiment_overrides):
     data = {
-        "grid": {"q3_max": 0.7},
         "train": {"episodes": 2, "hidden_layers": [4]},
         "experiment": {
             "k_max": 1,
@@ -157,6 +157,19 @@ def test_train_optimistic_bias_refused_pointing_to_player_biases(value):
         config_from_dict({"train": {"optimistic_bias": value}})
 
 
+@pytest.mark.parametrize("value", [0.5, 1.0])
+def test_grid_q3_max_refused_pointing_to_q3max_values(value):
+    with pytest.raises(ValueError, match=r"'grid\.q3_max' is set per cell; use "
+                       r"'experiment\.q3max_values'"):
+        config_from_dict({"grid": {"q3_max": value}})
+
+
+def test_readme_config_example_loads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    config_from_dict(json.loads(example))
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(0.0, 1.0)
 
@@ -171,8 +184,7 @@ def grids(draw):
         r1=draw(finite), r2=draw(finite), x1=draw(finite), x2=draw(finite),
         v0=draw(st.floats(1e-6, 1e6)), tap_step=draw(st.floats(1e-6, 1.0)),
         v1_min=v1_min, v1_max=v1_max, band_halfwidth=band,
-        strike_threshold=band + draw(st.floats(1e-6, 1.0)),
-        q3_max=draw(st.floats(0.0, 1e6)), p3=draw(finite),
+        strike_threshold=band + draw(st.floats(1e-6, 1.0)), p3=draw(finite),
         p2_range=(p2_lo, p2_lo + draw(st.floats(0.0, 10.0))),
         q2_factor=draw(finite), memory_window=draw(st.integers(1, 50)),
         v1_start=draw(st.floats(v1_min, v1_max)),
@@ -185,7 +197,6 @@ def trains(draw):
     epsilon_start = draw(unit)
     return TrainConfig(
         episodes=draw(st.integers(0, 10 ** 6)),
-        horizon=draw(st.none() | st.integers(1, 10 ** 4)),
         gamma=draw(st.floats(0.0, 1.0, exclude_max=True)),
         learning_rate=draw(st.floats(1e-9, 10.0)),
         epsilon_start=epsilon_start,
@@ -224,8 +235,8 @@ def test_config_round_trips_through_its_dict_and_json(config):
 
 def _bad_values(hint):
     """Values that the config check must refuse for a field of type `hint`."""
-    if hint is int or hint == int | None:
-        return ["1", 1.5, True, [1], {}] + ([None] if hint is int else [])
+    if hint is int:
+        return ["1", 1.5, True, [1], {}, None]
     if hint is float:
         return [math.nan, math.inf, -math.inf, "0.5", False, None, [0.5]]
     return ["x", 1, None, {}, [math.nan], [None]]  # a tuple field
@@ -487,6 +498,7 @@ def test_train_k0_writes_manifest_only(tmp_path):
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["policies"] == []
     assert manifest["config"] == config_to_dict(config)
+    assert config_from_dict(manifest["config"]) == config
     assert manifest["config"]["experiment"]["defender_optimistic_bias"] == 0.0
     assert manifest["config"]["experiment"]["attacker_optimistic_bias"] == 2.0
 
@@ -758,7 +770,7 @@ def test_cli_unlisted_q3max_or_seed_refused_before_anything_is_written(
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
-    assert f"{value} is not one of the configured values" in err
+    assert f"{option} {value} is not one of the configured values" in err
     assert not out.exists()
 
 
@@ -812,6 +824,8 @@ def test_cli_bad_config_exits_nonzero(tmp_path, capsys):
     ("train", "optimistic_bias", 0.0),
     ("grid", "p2_range", [-1e308, 1e308]),
     ("train", "horizon", 0),
+    ("train", "horizon", 7),
+    ("grid", "q3_max", 0.5),
     ("experiment", "q3max_values", []),
     ("grid", "v0", 0.0),
     ("train", "init_scale", -1.0),

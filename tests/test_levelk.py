@@ -67,11 +67,6 @@ def test_train_config_validation():
         TrainConfig(gamma=1.0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
-    for horizon in (0, -1):
-        with pytest.raises(ValueError, match="horizon"):
-            TrainConfig(horizon=horizon)
-    assert TrainConfig().horizon is None
-    assert TrainConfig(horizon=1).horizon == 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,21 +328,6 @@ def test_train_level_is_deterministic_given_seed():
     b = train_level(game, PLAYER, {}, {PLAYER: single_state_prior()}, cfg,
                     np.random.default_rng(3))
     assert params_equal(a.params, b.params)
-
-
-def test_train_config_horizon_overrides_game_horizon():
-    game = single_state_game(50)
-    prior = single_state_prior()
-    short = TrainConfig(episodes=1, horizon=7, hidden_layers=())
-    a = train_level(game, PLAYER, {}, {PLAYER: prior}, short,
-                    np.random.default_rng(0))
-    b = train_level(game, PLAYER, {}, {PLAYER: prior}, short,
-                    np.random.default_rng(0))
-    assert params_equal(a.params, b.params)
-    full = TrainConfig(episodes=1, hidden_layers=())
-    c = train_level(game, PLAYER, {}, {PLAYER: prior}, full,
-                    np.random.default_rng(0))
-    assert not params_equal(a.params, c.params)
 
 
 def test_opponent_parameters_untouched_by_training():
