@@ -28,8 +28,8 @@ from typing import Any, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import neural, scenario
-from .levelk import (PriorPolicy, QPolicy, TrainConfig, build_hierarchy,
-                     evaluate)
+from .levelk import (EvalReport, PriorPolicy, QPolicy, TrainConfig,
+                     build_hierarchy)
 from .scenario import (ATTACKER, DEFENDER, GridParams, as_netform,
                        level0_policies, simulate)
 
@@ -57,6 +57,10 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self):
+        for section, key in _SET_ELSEWHERE:
+            part = getattr(self, section)
+            if getattr(part, key) != getattr(type(part), key):  # the default
+                raise _set_elsewhere(section, key)
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
         if not self.q3max_values:
@@ -131,7 +135,8 @@ def _field_types(cls) -> dict[str, Any]:
 
 
 # Fields that a config section must not set, because another key sets them,
-# with where their value comes from.  `config_from_dict` refuses them and
+# with where their value comes from.  `config_from_dict` refuses them,
+# `ExperimentConfig` refuses any value but the class default, and
 # `config_to_dict` leaves them out.
 _SET_ELSEWHERE = {
     ("grid", "q3_max"): "per cell; use 'experiment.q3max_values'",
@@ -141,6 +146,10 @@ _SET_ELSEWHERE = {
 }
 
 
+def _set_elsewhere(section: str, key: str) -> ValueError:
+    return ValueError(f"'{section}.{key}' is set {_SET_ELSEWHERE[section, key]}")
+
+
 def _build_from_dict(cls, data: Any, context: str, **fixed):
     """`cls` built from one config section, with the fields in `fixed` given
     by the caller rather than the section."""
@@ -148,8 +157,7 @@ def _build_from_dict(cls, data: Any, context: str, **fixed):
         raise ValueError(f"'{context}' must be a JSON object, got {data!r}")
     for key in data:
         if (context, key) in _SET_ELSEWHERE:
-            raise ValueError(
-                f"'{context}.{key}' is set {_SET_ELSEWHERE[context, key]}")
+            raise _set_elsewhere(context, key)
     hints = _field_types(cls)
     fields = {f.name for f in dataclasses.fields(cls)} - set(fixed)
     unknown = set(data) - fields
@@ -460,14 +468,33 @@ def run_train(config: ExperimentConfig, out_dir: Path,
     return written, failures
 
 
+def _evaluate_native(grid: GridParams, horizon: int,
+                     policies: Mapping[str, PriorPolicy | QPolicy],
+                     episodes: int, rng: np.random.Generator) -> EvalReport:
+    """`levelk.evaluate` on `as_netform(grid, horizon)`, played by
+    `scenario.simulate` instead of `netform.rollout`: the same draws and the
+    same arithmetic (each episode's rewards summed in step order over the
+    horizon, then the mean over episodes), so the same bits."""
+    per_episode: dict[str, list[float]] = {DEFENDER: [], ATTACKER: []}
+    for _ in range(episodes):
+        records = simulate(grid, policies, horizon, rng)
+        per_episode[DEFENDER].append(
+            sum(rec.defender_reward for rec in records) / horizon)
+        per_episode[ATTACKER].append(
+            sum(rec.attacker_reward for rec in records) / horizon)
+    means = {player: sum(values) / episodes
+             for player, values in per_episode.items()}
+    return EvalReport(means, per_episode)
+
+
 def _sweep_row(config: ExperimentConfig, out_dir: Path,
                row: tuple[float, int, int, int]) -> SweepRecord:
     """Evaluate one (q3_max, defender level, attacker level, seed) row."""
     q3, d_level, a_level, s = row
-    game = as_netform(cell_grid(config, q3), config.horizon)
     policies = resolve_pairing(config, out_dir, d_level, a_level, q3, s)
     rng = cell_rng(s, _SWEEP_TAG, _q3_key(q3), d_level, a_level)
-    report = evaluate(game, policies, config.eval_episodes, rng)
+    report = _evaluate_native(cell_grid(config, q3), config.horizon, policies,
+                              config.eval_episodes, rng)
     return SweepRecord(q3, d_level, a_level, s,
                        report.mean_reward_per_step[DEFENDER],
                        report.mean_reward_per_step[ATTACKER],
@@ -508,12 +535,12 @@ def run_eval(config: ExperimentConfig, out_dir: Path, defender_level: int,
     q3_max = _selected(config.q3max_values, q3_max, "--q3max")[0]
     seed = _selected(config.seeds, seed, "--seed")[0]
     grid = cell_grid(config, q3_max)
-    game = as_netform(grid, config.horizon)
     policies = resolve_pairing(config, out_dir, defender_level,
                                attacker_level, q3_max, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = cell_rng(seed, _EVAL_TAG, _q3_key(q3_max), defender_level, attacker_level)
-    report = evaluate(game, policies, config.eval_episodes, rng)
+    report = _evaluate_native(grid, config.horizon, policies,
+                              config.eval_episodes, rng)
     name = f"eval_D{defender_level}A{attacker_level}_q{q3_max:g}_s{seed}.csv"
     rows = [(i, d, a) for i, (d, a) in enumerate(
         zip(report.per_episode[DEFENDER], report.per_episode[ATTACKER]), start=1)]

@@ -34,6 +34,9 @@ _Step = tuple[str, tuple[str, ...], Kernel | None, str | None,
 # Variable spaces
 # ---------------------------------------------------------------------------
 
+_INTEGERS = (int, np.integer)  # built once: `contains` runs at every step
+
+
 @dataclass(frozen=True)
 class FiniteDiscrete:
     """Integer values 0 .. cardinality-1."""
@@ -45,7 +48,7 @@ class FiniteDiscrete:
             raise ValueError(f"cardinality must be >= 1, got {self.cardinality}")
 
     def contains(self, value: Value) -> bool:
-        return isinstance(value, (int, np.integer)) and 0 <= value < self.cardinality
+        return isinstance(value, _INTEGERS) and 0 <= value < self.cardinality
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,9 @@ ATTACKER = "attacker"
 ACTION_DOWN, ACTION_HOLD, ACTION_UP = 0, 1, 2
 DEFENDER_ACTIONS = 3
 ATTACKER_ACTIONS = 11
+# each player's decision space, in the net and in the native loop alike
+DEFENDER_ACTION_SPACE = FiniteDiscrete(DEFENDER_ACTIONS)
+ATTACKER_ACTION_SPACE = FiniteDiscrete(ATTACKER_ACTIONS)
 
 DEFAULT_HORIZON = 100
 
@@ -483,15 +486,13 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
     state_space = Record(GridState)
     d_mem_space = Record(DefenderMemory)
     a_mem_space = Record(AttackerMemory)
-    d_act_space = FiniteDiscrete(DEFENDER_ACTIONS)
-    a_act_space = FiniteDiscrete(ATTACKER_ACTIONS)
     prev = "_prev"
     # the nodes the binding threads into the next slice, each read there as
     # a root named with `prev`
     glued = ((STATE_NODE, state_space), (DEFENDER_MEMORY_NODE, d_mem_space),
              (ATTACKER_MEMORY_NODE, a_mem_space),
-             (DEFENDER_ACTION_NODE, d_act_space),
-             (ATTACKER_ACTION_NODE, a_act_space))
+             (DEFENDER_ACTION_NODE, DEFENDER_ACTION_SPACE),
+             (ATTACKER_ACTION_NODE, ATTACKER_ACTION_SPACE))
 
     def state_kernel(parents, rng):
         return advance_state(parents[STATE_NODE + prev],
@@ -533,9 +534,9 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
         chance(ATTACKER_MEMORY_NODE, a_mem_space, attacker_memory_kernel,
                parents=(ATTACKER_OBS_NODE, ATTACKER_MEMORY_NODE + prev,
                         ATTACKER_ACTION_NODE + prev)),
-        decision(DEFENDER_ACTION_NODE, d_act_space, DEFENDER,
+        decision(DEFENDER_ACTION_NODE, DEFENDER_ACTION_SPACE, DEFENDER,
                  parents=(DEFENDER_MEMORY_NODE,)),
-        decision(ATTACKER_ACTION_NODE, a_act_space, ATTACKER,
+        decision(ATTACKER_ACTION_NODE, ATTACKER_ACTION_SPACE, ATTACKER,
                  parents=(ATTACKER_MEMORY_NODE,)),
     ])
 
@@ -556,9 +557,9 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
                parents=(STATE_NODE,)),
         chance(ATTACKER_MEMORY_NODE, a_mem_space, initial_attacker_memory_kernel,
                parents=(STATE_NODE,)),
-        chance(DEFENDER_ACTION_NODE, d_act_space,
+        chance(DEFENDER_ACTION_NODE, DEFENDER_ACTION_SPACE,
                constant_kernel(params.defender_start_action)),
-        chance(ATTACKER_ACTION_NODE, a_act_space,
+        chance(ATTACKER_ACTION_NODE, ATTACKER_ACTION_SPACE,
                constant_kernel(params.attacker_start_action)),
     ])
 
@@ -592,7 +593,14 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
     Policies receive the same parent-value mapping they would see as decision
     nodes, and randomness is consumed in the same order as `netform.rollout`
     on `as_netform`, so seeded trajectories from the two paths are identical.
+    The values that can be wrong are checked as `netform.sample_slice` and
+    `netform.rollout` check them: each action against its player's space,
+    then each reward for finiteness, with a ValueError naming the player.
     """
+    d_policy, a_policy = policies[DEFENDER], policies[ATTACKER]
+    d_legal = DEFENDER_ACTION_SPACE.contains
+    a_legal = ATTACKER_ACTION_SPACE.contains
+    isfinite = math.isfinite
     state = initial_state(params, rng)
     memories = (initial_defender_memory(defender_observation(state), params),
                 initial_attacker_memory(attacker_observation(state), params))
@@ -602,8 +610,18 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
     for t in range(1, horizon + 1):
         state, memories, rewards = transition(state, memories, d_action, a_action,
                                               rng, params)
-        d_action = int(policies[DEFENDER]({DEFENDER_MEMORY_NODE: memories[0]}, rng))
-        a_action = int(policies[ATTACKER]({ATTACKER_MEMORY_NODE: memories[1]}, rng))
+        d_action = d_policy({DEFENDER_MEMORY_NODE: memories[0]}, rng)
+        if not d_legal(d_action):
+            raise ValueError(f"action {d_action!r} for player '{DEFENDER}' is "
+                             f"outside its space {DEFENDER_ACTION_SPACE}")
+        a_action = a_policy({ATTACKER_MEMORY_NODE: memories[1]}, rng)
+        if not a_legal(a_action):
+            raise ValueError(f"action {a_action!r} for player '{ATTACKER}' is "
+                             f"outside its space {ATTACKER_ACTION_SPACE}")
+        d_action, a_action = int(d_action), int(a_action)
+        if not (isfinite(rewards[0]) and isfinite(rewards[1])):
+            player = DEFENDER if not isfinite(rewards[0]) else ATTACKER
+            raise ValueError(f"non-finite reward for player '{player}'")
         records.append(StepRecord(t, state, memories[0], memories[1],
                                   rewards[0], rewards[1]))
     return records

@@ -12,19 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgame import cli
+from gridgame import cli, experiment
 from gridgame.cli import main
 from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
-                                 ExperimentConfig, config_from_dict,
-                                 config_to_dict, load_config, load_policy,
-                                 player_train_configs, policy_filename,
+                                 ExperimentConfig, cell_grid, cell_rng,
+                                 config_from_dict, config_to_dict, load_config,
+                                 load_policy, player_train_configs,
+                                 policy_filename, resolve_pairing,
                                  resolve_policy, run_eval, run_sweep, run_trace,
                                  run_train, save_policy, worker_count,
                                  write_csv)
-from gridgame.levelk import QPolicy, TrainConfig
+from gridgame.levelk import QPolicy, TrainConfig, evaluate
 from gridgame.neural import NetworkSpec, init
 from gridgame.scenario import (ATTACKER, ATTACKER_ACTIONS, DEFENDER,
-                               DEFENDER_ACTIONS, GridParams,
+                               DEFENDER_ACTIONS, GridParams, as_netform,
                                attacker_observation, defender_observation,
                                initial_attacker_memory,
                                initial_defender_memory, level0_policies,
@@ -162,6 +163,22 @@ def test_grid_q3_max_refused_pointing_to_q3max_values(value):
     with pytest.raises(ValueError, match=r"'grid\.q3_max' is set per cell; use "
                        r"'experiment\.q3max_values'"):
         config_from_dict({"grid": {"q3_max": value}})
+
+
+@pytest.mark.parametrize("section, value, message", [
+    ("grid", GridParams(q3_max=5.0),
+     r"'grid\.q3_max' is set per cell; use 'experiment\.q3max_values'"),
+    ("train", TrainConfig(optimistic_bias=9.0),
+     r"'train\.optimistic_bias' is set per player; use "
+     r"'experiment\.defender_optimistic_bias'"),
+])
+def test_config_built_in_code_refuses_a_value_set_elsewhere(section, value,
+                                                            message):
+    """No config holds a value that every command overrides and that
+    `config_to_dict` leaves out of the manifest."""
+    sections = {"grid": GridParams(), "train": TrainConfig(), section: value}
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**sections)
 
 
 def test_readme_config_example_loads():
@@ -647,6 +664,46 @@ def test_eval_summary_and_csv(tmp_path):
     per_episode = [float(r["defender_reward_per_step"]) for r in rows]
     assert np.mean(per_episode) == pytest.approx(
         summary["defender_avg_reward_per_step"], rel=1e-12)
+
+
+def test_sweep_and_eval_write_the_bytes_of_evaluate_on_the_net(tmp_path):
+    """`sweep` and `eval` score on `scenario.simulate`; their files hold
+    what `levelk.evaluate` on `as_netform` gives on the same cell streams."""
+    config = tiny_config(pairings=[[0, 0], [1, 0], [0, 1], [1, 1]],
+                         eval_episodes=3)
+    run_train(config, tmp_path)
+    run_sweep(config, tmp_path)
+    summary = run_eval(config, tmp_path, 1, 0, 0.7, seed=1)
+    (q3,), (seed,) = config.q3max_values, config.seeds
+    game = as_netform(cell_grid(config, q3), config.horizon)
+
+    def reference(tag, d_level, a_level):
+        policies = resolve_pairing(config, tmp_path, d_level, a_level, q3, seed)
+        rng = cell_rng(seed, tag, experiment._q3_key(q3), d_level, a_level)
+        return evaluate(game, policies, config.eval_episodes, rng)
+
+    sweep_rows = []
+    for d_level, a_level in config.pairings:
+        means = reference(experiment._SWEEP_TAG, d_level,
+                          a_level).mean_reward_per_step
+        sweep_rows.append((q3, d_level, a_level, seed, means[DEFENDER],
+                           means[ATTACKER], config.eval_episodes,
+                           config.horizon))
+    write_csv(tmp_path / "expected_sweep.csv", SWEEP_COLUMNS, sweep_rows)
+    report = reference(experiment._EVAL_TAG, 1, 0)
+    write_csv(tmp_path / "expected_eval.csv",
+              ("episode", "defender_reward_per_step", "attacker_reward_per_step"),
+              [(i, d, a) for i, (d, a) in enumerate(
+                  zip(report.per_episode[DEFENDER],
+                      report.per_episode[ATTACKER]), start=1)])
+    assert (tmp_path / "sweep.csv").read_bytes() == \
+        (tmp_path / "expected_sweep.csv").read_bytes()
+    assert (tmp_path / summary["csv"]).read_bytes() == \
+        (tmp_path / "expected_eval.csv").read_bytes()
+    assert (summary["defender_avg_reward_per_step"],
+            summary["attacker_avg_reward_per_step"]) == \
+        (report.mean_reward_per_step[DEFENDER],
+         report.mean_reward_per_step[ATTACKER])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridgame import netform, scenario
-from gridgame.levelk import QPolicy
+from gridgame.experiment import _evaluate_native
+from gridgame.levelk import QPolicy, evaluate
 from gridgame.neural import NetworkSpec, init
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
                                ATTACKER_ACTIONS, DEFENDER, DEFENDER_ACTIONS,
@@ -619,6 +620,60 @@ def test_netform_rollout_and_native_loop_agree_bit_for_bit(battle):
         assert repr(traj.rewards[DEFENDER][t]) == repr(rec.defender_reward)
         assert repr(traj.rewards[ATTACKER][t]) == repr(rec.attacker_reward)
     assert net_rng.bit_generator.state == native_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(battles(), st.integers(1, 4))
+def test_native_scorer_equals_evaluate_on_the_net_bit_for_bit(battle, episodes):
+    """The scorer of `sweep` and `eval` plays `simulate` but reports what
+    `levelk.evaluate` reports on the net: the same per-episode means, in
+    order, the same overall means, and the same rng end state."""
+    params, policies, horizon, seed = battle
+    net_rng, native_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = evaluate(as_netform(params, horizon), policies, episodes, net_rng)
+    report = _evaluate_native(params, horizon, policies, episodes, native_rng)
+    assert repr(report.per_episode) == repr(expected.per_episode)
+    assert repr(report.mean_reward_per_step) == \
+        repr(expected.mean_reward_per_step)
+    assert net_rng.bit_generator.state == native_rng.bit_generator.state
+
+
+def _fixed(defender, attacker):
+    """Policies that always play the given actions."""
+    return {DEFENDER: lambda parent_values, rng: defender,
+            ATTACKER: lambda parent_values, rng: attacker}
+
+
+@pytest.mark.parametrize("player, policies, shown", [
+    (DEFENDER, _fixed(3, 5), "3"),
+    (ATTACKER, _fixed(1, -1), "-1"),
+    (ATTACKER, _fixed(1, 1.7), "1.7"),
+    (ATTACKER, _fixed(1, 11), "11"),
+])
+def test_simulate_refuses_an_action_outside_its_players_space(player, policies,
+                                                              shown):
+    with pytest.raises(ValueError, match=rf"action {shown} for player "
+                       rf"'{player}' is outside its space"):
+        simulate(P, policies, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("player, reward_fn", [
+    (DEFENDER, "defender_reward"), (ATTACKER, "attacker_reward")])
+def test_simulate_refuses_a_non_finite_reward_naming_the_player(
+        monkeypatch, player, reward_fn):
+    monkeypatch.setattr(scenario, reward_fn, lambda *args: float("nan"))
+    with pytest.raises(ValueError, match=f"non-finite reward for player "
+                       f"'{player}'"):
+        simulate(P, level0_policies(P), 3, np.random.default_rng(0))
+
+
+def test_simulate_stores_a_numpy_integer_action_as_a_plain_int():
+    records = simulate(P, _fixed(np.int64(2), np.int64(7)), 2,
+                       np.random.default_rng(0))
+    for memory in (records[1].defender_memory, records[1].attacker_memory):
+        assert type(memory.prev_action) is int
+    assert (records[1].defender_memory.prev_action,
+            records[1].attacker_memory.prev_action) == (2, 7)
 
 
 def test_simulate_records_expose_what_run_trace_reads():
