@@ -28,9 +28,9 @@ from typing import Any, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import neural, scenario
-from .levelk import (EvalReport, PriorPolicy, QPolicy, TrainConfig,
-                     build_hierarchy)
-from .scenario import (ATTACKER, DEFENDER, GridParams, as_netform,
+from .levelk import (PriorPolicy, QPolicy, TrainConfig, build_hierarchy,
+                     evaluate)
+from .scenario import (ATTACKER, DEFENDER, GridParams, NativeBattle,
                        level0_policies, simulate)
 
 MANIFEST_VERSION = 2
@@ -421,7 +421,7 @@ def _train_cell(config: ExperimentConfig, out_dir: Path,
     train_cfgs = player_train_configs(config)
     rng = cell_rng(s, _TRAIN_TAG, _q3_key(q3))
     try:
-        hierarchy = build_hierarchy(as_netform(grid, config.horizon),
+        hierarchy = build_hierarchy(NativeBattle(grid, config.horizon),
                                     level0_policies(grid), config.k_max,
                                     train_cfgs, rng)
     except Exception as exc:  # report the cell, keep training the others
@@ -468,33 +468,14 @@ def run_train(config: ExperimentConfig, out_dir: Path,
     return written, failures
 
 
-def _evaluate_native(grid: GridParams, horizon: int,
-                     policies: Mapping[str, PriorPolicy | QPolicy],
-                     episodes: int, rng: np.random.Generator) -> EvalReport:
-    """`levelk.evaluate` on `as_netform(grid, horizon)`, played by
-    `scenario.simulate` instead of `netform.rollout`: the same draws and the
-    same arithmetic (each episode's rewards summed in step order over the
-    horizon, then the mean over episodes), so the same bits."""
-    per_episode: dict[str, list[float]] = {DEFENDER: [], ATTACKER: []}
-    for _ in range(episodes):
-        records = simulate(grid, policies, horizon, rng)
-        per_episode[DEFENDER].append(
-            sum(rec.defender_reward for rec in records) / horizon)
-        per_episode[ATTACKER].append(
-            sum(rec.attacker_reward for rec in records) / horizon)
-    means = {player: sum(values) / episodes
-             for player, values in per_episode.items()}
-    return EvalReport(means, per_episode)
-
-
 def _sweep_row(config: ExperimentConfig, out_dir: Path,
                row: tuple[float, int, int, int]) -> SweepRecord:
     """Evaluate one (q3_max, defender level, attacker level, seed) row."""
     q3, d_level, a_level, s = row
     policies = resolve_pairing(config, out_dir, d_level, a_level, q3, s)
     rng = cell_rng(s, _SWEEP_TAG, _q3_key(q3), d_level, a_level)
-    report = _evaluate_native(cell_grid(config, q3), config.horizon, policies,
-                              config.eval_episodes, rng)
+    report = evaluate(NativeBattle(cell_grid(config, q3), config.horizon),
+                      policies, config.eval_episodes, rng)
     return SweepRecord(q3, d_level, a_level, s,
                        report.mean_reward_per_step[DEFENDER],
                        report.mean_reward_per_step[ATTACKER],
@@ -539,8 +520,8 @@ def run_eval(config: ExperimentConfig, out_dir: Path, defender_level: int,
                                attacker_level, q3_max, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     rng = cell_rng(seed, _EVAL_TAG, _q3_key(q3_max), defender_level, attacker_level)
-    report = _evaluate_native(grid, config.horizon, policies,
-                              config.eval_episodes, rng)
+    report = evaluate(NativeBattle(grid, config.horizon), policies,
+                      config.eval_episodes, rng)
     name = f"eval_D{defender_level}A{attacker_level}_q{q3_max:g}_s{seed}.csv"
     rows = [(i, d, a) for i, (d, a) in enumerate(
         zip(report.per_episode[DEFENDER], report.per_episode[ATTACKER]), start=1)]

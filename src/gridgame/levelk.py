@@ -2,21 +2,40 @@
 
 Each level-k policy is the best response, learned as a single-agent RL
 problem, to an environment that contains the opponents frozen at level k-1.
-Level-0 policies are scenario-supplied priors.  Training rolls the iterated
-game itself (`netform.rollout`) with the trainee acting epsilon-greedily;
-per-episode transition batches are turned into one averaged TD update against
-the pre-update network.
+Level-0 policies are scenario-supplied priors.  Training plays episodes of
+the game itself with the trainee acting epsilon-greedily; per-episode
+transition batches are turned into one averaged TD update against the
+pre-update network.  A game is anything with the four members of `Game`:
+`netform.IteratedGame`, or `scenario.NativeBattle`, which plays the same
+episodes without the net machinery.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
 from . import neural
-from .netform import Decision, IteratedGame, ParentValues, Policy, rollout
+from .netform import ParentValues, Policy
+
+
+class Game(Protocol):
+    """What training and scoring read of a game: its players, its episode
+    length, one episode's rewards per player and kernel slice, and how many
+    decisions a player makes before the first kernel slice."""
+
+    @property
+    def players(self) -> tuple[str, ...]: ...
+
+    @property
+    def horizon(self) -> int: ...
+
+    def play(self, policies: Mapping[str, Policy],
+             rng: np.random.Generator) -> Mapping[str, list[float]]: ...
+
+    def base_decisions(self, player: str) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -160,12 +179,7 @@ class _RecordingPolicy:
         return action
 
 
-def _count_base_decisions(game: IteratedGame, player: str) -> int:
-    return sum(1 for node in game.base.nodes
-               if isinstance(node.kind, Decision) and node.kind.owner == player)
-
-
-def train_level(game: IteratedGame, trainee: str,
+def train_level(game: Game, trainee: str,
                 opponents: Mapping[str, Policy],
                 level0s: Mapping[str, PriorPolicy],
                 config: TrainConfig, rng: np.random.Generator) -> QPolicy:
@@ -182,14 +196,13 @@ def train_level(game: IteratedGame, trainee: str,
     spec = neural.NetworkSpec(prior.feature_dim, config.hidden_layers,
                               prior.action_count)
     params = neural.init(spec, config.init_scale, config.optimistic_bias, rng)
-    base_skip = _count_base_decisions(game, trainee)
+    base_skip = game.base_decisions(trainee)
     for episode in range(config.episodes):
         recorder = _RecordingPolicy(params, epsilon_schedule(episode, config),
                                     prior.encoder)
         policies: dict[str, Policy] = dict(opponents)
         policies[trainee] = recorder
-        trajectory = rollout(game, policies, rng)
-        rewards = trajectory.rewards[trainee]
+        rewards = game.play(policies, rng)[trainee]
         decisions = len(recorder.actions) - base_skip
         if decisions != len(rewards):
             raise ValueError(f"{decisions} decision records for "
@@ -224,19 +237,19 @@ class LevelKHierarchy:
         return min(len(v) for v in self.levels.values()) - 1
 
 
-def build_hierarchy(game: IteratedGame,
+def build_hierarchy(game: Game,
                     level0s: Mapping[str, PriorPolicy],
                     k_max: int,
                     config: TrainConfig | Mapping[str, TrainConfig],
                     rng: np.random.Generator) -> LevelKHierarchy:
-    """Train levels 1..k_max for every player of the kernel net.
+    """Train levels 1..k_max for every player of the game.
 
-    Within a level, players train in the kernel net's player order, each
+    Within a level, players train in the game's player order, each
     against the opponent's stored level k-1 policy; a policy is trained once
     and shared by every higher level that imagines it.  Each run gets its own
     generator seeded from `rng`, so runs at the same level are independent.
     """
-    players = game.kernel.players
+    players = game.players
     if isinstance(config, Mapping):
         configs = dict(config)
     else:
@@ -262,17 +275,17 @@ class EvalReport:
         return float(np.std(self.per_episode[player]))
 
 
-def evaluate(game: IteratedGame, policies: Mapping[str, Policy],
+def evaluate(game: Game, policies: Mapping[str, Policy],
              episodes: int, rng: np.random.Generator) -> EvalReport:
-    """Average reward per step over independent rollouts; per-episode means
-    are kept for variance reporting."""
+    """Average reward per step over independent episodes, for every player
+    that `game.play` scores; per-episode means are kept for variance
+    reporting."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
-    per_episode: dict[str, list[float]] = {player: [] for player in game.rewards}
+    per_episode: dict[str, list[float]] = {}
     for _ in range(episodes):
-        trajectory = rollout(game, policies, rng)
-        for player, rewards in trajectory.rewards.items():
-            per_episode[player].append(sum(rewards) / game.horizon)
+        for player, rewards in game.play(policies, rng).items():
+            per_episode.setdefault(player, []).append(sum(rewards) / game.horizon)
     means = {player: sum(values) / episodes
              for player, values in per_episode.items()}
     return EvalReport(means, per_episode)

@@ -52,23 +52,6 @@ class FiniteDiscrete:
 
 
 @dataclass(frozen=True)
-class BoundedReal:
-    """A real value in the closed interval [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo <= self.hi:
-            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
-
-    def contains(self, value: Value) -> bool:
-        return isinstance(value, (int, float, np.floating, np.integer)) and (
-            self.lo <= value <= self.hi
-        )
-
-
-@dataclass(frozen=True)
 class RealVector:
     """A real vector of fixed dimension."""
 
@@ -95,7 +78,7 @@ class Record:
         return isinstance(value, self.type)
 
 
-VariableSpace = FiniteDiscrete | BoundedReal | RealVector | Record
+VariableSpace = FiniteDiscrete | RealVector | Record
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +210,9 @@ class IteratedGame:
     kernel onto itself (a source missing from the preceding net, a target
     that is not a kernel root, differing spaces, two sources on one target),
     or a kernel player without a reward function.
+
+    `players`, `horizon`, `play` and `base_decisions` are all that
+    `levelk` reads of a game.
     """
 
     base: SemiBayesNet
@@ -248,6 +234,21 @@ class IteratedGame:
                        if player not in self.rewards]
         if violations:
             raise ValueError("invalid game: " + "; ".join(violations))
+
+    @property
+    def players(self) -> tuple[str, ...]:
+        return self.kernel.players
+
+    def play(self, policies: Mapping[str, Policy],
+             rng: np.random.Generator) -> dict[str, list[float]]:
+        """One episode's rewards, per player and kernel slice."""
+        return rollout(self, policies, rng).rewards
+
+    def base_decisions(self, player: str) -> int:
+        """How many decisions `player` makes in the base slice, before the
+        first kernel slice."""
+        return sum(1 for node in self.base.nodes
+                   if isinstance(node.kind, Decision) and node.kind.owner == player)
 
 
 def _glue_violations(prev: SemiBayesNet, kernel: SemiBayesNet,
@@ -275,7 +276,6 @@ def _glue_violations(prev: SemiBayesNet, kernel: SemiBayesNet,
 
 @dataclass
 class Trajectory:
-    base: Instantiation
     slices: list[Instantiation]
     rewards: dict[str, list[float]]
 
@@ -384,14 +384,13 @@ def rollout(game: IteratedGame, policies: Mapping[str, Policy],
     threaded forward through the binding; each player's reward is evaluated
     on every kernel slice.
     """
-    base_inst = sample_slice(game.base, {}, policies, rng)
     slices: list[Instantiation] = []
     rewards: dict[str, list[float]] = {player: [] for player in game.rewards}
     pairs = tuple(game.binding.pairs.items())
     scorers = [(player, reward_fn, rewards[player])
                for player, reward_fn in game.rewards.items()]
     kernel = game.kernel
-    prev = base_inst
+    prev = sample_slice(game.base, {}, policies, rng)
     for _ in range(game.horizon):
         boundary = {target: prev[source] for source, target in pairs}
         inst = sample_slice(kernel, boundary, policies, rng)
@@ -402,4 +401,4 @@ def rollout(game: IteratedGame, policies: Mapping[str, Policy],
             values.append(value)
         slices.append(inst)
         prev = inst
-    return Trajectory(base_inst, slices, rewards)
+    return Trajectory(slices, rewards)

@@ -61,10 +61,6 @@ class NetworkParams:
     def n_layers(self) -> int:
         return len(self.weights)
 
-    def copy(self) -> "NetworkParams":
-        return NetworkParams([w.copy() for w in self.weights],
-                             [b.copy() for b in self.biases])
-
     def to_vector(self) -> np.ndarray:
         parts = []
         for w, b in zip(self.weights, self.biases):

@@ -23,7 +23,7 @@ numpy Generator, so episodes parallelize with independent generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -72,6 +72,14 @@ class GridParams:
     attacker_start_action: int = 5       # grid midpoint, q3 = 0
 
     def __post_init__(self):
+        for field in fields(self):  # annotations are strings in this module
+            value = getattr(self, field.name)
+            # compared, not converted: an int too large for a float is finite
+            if field.type == "float" and not -math.inf < value < math.inf:
+                raise ValueError(f"{field.name} must be finite, got {value}")
+        # a non-finite entry, or two too far apart, make the width non-finite
+        if not math.isfinite(self.p2_range[1] - self.p2_range[0]):
+            raise ValueError(f"p2_range width must be finite, got {self.p2_range}")
         if self.v0 <= 0:
             raise ValueError(f"v0 must be > 0, got {self.v0}")
         if not self.v1_min < self.v1_max:
@@ -82,14 +90,12 @@ class GridParams:
             raise ValueError("band_halfwidth must be > 0")
         if self.strike_threshold <= self.band_halfwidth:
             raise ValueError("strike_threshold must exceed band_halfwidth")
-        if not 0 <= self.q3_max < math.inf:
-            raise ValueError(f"q3_max must be finite and >= 0, got {self.q3_max}")
+        if self.q3_max < 0:
+            raise ValueError(f"q3_max must be >= 0, got {self.q3_max}")
         if self.memory_window < 1:
             raise ValueError("memory_window must be >= 1")
         if not self.p2_range[0] <= self.p2_range[1]:
             raise ValueError("p2_range must be (lo, hi) with lo <= hi")
-        if not math.isfinite(self.p2_range[1] - self.p2_range[0]):
-            raise ValueError(f"p2_range width must be finite, got {self.p2_range}")
         if not self.v1_min <= self.v1_start <= self.v1_max:
             raise ValueError("v1_start must lie within [v1_min, v1_max]")
         if not 0 <= self.defender_start_action < DEFENDER_ACTIONS:
@@ -625,3 +631,27 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
         records.append(StepRecord(t, state, memories[0], memories[1],
                                   rewards[0], rewards[1]))
     return records
+
+
+@dataclass(frozen=True)
+class NativeBattle:
+    """The battle of `as_netform(params, horizon)` as a `levelk.Game` played
+    by `simulate`: the same episodes, draws and rewards, without the net
+    machinery.  Its base slice holds no decision."""
+
+    params: GridParams
+    horizon: int
+    players = (DEFENDER, ATTACKER)
+
+    def __post_init__(self):
+        if self.horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+
+    def play(self, policies: Mapping[str, netform.Policy],
+             rng: np.random.Generator) -> dict[str, list[float]]:
+        records = simulate(self.params, policies, self.horizon, rng)
+        return {DEFENDER: [rec.defender_reward for rec in records],
+                ATTACKER: [rec.attacker_reward for rec in records]}
+
+    def base_decisions(self, player: str) -> int:
+        return 0

@@ -22,7 +22,7 @@ from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
                                  resolve_policy, run_eval, run_sweep, run_trace,
                                  run_train, save_policy, worker_count,
                                  write_csv)
-from gridgame.levelk import QPolicy, TrainConfig, evaluate
+from gridgame.levelk import QPolicy, TrainConfig, build_hierarchy, evaluate
 from gridgame.neural import NetworkSpec, init
 from gridgame.scenario import (ATTACKER, ATTACKER_ACTIONS, DEFENDER,
                                DEFENDER_ACTIONS, GridParams, as_netform,
@@ -666,8 +666,27 @@ def test_eval_summary_and_csv(tmp_path):
         summary["defender_avg_reward_per_step"], rel=1e-12)
 
 
+def test_train_writes_the_policies_of_training_on_the_net(tmp_path):
+    """`train` plays `scenario.NativeBattle`; its policy files hold what
+    `build_hierarchy` on `as_netform` trains from the same cell stream."""
+    config = tiny_config(k_max=2)
+    run_train(config, tmp_path)
+    (q3,), (seed,) = config.q3max_values, config.seeds
+    grid = cell_grid(config, q3)
+    hierarchy = build_hierarchy(
+        as_netform(grid, config.horizon), level0_policies(grid), config.k_max,
+        player_train_configs(config),
+        cell_rng(seed, experiment._TRAIN_TAG, experiment._q3_key(q3)))
+    for player in (DEFENDER, ATTACKER):
+        for level in (1, 2):
+            stored = load_policy(
+                tmp_path / policy_filename(player, level, q3, seed), grid)
+            assert params_equal(stored.params,
+                                hierarchy.policy(player, level).params)
+
+
 def test_sweep_and_eval_write_the_bytes_of_evaluate_on_the_net(tmp_path):
-    """`sweep` and `eval` score on `scenario.simulate`; their files hold
+    """`sweep` and `eval` score on `scenario.NativeBattle`; their files hold
     what `levelk.evaluate` on `as_netform` gives on the same cell streams."""
     config = tiny_config(pairings=[[0, 0], [1, 0], [0, 1], [1, 1]],
                          eval_episodes=3)

@@ -289,7 +289,7 @@ def test_episode_transitions_pairing_and_rewards(monkeypatch):
     assert len(features) == len(actions) == len(rewards) + 1
     assert actions[0] == 0 and actions[1] == 1
     # a decision record more than there are slices
-    monkeypatch.setattr(levelk, "_count_base_decisions", lambda game, p: -1)
+    monkeypatch.setattr(IteratedGame, "base_decisions", lambda game, p: -1)
     with pytest.raises(ValueError, match="5 decision records for 4 slices"):
         train_level(game, PLAYER, {}, {PLAYER: prior}, config,
                     np.random.default_rng(0))
@@ -336,11 +336,11 @@ def test_opponent_parameters_untouched_by_training():
     level0s = scenario.level0_policies(params)
     opponent = QPolicy(NetworkParams([np.zeros((11, 6))], [np.arange(11.0)]),
                        level0s[ATTACKER].encoder)
-    before = opponent.params.copy()
+    before = opponent.params.to_vector().copy()
     cfg = TrainConfig(episodes=3, hidden_layers=(4,))
     train_level(game, DEFENDER, {ATTACKER: opponent}, level0s, cfg,
                 np.random.default_rng(0))
-    assert params_equal(opponent.params, before)
+    assert np.array_equal(opponent.params.to_vector(), before)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,34 @@
 import numpy as np
 import pytest
 
-from gridgame.netform import (BoundedReal, Chance, Decision, FiniteDiscrete,
-                              GlueBinding, IteratedGame, NodeSpec, RealVector,
-                              Record, SemiBayesNet, boundary_kernel, chance,
+from dataclasses import dataclass
+
+from gridgame.netform import (Chance, Decision, FiniteDiscrete, GlueBinding,
+                              IteratedGame, NodeSpec, RealVector, Record,
+                              SemiBayesNet, Value, boundary_kernel, chance,
                               constant_kernel, decision, rollout, sample_slice,
                               topological_order)
 from gridgame.scenario import DefenderMemory, GridState
 
 STATE = GridState(1.4, 0.7, 1.0, 0.0, 1.0, -1.0, 0.0, 0.4, 0.7, 0.967, 0.997)
+
+
+@dataclass(frozen=True)
+class BoundedReal:
+    """A real value in the closed interval [lo, hi]: a space of the toy nets
+    below, which no game of the package needs."""
+
+    lo: float
+    hi: float
+
+    def __post_init__(self):
+        if not self.lo <= self.hi:
+            raise ValueError(f"need lo <= hi, got [{self.lo}, {self.hi}]")
+
+    def contains(self, value: Value) -> bool:
+        return isinstance(value, (int, float, np.floating, np.integer)) and (
+            self.lo <= value <= self.hi
+        )
 
 
 def uniform_kernel(lo, hi):
@@ -343,7 +363,7 @@ def _counter_game(horizon):
 def test_rollout_single_slice_matches_sample_slice():
     game = _counter_game(1)
     traj = rollout(game, {}, np.random.default_rng(0))
-    assert traj.base == {"S": 0.0}
+    assert traj.slices[0]["S_prev"] == 0.0  # the base slice's S, glued
     assert len(traj.slices) == 1
     expected = sample_slice(game.kernel, {"S_prev": 0.0}, {},
                             np.random.default_rng(0))
@@ -391,9 +411,25 @@ def test_rollout_determinism_same_seed():
     policies = {"p1": lambda parents, rng: int(rng.integers(3))}
     t1 = rollout(game, policies, np.random.default_rng(42))
     t2 = rollout(game, policies, np.random.default_rng(42))
-    assert t1.base == t2.base
     assert t1.slices == t2.slices
     assert t1.rewards == t2.rewards
+
+
+def test_game_plays_the_rewards_of_rollout_and_counts_base_decisions():
+    game = _noisy_game(6)
+    policies = {"p1": lambda parents, rng: int(rng.integers(3))}
+    play_rng, rollout_rng = np.random.default_rng(3), np.random.default_rng(3)
+    assert game.players == ("p1",)
+    assert game.play(policies, play_rng) == \
+        rollout(game, policies, rollout_rng).rewards
+    assert play_rng.bit_generator.state == rollout_rng.bit_generator.state
+    assert game.base_decisions("p1") == 0
+    base = SemiBayesNet([
+        chance("S", BoundedReal(-100, 100), constant_kernel(0.0)),
+        decision("D", FiniteDiscrete(3), "p1"),
+    ])
+    game = IteratedGame(base, game.kernel, game.binding, 6, game.rewards)
+    assert (game.base_decisions("p1"), game.base_decisions("p2")) == (1, 0)
 
 
 def test_rollout_policy_consulted_every_slice():
@@ -464,10 +500,10 @@ def test_gluing_closure_on_randomized_games():
         game = IteratedGame(base, kernel, GlueBinding({"S": "S_prev"}),
                             int(rng.integers(1, 12)), {})
         traj = rollout(game, {}, np.random.default_rng(trial))
-        for inst in [traj.base] + traj.slices:
+        # the base slice's S reaches each first slice as S_prev
+        for inst in traj.slices:
             for name, value in inst.items():
-                assert game.kernel.node(name).space.contains(value) or \
-                    game.base.node(name).space.contains(value)
+                assert game.kernel.node(name).space.contains(value)
 
 
 def test_game_horizon_must_be_positive():

@@ -6,13 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridgame import netform, scenario
-from gridgame.experiment import _evaluate_native
-from gridgame.levelk import QPolicy, evaluate
+from gridgame.levelk import QPolicy, TrainConfig, evaluate, train_level
 from gridgame.neural import NetworkSpec, init
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
                                ATTACKER_ACTIONS, DEFENDER, DEFENDER_ACTIONS,
                                AttackerMemory, DefenderMemory, GridParams,
-                               apply_defender_action, as_netform,
+                               NativeBattle, apply_defender_action, as_netform,
                                attacker_levels, attacker_observation,
                                defender_observation,
                                defender_reward, attacker_reward,
@@ -625,17 +624,51 @@ def test_netform_rollout_and_native_loop_agree_bit_for_bit(battle):
 @settings(max_examples=60, deadline=None)
 @given(battles(), st.integers(1, 4))
 def test_native_scorer_equals_evaluate_on_the_net_bit_for_bit(battle, episodes):
-    """The scorer of `sweep` and `eval` plays `simulate` but reports what
-    `levelk.evaluate` reports on the net: the same per-episode means, in
-    order, the same overall means, and the same rng end state."""
+    """`evaluate` on `NativeBattle`, the scorer of `sweep` and `eval`, plays
+    `simulate` but reports what it reports on the net: the same per-episode
+    means, in order and keyed alike, the same overall means, and the same
+    rng end state."""
     params, policies, horizon, seed = battle
     net_rng, native_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     expected = evaluate(as_netform(params, horizon), policies, episodes, net_rng)
-    report = _evaluate_native(params, horizon, policies, episodes, native_rng)
+    report = evaluate(NativeBattle(params, horizon), policies, episodes,
+                      native_rng)
     assert repr(report.per_episode) == repr(expected.per_episode)
     assert repr(report.mean_reward_per_step) == \
         repr(expected.mean_reward_per_step)
     assert net_rng.bit_generator.state == native_rng.bit_generator.state
+
+
+@settings(max_examples=60, deadline=None)
+@given(battles(), st.sampled_from([DEFENDER, ATTACKER]), st.integers(1, 5),
+       st.floats(0.0, 1.0))
+def test_training_on_the_native_battle_equals_training_on_the_net_bit_for_bit(
+        battle, trainee, episodes, epsilon):
+    """`train_level` on `NativeBattle`, the game of `train`, learns the
+    weights it learns on the net, byte for byte, against any opponent, and
+    leaves the rng in the same state."""
+    params, policies, horizon, seed = battle
+    opponents = {player: policy for player, policy in policies.items()
+                 if player != trainee}
+    level0s = level0_policies(params)
+    config = TrainConfig(episodes=episodes, epsilon_start=epsilon,
+                         epsilon_end=0.0, optimistic_bias=1.0)
+    net_rng, native_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = train_level(as_netform(params, horizon), trainee, opponents,
+                           level0s, config, net_rng)
+    policy = train_level(NativeBattle(params, horizon), trainee, opponents,
+                         level0s, config, native_rng)
+    assert policy.params.to_vector().tobytes() == \
+        expected.params.to_vector().tobytes()
+    assert net_rng.bit_generator.state == native_rng.bit_generator.state
+
+
+def test_native_battle_is_the_nets_game():
+    game = NativeBattle(P, 7)
+    assert game.players == as_netform(P, 7).players == (DEFENDER, ATTACKER)
+    assert [game.base_decisions(player) for player in game.players] == [0, 0]
+    with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+        NativeBattle(P, 0)
 
 
 def _fixed(defender, attacker):
@@ -686,6 +719,25 @@ def test_simulate_records_expose_what_run_trace_reads():
     assert isinstance(rec.attacker_memory.metric, int)
     assert isinstance(rec.defender_reward, float)
     assert isinstance(rec.attacker_reward, float)
+
+
+GRID_FLOAT_FIELDS = ("r1", "r2", "x1", "x2", "v0", "tap_step", "v1_min",
+                     "v1_max", "band_halfwidth", "strike_threshold", "q3_max",
+                     "p3", "q2_factor", "v1_start")
+
+
+@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+@pytest.mark.parametrize("field",
+                         GRID_FLOAT_FIELDS + ("p2_range[0]", "p2_range[1]"))
+def test_grid_params_refuse_a_non_finite_constant_naming_it(field, value):
+    if field.startswith("p2_range"):
+        entries = [1.35, 1.5]
+        entries[int(field[-2])] = value
+        kwargs, message = {"p2_range": tuple(entries)}, "p2_range width"
+    else:
+        kwargs, message = {field: value}, f"{field}"
+    with pytest.raises(ValueError, match=f"^{message} must be finite, got "):
+        GridParams(**kwargs)
 
 
 def test_invalid_params_rejected():
