@@ -17,9 +17,9 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import os
 import secrets
+import sys
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -120,8 +120,10 @@ def _checked(key: str, value: Any, hint: Any) -> Any:
             raise ValueError(f"'{key}' must be an integer, got {value!r}")
         return value
     if hint is float:
+        # compared, not converted: converting an int beyond the float range
+        # raises OverflowError, and NaN fails both bounds
         if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-                (isinstance(value, float) and not math.isfinite(value)):
+                not -sys.float_info.max <= value <= sys.float_info.max:
             raise ValueError(f"'{key}' must be a finite number, got {value!r}")
         return value
     raise TypeError(f"no config check for type {hint!r} of '{key}'")

@@ -5,7 +5,7 @@ problem, to an environment that contains the opponents frozen at level k-1.
 Level-0 policies are scenario-supplied priors.  Training plays episodes of
 the game itself with the trainee acting epsilon-greedily; per-episode
 transition batches are turned into one averaged TD update against the
-pre-update network.  A game is anything with the four members of `Game`:
+pre-update network.  A game is anything with the five members of `Game`:
 `netform.IteratedGame`, or `scenario.NativeBattle`, which plays the same
 episodes without the net machinery.
 """
@@ -23,7 +23,8 @@ from .netform import ParentValues, Policy
 
 class Game(Protocol):
     """What training and scoring read of a game: its players, its episode
-    length, one episode's rewards per player and kernel slice, and how many
+    length, one episode's rewards per player and kernel slice, a list of
+    `episodes` such episodes played in a row from one rng, and how many
     decisions a player makes before the first kernel slice."""
 
     @property
@@ -34,6 +35,9 @@ class Game(Protocol):
 
     def play(self, policies: Mapping[str, Policy],
              rng: np.random.Generator) -> Mapping[str, list[float]]: ...
+
+    def play_many(self, policies: Mapping[str, Policy], episodes: int,
+                  rng: np.random.Generator) -> list[Mapping[str, list[float]]]: ...
 
     def base_decisions(self, player: str) -> int: ...
 
@@ -278,13 +282,13 @@ class EvalReport:
 def evaluate(game: Game, policies: Mapping[str, Policy],
              episodes: int, rng: np.random.Generator) -> EvalReport:
     """Average reward per step over independent episodes, for every player
-    that `game.play` scores; per-episode means are kept for variance
+    that `game.play_many` scores; per-episode means are kept for variance
     reporting."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     per_episode: dict[str, list[float]] = {}
-    for _ in range(episodes):
-        for player, rewards in game.play(policies, rng).items():
+    for episode in game.play_many(policies, episodes, rng):
+        for player, rewards in episode.items():
             per_episode.setdefault(player, []).append(sum(rewards) / game.horizon)
     means = {player: sum(values) / episodes
              for player, values in per_episode.items()}

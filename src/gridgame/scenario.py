@@ -18,19 +18,22 @@ a window of recent observations.
 
 Every operation here is a pure function of its inputs plus an explicit
 numpy Generator, so episodes parallelize with independent generators.
+`NativeBattle.play_many` also plays a batch of greedy episodes side by
+side, as arrays with one entry per episode, with the bits of `simulate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from typing import Mapping, NamedTuple
+from functools import lru_cache, partial
+from itertools import repeat
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
-from . import netform
-from .levelk import PriorPolicy
+from . import netform, neural
+from .levelk import PriorPolicy, QPolicy
 from .netform import (FiniteDiscrete, GlueBinding, IteratedGame, RealVector,
                       Record, SemiBayesNet, boundary_kernel, chance,
                       constant_kernel, decision)
@@ -149,6 +152,15 @@ def apply_defender_action(v1: float, action: int, params: GridParams) -> float:
     raise ValueError(f"unknown defender action {action}")
 
 
+def _apply_defender_actions(v1: np.ndarray, actions: np.ndarray,
+                            params: GridParams) -> np.ndarray:
+    """`apply_defender_action` elementwise over arrays of valid actions."""
+    return np.where(actions == ACTION_UP,
+                    np.minimum(params.v1_max, v1 + params.tap_step),
+                    np.where(actions == ACTION_DOWN,
+                             np.maximum(params.v1_min, v1 - params.tap_step), v1))
+
+
 @lru_cache(maxsize=None)
 def _attacker_levels(q3_max: float) -> tuple[float, ...]:
     return tuple(q3_max * (k - 5) / 5.0 for k in range(ATTACKER_ACTIONS))
@@ -182,6 +194,12 @@ def attacker_reward(v2: float, params: GridParams) -> float:
     return reward
 
 
+def _attacker_rewards(v2: np.ndarray, params: GridParams) -> np.ndarray:
+    """`attacker_reward` elementwise."""
+    eps = params.band_halfwidth
+    return np.where((v2 > 1.0 + eps) | (v2 < 1.0 - eps), 1.0, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Memories
 # ---------------------------------------------------------------------------
@@ -207,8 +225,14 @@ def _attacker_term(v3_prev: float, v3_now: float, q3_prev: float, q3_now: float,
     roughly as the attacker's own injection change predicts, +/-1 when
     something else (a defender tap, in this circuit) shifted it by at least
     one tap step.  The attacker's metric sums its last m+1 terms."""
+    return _sign(math.floor(_attacker_taps(v3_prev, v3_now, q3_prev, q3_now,
+                                           params)))
+
+
+def _attacker_taps(v3_prev, v3_now, q3_prev, q3_now, params: GridParams):
+    """(dV3 - dq3 * x2 / v0) / tap_step, elementwise over arrays too."""
     residual = (v3_now - v3_prev) - (q3_now - q3_prev) * params.x2 / params.v0
-    return _sign(math.floor(residual / params.tap_step))
+    return residual / params.tap_step
 
 
 class DefenderMemory(NamedTuple):
@@ -340,15 +364,48 @@ def level0_attacker(v2: float, q3_current: float, params: GridParams) -> int:
     return max(current_index - 1, 0)
 
 
+def _level0_defenders(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray,
+                      params: GridParams) -> np.ndarray:
+    """`level0_defender` elementwise: the same keys, row i for action i,
+    sorted stably, so that equal keys keep the first action."""
+    v1_next = np.stack([np.maximum(params.v1_min, v1 - params.tap_step), v1,
+                        np.minimum(params.v1_max, v1 + params.tap_step)])
+    shift = v1_next - v1
+    deviation = abs((v2 + shift + v3 + shift) / 2.0 - 1.0)
+    return np.lexsort((v1_next, abs(shift), deviation), axis=0)[0]
+
+
+def _level0_attackers(v2: np.ndarray, q3_current: np.ndarray,
+                      params: GridParams) -> np.ndarray:
+    """`level0_attacker` elementwise, one row of grid deviations per entry."""
+    levels = np.array(attacker_levels(params))
+    deviation = abs(v2[:, None] + params.x1 * (levels - q3_current[:, None]) - 1.0)
+    low, high = deviation[:, 0], deviation[:, -1]
+    # the length of the run of deviations equal to `high` ending at the top
+    top_run = (deviation == high[:, None])[:, ::-1].cumprod(axis=1).sum(axis=1)
+    # the first nearest level, which is the first equal one when there is one
+    current_index = abs(levels - q3_current[:, None]).argmin(axis=1)
+    drift = np.where(v2 < 1.0, np.minimum(current_index + 1, ATTACKER_ACTIONS - 1),
+                     np.maximum(current_index - 1, 0))
+    strike = params.strike_threshold
+    return np.where(low >= high, np.where(low > strike, 0, drift),
+                    np.where(high > strike, ATTACKER_ACTIONS - top_run, drift))
+
+
 # ---------------------------------------------------------------------------
 # Transition
 # ---------------------------------------------------------------------------
 
-def _draw_load(params: GridParams, rng: np.random.Generator) -> float:
-    """p2 uniform on p2_range from one double, with the float operations of
-    `rng.uniform(lo, hi)` (lo + (hi - lo) * u), which are the same bits."""
+def _load(params: GridParams, u):
+    """p2 uniform on p2_range from the double `u`, or elementwise from an
+    array of them, with the float operations of `rng.uniform(lo, hi)`
+    (lo + (hi - lo) * u), which are the same bits."""
     lo, hi = params.p2_range
-    return lo + (hi - lo) * rng.random()
+    return lo + (hi - lo) * u
+
+
+def _draw_load(params: GridParams, rng: np.random.Generator) -> float:
+    return _load(params, rng.random())
 
 
 def initial_state(params: GridParams, rng: np.random.Generator) -> GridState:
@@ -409,60 +466,73 @@ _DEFENDER_HALF = (DEFENDER_ACTIONS - 1) / 2.0
 _ATTACKER_HALF = (ATTACKER_ACTIONS - 1) / 2.0
 
 
+def _defender_features(mem: DefenderMemory, params: GridParams) -> tuple:
+    """The defender's features, elementwise: a memory whose fields are
+    arrays gives one array per feature."""
+    return ((mem.v1 - 1.0) / 0.1,
+            (mem.v2 - 1.0) / 0.1,
+            (mem.v3 - 1.0) / 0.1,
+            mem.p1 / 2.0,
+            mem.q1 / 2.0,
+            mem.metric,
+            (mem.prev_action - _DEFENDER_HALF) / _DEFENDER_HALF)
+
+
+def _attacker_features(mem: AttackerMemory, params: GridParams) -> tuple:
+    """The attacker's features, elementwise, as `_defender_features`."""
+    q3_norm = mem.q3 / params.q3_max if params.q3_max > 0 else 0.0
+    return ((mem.v2 - 1.0) / 0.1,
+            (mem.v3 - 1.0) / 0.1,
+            mem.p3 / 2.0,
+            q3_norm,
+            # the sum that `metric` is the int of: an integral float, so
+            # the same quotient
+            sum(mem.terms) / (params.memory_window + 1),
+            (mem.prev_action - _ATTACKER_HALF) / _ATTACKER_HALF)
+
+
 def encode_defender_features(mem: DefenderMemory, params: GridParams) -> np.ndarray:
-    return np.array([
-        (mem.v1 - 1.0) / 0.1,
-        (mem.v2 - 1.0) / 0.1,
-        (mem.v3 - 1.0) / 0.1,
-        mem.p1 / 2.0,
-        mem.q1 / 2.0,
-        mem.metric,
-        (mem.prev_action - _DEFENDER_HALF) / _DEFENDER_HALF,
-    ])
+    return np.array(_defender_features(mem, params))
 
 
 def encode_attacker_features(mem: AttackerMemory, params: GridParams) -> np.ndarray:
-    q3_norm = mem.q3 / params.q3_max if params.q3_max > 0 else 0.0
-    return np.array([
-        (mem.v2 - 1.0) / 0.1,
-        (mem.v3 - 1.0) / 0.1,
-        mem.p3 / 2.0,
-        q3_norm,
-        mem.metric / (params.memory_window + 1),
-        (mem.prev_action - _ATTACKER_HALF) / _ATTACKER_HALF,
-    ])
+    return np.array(_attacker_features(mem, params))
 
 
 DEFENDER_FEATURE_DIM = 7
 ATTACKER_FEATURE_DIM = 6
 
 
+def _defender_rule(params: GridParams, parent_values, rng) -> int:
+    mem = parent_values[DEFENDER_MEMORY_NODE]
+    return level0_defender(mem.v1, mem.v2, mem.v3, params)
+
+
+def _attacker_rule(params: GridParams, parent_values, rng) -> int:
+    mem = parent_values[ATTACKER_MEMORY_NODE]
+    return level0_attacker(mem.v2, mem.q3, params)
+
+
+def _defender_encoder(params: GridParams, parent_values) -> np.ndarray:
+    return encode_defender_features(parent_values[DEFENDER_MEMORY_NODE], params)
+
+
+def _attacker_encoder(params: GridParams, parent_values) -> np.ndarray:
+    return encode_attacker_features(parent_values[ATTACKER_MEMORY_NODE], params)
+
+
 def level0_policies(params: GridParams) -> dict[str, PriorPolicy]:
     """The scenario's priors.  Each also fixes its player's interface for
     every higher level: the action count and the feature encoding of the
-    player's memory."""
-
-    def defender_fn(parent_values, rng):
-        mem = parent_values[DEFENDER_MEMORY_NODE]
-        return level0_defender(mem.v1, mem.v2, mem.v3, params)
-
-    def attacker_fn(parent_values, rng):
-        mem = parent_values[ATTACKER_MEMORY_NODE]
-        return level0_attacker(mem.v2, mem.q3, params)
-
-    def defender_encoder(parent_values):
-        return encode_defender_features(parent_values[DEFENDER_MEMORY_NODE],
-                                        params)
-
-    def attacker_encoder(parent_values):
-        return encode_attacker_features(parent_values[ATTACKER_MEMORY_NODE],
-                                        params)
-
+    player's memory.  Rule and encoder are `partial`s over `params`, which
+    `NativeBattle.play_many` recognizes."""
     return {
         DEFENDER: PriorPolicy(DEFENDER_ACTIONS, DEFENDER_FEATURE_DIM,
-                              defender_encoder, defender_fn),
+                              partial(_defender_encoder, params),
+                              partial(_defender_rule, params)),
         ATTACKER: PriorPolicy(ATTACKER_ACTIONS, ATTACKER_FEATURE_DIM,
-                              attacker_encoder, attacker_fn),
+                              partial(_attacker_encoder, params),
+                              partial(_attacker_rule, params)),
     }
 
 
@@ -653,5 +723,141 @@ class NativeBattle:
         return {DEFENDER: [rec.defender_reward for rec in records],
                 ATTACKER: [rec.attacker_reward for rec in records]}
 
+    def play_many(self, policies: Mapping[str, netform.Policy], episodes: int,
+                  rng: np.random.Generator) -> list[dict[str, list[float]]]:
+        """`episodes` episodes of `play`, one after another: the same
+        rewards, the same errors and the same rng end state.
+
+        When each player's policy is its level-0 prior from
+        `level0_policies` or a `QPolicy` over that prior's encoder, neither
+        of which draws from the rng, `_lockstep` plays the episodes side by
+        side from the uniforms `simulate` would draw: `1 + horizon` per
+        episode, the first load first.  Any other policy, such as one that
+        explores, goes through `play`.  So does the whole batch when the
+        lockstep meets a value that is not finite: replayed from the same
+        rng state, `simulate` raises its own error."""
+        deciders = {player: _lockstep_decider(policies[player], player)
+                    for player in self.players}
+        if None not in deciders.values():
+            start = rng.bit_generator.state
+            loads = rng.random((episodes, self.horizon + 1))
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    played = _lockstep(self.params, deciders, loads)
+            except ArithmeticError:  # numpy's FloatingPointError, or pow's
+                played = None        # OverflowError in `defender_reward`
+            if played is not None:
+                return played
+            rng.bit_generator.state = start
+        return [self.play(policies, rng) for _ in range(episodes)]
+
     def base_decisions(self, player: str) -> int:
         return 0
+
+
+class _Interface(NamedTuple):
+    """One player's level-0 rule and encoder as `level0_policies` binds them,
+    with what `_lockstep` plays in their place."""
+
+    rule: Callable
+    rule_rows: Callable  # (memory of arrays, params) -> actions
+    encoder: Callable
+    features: Callable   # `_defender_features` or `_attacker_features`
+    feature_dim: int
+    action_count: int
+
+
+_INTERFACES = {
+    DEFENDER: _Interface(
+        _defender_rule,
+        lambda mem, params: _level0_defenders(mem.v1, mem.v2, mem.v3, params),
+        _defender_encoder, _defender_features,
+        DEFENDER_FEATURE_DIM, DEFENDER_ACTIONS),
+    ATTACKER: _Interface(
+        _attacker_rule,
+        lambda mem, params: _level0_attackers(mem.v2, mem.q3, params),
+        _attacker_encoder, _attacker_features,
+        ATTACKER_FEATURE_DIM, ATTACKER_ACTIONS),
+}
+
+
+def _bound_params(fn, func) -> GridParams | None:
+    """The params of `fn` if it is `partial(func, params)`, else None."""
+    return fn.args[0] if isinstance(fn, partial) and fn.func is func else None
+
+
+def _lockstep_decider(policy: netform.Policy, player: str,
+                      ) -> Callable[[NamedTuple], np.ndarray] | None:
+    """`policy`'s actions as `player` for a memory whose fields are arrays,
+    one entry per episode; None unless `policy` is the player's level-0
+    prior or a `QPolicy` over its encoder with its feature width and action
+    count (any other network fails in `simulate`)."""
+    interface = _INTERFACES[player]
+    if isinstance(policy, PriorPolicy):
+        params = _bound_params(policy.fn, interface.rule)
+        if params is not None:
+            return lambda mem: interface.rule_rows(mem, params)
+    elif isinstance(policy, QPolicy):
+        params = _bound_params(policy.encoder, interface.encoder)
+        spec = policy.params.spec
+        if params is not None and (spec.input_dim, spec.output_dim) == \
+                (interface.feature_dim, interface.action_count):
+            net = policy.params
+            return lambda mem: neural.forward_rows(
+                net, _feature_rows(interface.features(mem, params))).argmax(axis=1)
+    return None
+
+
+def _feature_rows(features: tuple) -> np.ndarray:
+    """One row per episode from features that are arrays or, where every
+    episode shares the value, scalars."""
+    rows = np.empty((len(features[0]), len(features)))
+    for j, column in enumerate(features):
+        rows[:, j] = column
+    return rows
+
+
+def _lockstep(params: GridParams,
+              deciders: Mapping[str, Callable[[NamedTuple], np.ndarray]],
+              loads: np.ndarray) -> list[dict[str, list[float]]] | None:
+    """The episodes of `simulate` under `deciders`, side by side: row e of
+    `loads` holds episode e's uniforms.  Every value is an array with one
+    entry per episode, computed by `simulate`'s functions where their
+    arithmetic is elementwise and by their twins where a branch is not;
+    each reward comes from the scalar reward functions' bits.  None if a
+    reward is not finite, which `simulate` refuses."""
+    episodes, horizon = loads.shape[0], loads.shape[1] - 1
+    levels = np.array(attacker_levels(params))
+    d_action = np.full(episodes, params.defender_start_action)
+    a_action = np.full(episodes, params.attacker_start_action)
+    p2 = _load(params, loads[:, 0])
+    state = power_flow(p2, params.q2_factor * p2, params.p3, levels[a_action],
+                       np.full(episodes, params.v1_start), params)
+    d_mem = initial_defender_memory(defender_observation(state), params)
+    a_mem = initial_attacker_memory(attacker_observation(state), params)
+    v2s, v3s = np.empty((episodes, horizon)), np.empty((episodes, horizon))
+    for t in range(1, horizon + 1):
+        v1 = _apply_defender_actions(state.V1, d_action, params)
+        p2 = _load(params, loads[:, t])
+        state = power_flow(p2, params.q2_factor * p2, params.p3,
+                           levels[a_action], v1, params)
+        d_term = np.sign(state.V1 - d_mem.v1) * np.sign(state.V3 - d_mem.v3)
+        a_term = np.sign(np.floor(
+            _attacker_taps(a_mem.v3, state.V3, a_mem.q3, state.q3, params)))
+        d_mem = DefenderMemory(*defender_observation(state), d_action,
+                               d_mem.terms[1:] + (d_term,))
+        a_mem = AttackerMemory(*attacker_observation(state), a_action,
+                               a_mem.terms[1:] + (a_term,))
+        v2s[:, t - 1], v3s[:, t - 1] = state.V2, state.V3
+        if t < horizon:  # the decisions after the last step act on nothing
+            d_action = deciders[DEFENDER](d_mem)
+            a_action = deciders[ATTACKER](a_mem)
+    # Python's float pow, which `defender_reward` runs, rounds x ** 2 other
+    # than numpy's square on some inputs, so it is called per reward.
+    d_rewards = [list(map(defender_reward, v2, v3, repeat(params)))
+                 for v2, v3 in zip(v2s.tolist(), v3s.tolist())]
+    a_rewards = _attacker_rewards(v2s, params)
+    if not (np.isfinite(d_rewards).all() and np.isfinite(a_rewards).all()):
+        return None
+    return [{DEFENDER: d, ATTACKER: a}
+            for d, a in zip(d_rewards, a_rewards.tolist())]

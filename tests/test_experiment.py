@@ -917,6 +917,20 @@ def test_cli_bad_config_value_exits_with_error_line(tmp_path, capsys, section,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "sweep"])
+def test_cli_refuses_an_integer_beyond_the_float_range_at_load(tmp_path, capsys,
+                                                               command):
+    """Such an integer is finite, but converting it to a float raises
+    OverflowError: it is refused before anything runs or is written."""
+    config_path = write_config(tmp_path, {"grid": {"r1": 10 ** 400}})
+    code = main([command, "--config", str(config_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: 'grid.r1' must be a finite number, got 1000")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_duplicate_config_key_exits_with_error_line(tmp_path, capsys):
     config_path = tmp_path / "config.json"
     config_path.write_text('{"experiment": {"k_max": 1, "k_max": 2}}')

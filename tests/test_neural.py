@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridgame.neural import (NetworkParams, NetworkSpec, apply_update, forward,
-                             forward_batch, init, network_from_dict,
-                             network_to_dict, td_gradient)
+                             forward_batch, forward_rows, init,
+                             network_from_dict, network_to_dict, td_gradient)
 from oracles import n_params, params_equal
 
 
@@ -195,6 +195,29 @@ def test_batched_gradient_is_sum_of_single_row_gradients(seed, rows, hidden):
     assert np.abs(batched - looped).max() <= 1e-12
     q_rows = np.array([forward(params, x) for x in xs])
     assert np.abs(forward_batch(params, xs) - q_rows).max() <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       rows=st.one_of(st.just(1), st.integers(2, 64)),
+       hidden=st.lists(st.integers(1, 32), max_size=3),
+       input_dim=st.integers(1, 12), output_dim=st.integers(1, 12),
+       scale=st.floats(0.01, 4.0))
+@example(seed=3, rows=1, hidden=[], input_dim=7, output_dim=3, scale=1.0)
+@example(seed=4, rows=50, hidden=[16, 16], input_dim=6, output_dim=11, scale=0.1)
+def test_forward_rows_is_forward_on_every_row_byte_for_byte(
+        seed, rows, hidden, input_dim, output_dim, scale):
+    """The scorer's output bytes rest on this equality: on a numpy or BLAS
+    build where a stacked matrix-vector product rounds other than `dot`,
+    this fails rather than letting sweep.csv drift."""
+    rng = np.random.default_rng(seed)
+    spec = NetworkSpec(input_dim, tuple(hidden), output_dim)
+    params = init(spec, scale, float(rng.normal()), rng)
+    xs = rng.normal(size=(rows, input_dim)) * rng.uniform(0.1, 10.0)
+    q_rows = forward_rows(params, xs)
+    assert q_rows.shape == (rows, output_dim)
+    for x, q in zip(xs, q_rows):
+        assert q.tobytes() == forward(params, x).tobytes()
 
 
 def test_batched_gradient_needs_one_action_and_target_per_row():

@@ -270,18 +270,28 @@ def test_level0_defender_clamped_prefers_hold():
 
 
 def test_level0_defender_minimizes_over_reachable_set():
+    """Also for the lockstep's elementwise twin, on the same inputs plus
+    clamped and tied ones."""
     rng = np.random.default_rng(1)
+    cases = [(P.v1_max, 0.90, 0.93), (P.v1_min, 1.10, 1.07), (1.0, 1.0, 1.0),
+             (1.0, 1.0 + P.tap_step / 2, 1.0 + P.tap_step / 2),
+             (P.v1_max - P.tap_step / 2, 0.95, 0.95)]
+    actions = [level0_defender(*case, P) for case in cases]
     for _ in range(300):
         v1 = float(rng.uniform(P.v1_min, P.v1_max))
         v2 = float(rng.uniform(0.9, 1.1))
         v3 = float(rng.uniform(0.9, 1.1))
         action = level0_defender(v1, v2, v3, P)
+        cases.append((v1, v2, v3))
+        actions.append(action)
         chosen_shift = apply_defender_action(v1, action, P) - v1
         best = min(abs((v2 + v3) / 2 + s - 1.0)
                    for s in (apply_defender_action(v1, a, P) - v1
                              for a in (0, 1, 2)))
         assert abs((v2 + v3) / 2 + chosen_shift - 1.0) == pytest.approx(best,
                                                                         abs=0)
+    v1s, v2s, v3s = np.array(cases).T
+    assert scenario._level0_defenders(v1s, v2s, v3s, P).tolist() == actions
 
 
 def test_level0_attacker_strike_examples():
@@ -336,18 +346,23 @@ def attacker_situations(draw):
 @example((1.0, 0.0, GridParams(x1=0.0625, q3_max=2.0)))  # ends tie at 0.125
 def test_level0_attacker_equals_grid_scan(situation):
     v2, q3, params = situation
-    assert level0_attacker(v2, q3, params) == scan_level0_attacker(v2, q3, params)
+    expected = scan_level0_attacker(v2, q3, params)
+    assert level0_attacker(v2, q3, params) == expected
+    assert scenario._level0_attackers(np.array([v2]), np.array([q3]),
+                                      params).tolist() == [expected]
 
 
 def test_level0_attacker_strikes_at_first_of_equal_top_deviations():
     # With steps x1 * q3_max / 5 near half an ulp of V2, the projected V2
     # repeats across neighbouring grid levels; a strike goes to the first
-    # grid index of the largest deviation, as the scan's first argmax does.
+    # grid index of the largest deviation, as the scan's first argmax does,
+    # and so does the lockstep's elementwise twin.
     rng = np.random.default_rng(0)
     interior_strikes = 0
     for q3_max in (1e-14, 2e-14, 3e-14, 5e-14):
         params = GridParams(q3_max=q3_max)
         levels = attacker_levels(params)
+        situations, actions = [], []
         for _ in range(500):
             v2 = float(rng.uniform(0.8, 1.2))
             current = int(rng.integers(11))
@@ -355,6 +370,10 @@ def test_level0_attacker_strikes_at_first_of_equal_top_deviations():
             assert level0_attacker(v2, levels[current], params) == expected
             drift = min(current + 1, 10) if v2 < 1.0 else max(current - 1, 0)
             interior_strikes += 0 < expected < 10 and expected != drift
+            situations.append((v2, levels[current]))
+            actions.append(expected)
+        v2s, q3s = np.array(situations).T
+        assert scenario._level0_attackers(v2s, q3s, params).tolist() == actions
     assert interior_strikes > 0
 
 
@@ -589,13 +608,36 @@ def battle_policies(draw, params):
 
 
 @st.composite
-def battles(draw):
+def greedy_policies(draw, params):
+    """One policy per player that `NativeBattle.play_many` plays in
+    lockstep: the level-0 prior, or a greedy QPolicy over its encoder with
+    random hidden layers, `()` included."""
+    policies = {}
+    for player, prior in level0_policies(params).items():
+        policies[player] = prior
+        if draw(st.booleans()):
+            hidden = tuple(draw(st.lists(st.integers(1, 16), max_size=2)))
+            spec = NetworkSpec(prior.feature_dim, hidden, prior.action_count)
+            net_rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+            policies[player] = QPolicy(
+                init(spec, draw(st.floats(0.1, 2.0)), 0.0, net_rng),
+                prior.encoder)
+    return policies
+
+
+@st.composite
+def grids(draw):
     lo = draw(st.floats(1.0, 1.6))
-    params = GridParams(
+    return GridParams(
         q3_max=draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0))),
         memory_window=draw(st.integers(1, 8)),
         p2_range=(lo, lo + draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))))
-    return (params, draw(battle_policies(params)), draw(st.integers(1, 30)),
+
+
+@st.composite
+def battles(draw, policies=battle_policies):
+    params = draw(grids())
+    return (params, draw(policies(params)), draw(st.integers(1, 30)),
             draw(st.integers(0, 2 ** 32 - 1)))
 
 
@@ -637,6 +679,38 @@ def test_native_scorer_equals_evaluate_on_the_net_bit_for_bit(battle, episodes):
     assert repr(report.mean_reward_per_step) == \
         repr(expected.mean_reward_per_step)
     assert net_rng.bit_generator.state == native_rng.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(battles(greedy_policies), st.integers(1, 8))
+def test_play_many_plays_greedy_episodes_in_lockstep_bit_for_bit(battle,
+                                                                 episodes):
+    """On level-0 and greedy network policies `play_many` never calls
+    `simulate`, yet gives what the loop over `play` gives, and `evaluate`
+    on it what it gives on the net: the same rewards, per-episode and
+    overall means, and rng end state."""
+    params, policies, horizon, seed = battle
+    game = NativeBattle(params, horizon)
+    loop_rng, net_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = [game.play(policies, loop_rng) for _ in range(episodes)]
+    expected_report = evaluate(as_netform(params, horizon), policies, episodes,
+                               net_rng)
+    lockstep_rng, report_rng = (np.random.default_rng(seed),
+                                np.random.default_rng(seed))
+
+    def refuse(*args):
+        raise AssertionError("the lockstep path called simulate")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "simulate", refuse)
+        played = game.play_many(policies, episodes, lockstep_rng)
+        report = evaluate(game, policies, episodes, report_rng)
+    assert repr(played) == repr(expected)
+    assert repr(report.per_episode) == repr(expected_report.per_episode)
+    assert repr(report.mean_reward_per_step) == \
+        repr(expected_report.mean_reward_per_step)
+    for rng in (lockstep_rng, report_rng, net_rng):
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
@@ -698,6 +772,30 @@ def test_simulate_refuses_a_non_finite_reward_naming_the_player(
     with pytest.raises(ValueError, match=f"non-finite reward for player "
                        f"'{player}'"):
         simulate(P, level0_policies(P), 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("player, reward_fns", [
+    (DEFENDER, ("defender_reward",)),
+    (ATTACKER, ("attacker_reward", "_attacker_rewards")),
+    (DEFENDER, ("defender_reward", "attacker_reward", "_attacker_rewards")),
+])
+def test_play_many_refuses_a_non_finite_reward_in_lockstep_as_simulate_does(
+        monkeypatch, player, reward_fns):
+    """The lockstep runs, meets the bad reward and leaves the refusal to
+    `simulate`, which names the defender first when both rewards of a step
+    are bad."""
+    for name in reward_fns:
+        monkeypatch.setattr(scenario, name,
+                            lambda v2, *rest: np.full(np.shape(v2), np.nan))
+    lockstep_calls = []
+    lockstep = scenario._lockstep
+    monkeypatch.setattr(scenario, "_lockstep", lambda *args: (
+        lockstep_calls.append(args), lockstep(*args))[1])
+    with pytest.raises(ValueError, match=f"^non-finite reward for player "
+                       f"'{player}'$"):
+        NativeBattle(P, 3).play_many(level0_policies(P), 2,
+                                     np.random.default_rng(0))
+    assert len(lockstep_calls) == 1
 
 
 def test_simulate_stores_a_numpy_integer_action_as_a_plain_int():
