@@ -5,7 +5,7 @@ problem, to an environment that contains the opponents frozen at level k-1.
 Level-0 policies are scenario-supplied priors.  Training plays episodes of
 the game itself with the trainee acting epsilon-greedily; per-episode
 transition batches are turned into one averaged TD update against the
-pre-update network.  A game is anything with the five members of `Game`:
+pre-update network.  A game is anything with the four members of `Game`:
 `netform.IteratedGame`, or `scenario.NativeBattle`, which plays the same
 episodes without the net machinery.
 """
@@ -23,8 +23,8 @@ from .netform import ParentValues, Policy
 
 class Game(Protocol):
     """What training and scoring read of a game: its players, its episode
-    length, one episode's rewards per player and kernel slice, a list of
-    `episodes` such episodes played in a row from one rng, and how many
+    length, the rewards per player and kernel slice of `episodes` episodes
+    played in a row from one rng, one mapping per episode, and how many
     decisions a player makes before the first kernel slice."""
 
     @property
@@ -33,11 +33,8 @@ class Game(Protocol):
     @property
     def horizon(self) -> int: ...
 
-    def play(self, policies: Mapping[str, Policy],
-             rng: np.random.Generator) -> Mapping[str, list[float]]: ...
-
-    def play_many(self, policies: Mapping[str, Policy], episodes: int,
-                  rng: np.random.Generator) -> list[Mapping[str, list[float]]]: ...
+    def play(self, policies: Mapping[str, Policy], episodes: int,
+             rng: np.random.Generator) -> list[Mapping[str, list[float]]]: ...
 
     def base_decisions(self, player: str) -> int: ...
 
@@ -206,7 +203,7 @@ def train_level(game: Game, trainee: str,
                                     prior.encoder)
         policies: dict[str, Policy] = dict(opponents)
         policies[trainee] = recorder
-        rewards = game.play(policies, rng)[trainee]
+        rewards = game.play(policies, 1, rng)[0][trainee]
         decisions = len(recorder.actions) - base_skip
         if decisions != len(rewards):
             raise ValueError(f"{decisions} decision records for "
@@ -282,12 +279,12 @@ class EvalReport:
 def evaluate(game: Game, policies: Mapping[str, Policy],
              episodes: int, rng: np.random.Generator) -> EvalReport:
     """Average reward per step over independent episodes, for every player
-    that `game.play_many` scores; per-episode means are kept for variance
+    that `game.play` scores; per-episode means are kept for variance
     reporting."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     per_episode: dict[str, list[float]] = {}
-    for episode in game.play_many(policies, episodes, rng):
+    for episode in game.play(policies, episodes, rng):
         for player, rewards in episode.items():
             per_episode.setdefault(player, []).append(sum(rewards) / game.horizon)
     means = {player: sum(values) / episodes

@@ -211,8 +211,8 @@ class IteratedGame:
     that is not a kernel root, differing spaces, two sources on one target),
     or a kernel player without a reward function.
 
-    `players`, `horizon`, `play`, `play_many` and `base_decisions` are all
-    that `levelk` reads of a game.
+    `players`, `horizon`, `play` and `base_decisions` are all that `levelk`
+    reads of a game.
     """
 
     base: SemiBayesNet
@@ -239,15 +239,11 @@ class IteratedGame:
     def players(self) -> tuple[str, ...]:
         return self.kernel.players
 
-    def play(self, policies: Mapping[str, Policy],
-             rng: np.random.Generator) -> dict[str, list[float]]:
-        """One episode's rewards, per player and kernel slice."""
-        return rollout(self, policies, rng).rewards
-
-    def play_many(self, policies: Mapping[str, Policy], episodes: int,
-                  rng: np.random.Generator) -> list[dict[str, list[float]]]:
-        """`episodes` episodes of `play`, one after another."""
-        return [self.play(policies, rng) for _ in range(episodes)]
+    def play(self, policies: Mapping[str, Policy], episodes: int,
+             rng: np.random.Generator) -> list[dict[str, list[float]]]:
+        """The rewards, per player and kernel slice, of `episodes` rollouts
+        one after another."""
+        return [rollout(self, policies, rng).rewards for _ in range(episodes)]
 
     def base_decisions(self, player: str) -> int:
         """How many decisions `player` makes in the base slice, before the

@@ -18,16 +18,17 @@ a window of recent observations.
 
 Every operation here is a pure function of its inputs plus an explicit
 numpy Generator, so episodes parallelize with independent generators.
-`NativeBattle.play_many` also plays a batch of greedy episodes side by
-side, as arrays with one entry per episode, with the bits of `simulate`.
+`NativeBattle.play` plays a batch of greedy episodes side by side, as
+arrays with one entry per episode, with the bits of `simulate`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import cache, partial
 from itertools import repeat
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
@@ -161,7 +162,7 @@ def _apply_defender_actions(v1: np.ndarray, actions: np.ndarray,
                              np.maximum(params.v1_min, v1 - params.tap_step), v1))
 
 
-@lru_cache(maxsize=None)
+@cache
 def _attacker_levels(q3_max: float) -> tuple[float, ...]:
     return tuple(q3_max * (k - 5) / 5.0 for k in range(ATTACKER_ACTIONS))
 
@@ -521,19 +522,21 @@ def _attacker_encoder(params: GridParams, parent_values) -> np.ndarray:
     return encode_attacker_features(parent_values[ATTACKER_MEMORY_NODE], params)
 
 
-def level0_policies(params: GridParams) -> dict[str, PriorPolicy]:
+@cache
+def level0_policies(params: GridParams) -> Mapping[str, PriorPolicy]:
     """The scenario's priors.  Each also fixes its player's interface for
     every higher level: the action count and the feature encoding of the
-    player's memory.  Rule and encoder are `partial`s over `params`, which
-    `NativeBattle.play_many` recognizes."""
-    return {
+    player's memory.  One read-only mapping per grid, so that
+    `NativeBattle.play` knows a prior, and a network over its encoder, by
+    identity."""
+    return MappingProxyType({
         DEFENDER: PriorPolicy(DEFENDER_ACTIONS, DEFENDER_FEATURE_DIM,
                               partial(_defender_encoder, params),
                               partial(_defender_rule, params)),
         ATTACKER: PriorPolicy(ATTACKER_ACTIONS, ATTACKER_FEATURE_DIM,
                               partial(_attacker_encoder, params),
                               partial(_attacker_rule, params)),
-    }
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +675,8 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
     The values that can be wrong are checked as `netform.sample_slice` and
     `netform.rollout` check them: each action against its player's space,
     then each reward for finiteness, with a ValueError naming the player.
+    A step whose arithmetic overflows, or whose state is no longer finite,
+    is a ValueError too: the grid's constants are too large for the circuit.
     """
     d_policy, a_policy = policies[DEFENDER], policies[ATTACKER]
     d_legal = DEFENDER_ACTION_SPACE.contains
@@ -684,8 +689,12 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
     a_action = params.attacker_start_action
     records = []
     for t in range(1, horizon + 1):
-        state, memories, rewards = transition(state, memories, d_action, a_action,
-                                              rng, params)
+        try:
+            state, memories, rewards = transition(state, memories, d_action,
+                                                  a_action, rng, params)
+        except (OverflowError, ValueError) as exc:  # pow; floor(inf or NaN)
+            raise ValueError(f"the grid's constants overflow the circuit at "
+                             f"step {t}") from exc
         d_action = d_policy({DEFENDER_MEMORY_NODE: memories[0]}, rng)
         if not d_legal(d_action):
             raise ValueError(f"action {d_action!r} for player '{DEFENDER}' is "
@@ -717,100 +726,72 @@ class NativeBattle:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
-    def play(self, policies: Mapping[str, netform.Policy],
-             rng: np.random.Generator) -> dict[str, list[float]]:
-        records = simulate(self.params, policies, self.horizon, rng)
-        return {DEFENDER: [rec.defender_reward for rec in records],
-                ATTACKER: [rec.attacker_reward for rec in records]}
+    def play(self, policies: Mapping[str, netform.Policy], episodes: int,
+             rng: np.random.Generator) -> list[dict[str, list[float]]]:
+        """`episodes` episodes of `simulate`, one after another.
 
-    def play_many(self, policies: Mapping[str, netform.Policy], episodes: int,
-                  rng: np.random.Generator) -> list[dict[str, list[float]]]:
-        """`episodes` episodes of `play`, one after another: the same
-        rewards, the same errors and the same rng end state.
-
-        When each player's policy is its level-0 prior from
-        `level0_policies` or a `QPolicy` over that prior's encoder, neither
-        of which draws from the rng, `_lockstep` plays the episodes side by
-        side from the uniforms `simulate` would draw: `1 + horizon` per
-        episode, the first load first.  Any other policy, such as one that
-        explores, goes through `play`.  So does the whole batch when the
-        lockstep meets a value that is not finite: replayed from the same
-        rng state, `simulate` raises its own error."""
-        deciders = {player: _lockstep_decider(policies[player], player)
+        When each player's policy is its prior in `level0_policies(params)`
+        or a `QPolicy` over that prior's encoder, neither of which draws
+        from the rng, `_lockstep` plays the episodes side by side from the
+        uniforms `simulate` would draw: `1 + horizon` per episode, the first
+        load first.  Any other policy, such as one that explores, goes
+        through `simulate`.  So does the whole batch when the lockstep meets
+        a value that is not finite: replayed from the same rng state,
+        `simulate` raises its own error."""
+        deciders = {player: _lockstep_decider(policies[player], player,
+                                              self.params)
                     for player in self.players}
         if None not in deciders.values():
             start = rng.bit_generator.state
             loads = rng.random((episodes, self.horizon + 1))
             try:
                 with np.errstate(over="raise", invalid="raise"):
-                    played = _lockstep(self.params, deciders, loads)
-            except ArithmeticError:  # numpy's FloatingPointError, or pow's
-                played = None        # OverflowError in `defender_reward`
-            if played is not None:
-                return played
-            rng.bit_generator.state = start
-        return [self.play(policies, rng) for _ in range(episodes)]
+                    return _lockstep(self.params, deciders, loads)
+            except ArithmeticError:  # numpy's, pow's, or a non-finite reward
+                rng.bit_generator.state = start
+        played = []
+        for _ in range(episodes):
+            records = simulate(self.params, policies, self.horizon, rng)
+            played.append({DEFENDER: [rec.defender_reward for rec in records],
+                           ATTACKER: [rec.attacker_reward for rec in records]})
+        return played
 
     def base_decisions(self, player: str) -> int:
         return 0
 
 
-class _Interface(NamedTuple):
-    """One player's level-0 rule and encoder as `level0_policies` binds them,
-    with what `_lockstep` plays in their place."""
-
-    rule: Callable
-    rule_rows: Callable  # (memory of arrays, params) -> actions
-    encoder: Callable
-    features: Callable   # `_defender_features` or `_attacker_features`
-    feature_dim: int
-    action_count: int
-
-
-_INTERFACES = {
-    DEFENDER: _Interface(
-        _defender_rule,
-        lambda mem, params: _level0_defenders(mem.v1, mem.v2, mem.v3, params),
-        _defender_encoder, _defender_features,
-        DEFENDER_FEATURE_DIM, DEFENDER_ACTIONS),
-    ATTACKER: _Interface(
-        _attacker_rule,
-        lambda mem, params: _level0_attackers(mem.v2, mem.q3, params),
-        _attacker_encoder, _attacker_features,
-        ATTACKER_FEATURE_DIM, ATTACKER_ACTIONS),
+# What only the lockstep has of each player: its level-0 rule and its
+# features, over a memory whose fields are arrays with one entry per episode.
+_BATCHED = {
+    DEFENDER: (lambda mem, p: _level0_defenders(mem.v1, mem.v2, mem.v3, p),
+               _defender_features),
+    ATTACKER: (lambda mem, p: _level0_attackers(mem.v2, mem.q3, p),
+               _attacker_features),
 }
 
 
-def _bound_params(fn, func) -> GridParams | None:
-    """The params of `fn` if it is `partial(func, params)`, else None."""
-    return fn.args[0] if isinstance(fn, partial) and fn.func is func else None
-
-
-def _lockstep_decider(policy: netform.Policy, player: str,
+def _lockstep_decider(policy: netform.Policy, player: str, params: GridParams,
                       ) -> Callable[[NamedTuple], np.ndarray] | None:
-    """`policy`'s actions as `player` for a memory whose fields are arrays,
-    one entry per episode; None unless `policy` is the player's level-0
-    prior or a `QPolicy` over its encoder with its feature width and action
-    count (any other network fails in `simulate`)."""
-    interface = _INTERFACES[player]
-    if isinstance(policy, PriorPolicy):
-        params = _bound_params(policy.fn, interface.rule)
-        if params is not None:
-            return lambda mem: interface.rule_rows(mem, params)
-    elif isinstance(policy, QPolicy):
-        params = _bound_params(policy.encoder, interface.encoder)
-        spec = policy.params.spec
-        if params is not None and (spec.input_dim, spec.output_dim) == \
-                (interface.feature_dim, interface.action_count):
-            net = policy.params
+    """`policy`'s actions as `player` for a memory whose fields are arrays;
+    None unless `policy` is the player's prior in `level0_policies(params)`
+    or a `QPolicy` over its encoder with its feature width and action count
+    (any other network fails in `simulate`)."""
+    prior = level0_policies(params)[player]
+    rule_rows, features = _BATCHED[player]
+    if policy is prior:
+        return lambda mem: rule_rows(mem, params)
+    if isinstance(policy, QPolicy) and policy.encoder is prior.encoder:
+        net = policy.params
+        if (net.spec.input_dim, net.spec.output_dim) == \
+                (prior.feature_dim, prior.action_count):
             return lambda mem: neural.forward_rows(
-                net, _feature_rows(interface.features(mem, params))).argmax(axis=1)
+                net, _feature_rows(features(mem, params))).argmax(axis=1)
     return None
 
 
 def _feature_rows(features: tuple) -> np.ndarray:
-    """One row per episode from features that are arrays or, where every
-    episode shares the value, scalars."""
+    """One row per episode from features that are arrays or shared scalars.
+    (A loop: `np.column_stack(np.broadcast_arrays(...))` costs 4x as much.)"""
     rows = np.empty((len(features[0]), len(features)))
     for j, column in enumerate(features):
         rows[:, j] = column
@@ -819,13 +800,14 @@ def _feature_rows(features: tuple) -> np.ndarray:
 
 def _lockstep(params: GridParams,
               deciders: Mapping[str, Callable[[NamedTuple], np.ndarray]],
-              loads: np.ndarray) -> list[dict[str, list[float]]] | None:
+              loads: np.ndarray) -> list[dict[str, list[float]]]:
     """The episodes of `simulate` under `deciders`, side by side: row e of
     `loads` holds episode e's uniforms.  Every value is an array with one
     entry per episode, computed by `simulate`'s functions where their
     arithmetic is elementwise and by their twins where a branch is not;
-    each reward comes from the scalar reward functions' bits.  None if a
-    reward is not finite, which `simulate` refuses."""
+    each reward comes from the scalar reward functions' bits.  A reward
+    that is not finite, which `simulate` refuses, raises FloatingPointError
+    as numpy's own errors do."""
     episodes, horizon = loads.shape[0], loads.shape[1] - 1
     levels = np.array(attacker_levels(params))
     d_action = np.full(episodes, params.defender_start_action)
@@ -858,6 +840,6 @@ def _lockstep(params: GridParams,
                  for v2, v3 in zip(v2s.tolist(), v3s.tolist())]
     a_rewards = _attacker_rewards(v2s, params)
     if not (np.isfinite(d_rewards).all() and np.isfinite(a_rewards).all()):
-        return None
+        raise FloatingPointError("non-finite reward")
     return [{DEFENDER: d, ATTACKER: a}
             for d, a in zip(d_rewards, a_rewards.tolist())]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgame import cli, experiment
+from gridgame import cli, experiment, scenario
 from gridgame.cli import main
 from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
                                  ExperimentConfig, cell_grid, cell_rng,
@@ -725,6 +725,22 @@ def test_sweep_and_eval_write_the_bytes_of_evaluate_on_the_net(tmp_path):
          report.mean_reward_per_step[ATTACKER])
 
 
+def test_sweep_and_eval_score_policies_loaded_from_disk_in_lockstep(
+        tmp_path, monkeypatch):
+    """`NativeBattle.play` knows the priors and the networks that `sweep` and
+    `eval` load from disk by identity, so neither plays `simulate`."""
+    config = tiny_config(pairings=[[0, 0], [1, 0], [0, 1], [1, 1]],
+                         eval_episodes=3)
+    run_train(config, tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("scoring called simulate")
+
+    monkeypatch.setattr(scenario, "simulate", refuse)
+    assert len(run_sweep(config, tmp_path, jobs=1)) == 4
+    assert run_eval(config, tmp_path, 1, 1, 0.7, seed=1)["episodes"] == 3
+
+
 # ---------------------------------------------------------------------------
 # CLI entry point
 # ---------------------------------------------------------------------------
@@ -929,6 +945,27 @@ def test_cli_refuses_an_integer_beyond_the_float_range_at_load(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: 'grid.r1' must be a finite number, got 1000")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["trace", "eval", "sweep"])
+def test_cli_grid_that_overflows_the_circuit_exits_with_error_line(
+        tmp_path, capsys, command):
+    """The grid loads, but squaring V2's deviation overflows at the first
+    step: one error line, and no CSV is written."""
+    config_path = write_config(tmp_path, {
+        "grid": {"r1": 1e300},
+        "experiment": {"k_max": 0, "q3max_values": [0.2], "pairings": [[0, 0]],
+                       "eval_episodes": 2, "horizon": 5, "seeds": [3]},
+    })
+    out = tmp_path / "out"
+    options = [] if command == "sweep" else _cell()
+    assert main([command, "--config", str(config_path), "--out", str(out),
+                 *options]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the grid's constants overflow the circuit "
+                            "at step 1\n")
+    assert captured.out == ""
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_duplicate_config_key_exits_with_error_line(tmp_path, capsys):

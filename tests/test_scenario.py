@@ -609,7 +609,7 @@ def battle_policies(draw, params):
 
 @st.composite
 def greedy_policies(draw, params):
-    """One policy per player that `NativeBattle.play_many` plays in
+    """One policy per player that `NativeBattle.play` plays in
     lockstep: the level-0 prior, or a greedy QPolicy over its encoder with
     random hidden layers, `()` included."""
     policies = {}
@@ -685,14 +685,18 @@ def test_native_scorer_equals_evaluate_on_the_net_bit_for_bit(battle, episodes):
 @given(battles(greedy_policies), st.integers(1, 8))
 def test_play_many_plays_greedy_episodes_in_lockstep_bit_for_bit(battle,
                                                                  episodes):
-    """On level-0 and greedy network policies `play_many` never calls
-    `simulate`, yet gives what the loop over `play` gives, and `evaluate`
-    on it what it gives on the net: the same rewards, per-episode and
-    overall means, and rng end state."""
+    """On level-0 and greedy network policies `NativeBattle.play` never
+    calls `simulate`, yet gives what `simulate` gives episode after
+    episode, and `evaluate` on it what it gives on the net: the same
+    rewards, per-episode and overall means, and rng end state."""
     params, policies, horizon, seed = battle
     game = NativeBattle(params, horizon)
     loop_rng, net_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = [game.play(policies, loop_rng) for _ in range(episodes)]
+    expected = []
+    for _ in range(episodes):
+        records = simulate(params, policies, horizon, loop_rng)
+        expected.append({DEFENDER: [rec.defender_reward for rec in records],
+                         ATTACKER: [rec.attacker_reward for rec in records]})
     expected_report = evaluate(as_netform(params, horizon), policies, episodes,
                                net_rng)
     lockstep_rng, report_rng = (np.random.default_rng(seed),
@@ -703,7 +707,7 @@ def test_play_many_plays_greedy_episodes_in_lockstep_bit_for_bit(battle,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenario, "simulate", refuse)
-        played = game.play_many(policies, episodes, lockstep_rng)
+        played = game.play(policies, episodes, lockstep_rng)
         report = evaluate(game, policies, episodes, report_rng)
     assert repr(played) == repr(expected)
     assert repr(report.per_episode) == repr(expected_report.per_episode)
@@ -735,6 +739,36 @@ def test_training_on_the_native_battle_equals_training_on_the_net_bit_for_bit(
     assert policy.params.to_vector().tobytes() == \
         expected.params.to_vector().tobytes()
     assert net_rng.bit_generator.state == native_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("network", [False, True])
+@pytest.mark.parametrize("other", [GridParams(q3_max=0.5),
+                                   GridParams(q3_max=0.7, x1=0.04)])
+def test_play_goes_through_simulate_for_a_prior_of_another_grid(
+        monkeypatch, other, network):
+    """`NativeBattle(P, h).play` knows a policy by its identity with
+    `level0_policies(P)`.  The prior of another grid, or a network over that
+    prior's encoder, is not one: every episode goes through `simulate` and
+    gives its rewards and rng end state."""
+    attacker = level0_policies(other)[ATTACKER]
+    if network:
+        spec = NetworkSpec(attacker.feature_dim, (4,), attacker.action_count)
+        attacker = QPolicy(init(spec, 1.0, 0.0, np.random.default_rng(2)),
+                           attacker.encoder)
+    policies = {DEFENDER: level0_policies(P)[DEFENDER], ATTACKER: attacker}
+    loop_rng, play_rng = np.random.default_rng(8), np.random.default_rng(8)
+    expected = []
+    for _ in range(3):
+        records = simulate(P, policies, 12, loop_rng)
+        expected.append({DEFENDER: [rec.defender_reward for rec in records],
+                         ATTACKER: [rec.attacker_reward for rec in records]})
+    calls = []
+    monkeypatch.setattr(scenario, "simulate", lambda *args: (
+        calls.append(args), simulate(*args))[1])
+    assert repr(NativeBattle(P, 12).play(policies, 3, play_rng)) == \
+        repr(expected)
+    assert len(calls) == 3
+    assert play_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_native_battle_is_the_nets_game():
@@ -793,8 +827,7 @@ def test_play_many_refuses_a_non_finite_reward_in_lockstep_as_simulate_does(
         lockstep_calls.append(args), lockstep(*args))[1])
     with pytest.raises(ValueError, match=f"^non-finite reward for player "
                        f"'{player}'$"):
-        NativeBattle(P, 3).play_many(level0_policies(P), 2,
-                                     np.random.default_rng(0))
+        NativeBattle(P, 3).play(level0_policies(P), 2, np.random.default_rng(0))
     assert len(lockstep_calls) == 1
 
 
