@@ -5,7 +5,7 @@ problem, to an environment that contains the opponents frozen at level k-1.
 Level-0 policies are scenario-supplied priors.  Training plays episodes of
 the game itself with the trainee acting epsilon-greedily; per-episode
 transition batches are turned into one averaged TD update against the
-pre-update network.  A game is anything with the four members of `Game`:
+pre-update network.  A game is anything with the two members of `Game`:
 `netform.IteratedGame`, or `scenario.NativeBattle`, which plays the same
 episodes without the net machinery.
 """
@@ -22,21 +22,16 @@ from .netform import ParentValues, Policy
 
 
 class Game(Protocol):
-    """What training and scoring read of a game: its players, its episode
-    length, the rewards per player and kernel slice of `episodes` episodes
-    played in a row from one rng, one mapping per episode, and how many
-    decisions a player makes before the first kernel slice."""
+    """What training and scoring read of a game: its players, and the
+    rewards per player and kernel slice of `episodes` episodes played in a
+    row from one rng, one mapping per episode.  Each player decides once
+    per kernel slice."""
 
     @property
     def players(self) -> tuple[str, ...]: ...
 
-    @property
-    def horizon(self) -> int: ...
-
     def play(self, policies: Mapping[str, Policy], episodes: int,
              rng: np.random.Generator) -> list[Mapping[str, list[float]]]: ...
-
-    def base_decisions(self, player: str) -> int: ...
 
 
 @dataclass(frozen=True)
@@ -197,21 +192,18 @@ def train_level(game: Game, trainee: str,
     spec = neural.NetworkSpec(prior.feature_dim, config.hidden_layers,
                               prior.action_count)
     params = neural.init(spec, config.init_scale, config.optimistic_bias, rng)
-    base_skip = game.base_decisions(trainee)
     for episode in range(config.episodes):
         recorder = _RecordingPolicy(params, epsilon_schedule(episode, config),
                                     prior.encoder)
         policies: dict[str, Policy] = dict(opponents)
         policies[trainee] = recorder
         rewards = game.play(policies, 1, rng)[0][trainee]
-        decisions = len(recorder.actions) - base_skip
-        if decisions != len(rewards):
-            raise ValueError(f"{decisions} decision records for "
+        if len(recorder.actions) != len(rewards):
+            raise ValueError(f"{len(recorder.actions)} decision records for "
                              f"{len(rewards)} slices")
-        features = np.array(recorder.features[base_skip:])
         try:
             params = semi_batch_update(
-                params, features, recorder.actions[base_skip:],
+                params, np.array(recorder.features), recorder.actions,
                 rewards[1:], config.gamma, config.learning_rate)
         except (TrainingDiverged, ValueError) as exc:
             raise TrainingDiverged(
@@ -276,6 +268,11 @@ class EvalReport:
         return float(np.std(self.per_episode[player]))
 
 
+# The most episodes `evaluate` asks of one `play` call, which may hold them
+# all at once: scoring's memory stays bounded however many episodes it plays.
+_PLAY_BLOCK = 1000
+
+
 def evaluate(game: Game, policies: Mapping[str, Policy],
              episodes: int, rng: np.random.Generator) -> EvalReport:
     """Average reward per step over independent episodes, for every player
@@ -284,9 +281,11 @@ def evaluate(game: Game, policies: Mapping[str, Policy],
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     per_episode: dict[str, list[float]] = {}
-    for episode in game.play(policies, episodes, rng):
-        for player, rewards in episode.items():
-            per_episode.setdefault(player, []).append(sum(rewards) / game.horizon)
+    for start in range(0, episodes, _PLAY_BLOCK):
+        block = game.play(policies, min(_PLAY_BLOCK, episodes - start), rng)
+        for episode in block:
+            for player, rewards in episode.items():
+                per_episode.setdefault(player, []).append(sum(rewards) / len(rewards))
     means = {player: sum(values) / episodes
              for player, values in per_episode.items()}
     return EvalReport(means, per_episode)

@@ -189,42 +189,39 @@ class SemiBayesNet:
 
 
 @dataclass(frozen=True)
-class GlueBinding:
-    """Maps node names of the preceding slice to root names of the next
-    kernel.  `pairs` is a read-only copy, so changing the caller's mapping
-    later cannot unglue a checked game."""
-
-    pairs: Mapping[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", MappingProxyType(dict(self.pairs)))
-
-
-@dataclass(frozen=True)
 class IteratedGame:
     """A base net followed by `horizon` slices of a kernel net, each glued
-    onto the one before through `binding`.
+    onto the one before through `binding`, which maps node names of the
+    preceding slice to root names of the next kernel.
 
     Construction raises one ValueError naming every violation: a horizon
-    below 1, a binding that does not glue the base onto the kernel or the
-    kernel onto itself (a source missing from the preceding net, a target
-    that is not a kernel root, differing spaces, two sources on one target),
-    or a kernel player without a reward function.
+    below 1, a decision node in the base net (players decide in kernel
+    slices only), a binding that does not glue the base onto the kernel or
+    the kernel onto itself (a source missing from the preceding net, a
+    target that is not a kernel root, differing spaces, two sources on one
+    target), or a kernel player without a reward function.  `binding` and
+    `rewards` are kept as read-only copies, so changing the caller's
+    mappings later cannot break a checked game.
 
-    `players`, `horizon`, `play` and `base_decisions` are all that `levelk`
-    reads of a game.
+    `players` and `play` are all that `levelk` reads of a game.
     """
 
     base: SemiBayesNet
     kernel: SemiBayesNet
-    binding: GlueBinding
+    binding: Mapping[str, str]
     horizon: int
     rewards: Mapping[str, RewardFn]
 
     def __post_init__(self):
+        for name in ("binding", "rewards"):
+            object.__setattr__(self, name,
+                               MappingProxyType(dict(getattr(self, name))))
         violations = []
         if self.horizon < 1:
             violations.append(f"horizon must be >= 1, got {self.horizon}")
+        violations += [f"base net holds decision node '{node.name}' of player "
+                       f"'{node.kind.owner}'" for node in self.base.nodes
+                       if isinstance(node.kind, Decision)]
         for label, prev in (("base->kernel", self.base),
                             ("kernel->kernel", self.kernel)):
             violations += [f"{label}: {v}" for v in
@@ -245,20 +242,14 @@ class IteratedGame:
         one after another."""
         return [rollout(self, policies, rng).rewards for _ in range(episodes)]
 
-    def base_decisions(self, player: str) -> int:
-        """How many decisions `player` makes in the base slice, before the
-        first kernel slice."""
-        return sum(1 for node in self.base.nodes
-                   if isinstance(node.kind, Decision) and node.kind.owner == player)
-
 
 def _glue_violations(prev: SemiBayesNet, kernel: SemiBayesNet,
-                     binding: GlueBinding) -> list[str]:
+                     binding: Mapping[str, str]) -> list[str]:
     violations = []
-    targets = list(binding.pairs.values())
+    targets = list(binding.values())
     if len(set(targets)) != len(targets):
         violations.append("binding is not injective: two sources share a target")
-    for source, target in binding.pairs.items():
+    for source, target in binding.items():
         if source not in prev:
             violations.append(f"binding source '{source}' not in preceding net")
             continue
@@ -387,7 +378,7 @@ def rollout(game: IteratedGame, policies: Mapping[str, Policy],
     """
     slices: list[Instantiation] = []
     rewards: dict[str, list[float]] = {player: [] for player in game.rewards}
-    pairs = tuple(game.binding.pairs.items())
+    pairs = tuple(game.binding.items())
     scorers = [(player, reward_fn, rewards[player])
                for player, reward_fn in game.rewards.items()]
     kernel = game.kernel

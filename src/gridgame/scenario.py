@@ -35,9 +35,9 @@ import numpy as np
 
 from . import netform, neural
 from .levelk import PriorPolicy, QPolicy
-from .netform import (FiniteDiscrete, GlueBinding, IteratedGame, RealVector,
-                      Record, SemiBayesNet, boundary_kernel, chance,
-                      constant_kernel, decision)
+from .netform import (FiniteDiscrete, IteratedGame, RealVector, Record,
+                      SemiBayesNet, boundary_kernel, chance, constant_kernel,
+                      decision)
 
 DEFENDER = "defender"
 ATTACKER = "attacker"
@@ -642,7 +642,7 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
                constant_kernel(params.attacker_start_action)),
     ])
 
-    binding = GlueBinding({name: name + prev for name, _ in glued})
+    binding = {name: name + prev for name, _ in glued}
 
     rewards = {
         DEFENDER: lambda inst: defender_reward(inst[STATE_NODE].V2,
@@ -672,11 +672,12 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
     Policies receive the same parent-value mapping they would see as decision
     nodes, and randomness is consumed in the same order as `netform.rollout`
     on `as_netform`, so seeded trajectories from the two paths are identical.
-    The values that can be wrong are checked as `netform.sample_slice` and
-    `netform.rollout` check them: each action against its player's space,
-    then each reward for finiteness, with a ValueError naming the player.
-    A step whose arithmetic overflows, or whose state is no longer finite,
-    is a ValueError too: the grid's constants are too large for the circuit.
+    Each action is checked against its player's space, as
+    `netform.sample_slice` checks it, with a ValueError naming the player,
+    and then the step's rewards.  A step whose arithmetic overflows, or
+    whose state or rewards are not finite, is a ValueError too: once both
+    actions are valid, only grid constants too large for the circuit can
+    cause it.
     """
     d_policy, a_policy = policies[DEFENDER], policies[ATTACKER]
     d_legal = DEFENDER_ACTION_SPACE.contains
@@ -705,8 +706,8 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
                              f"outside its space {ATTACKER_ACTION_SPACE}")
         d_action, a_action = int(d_action), int(a_action)
         if not (isfinite(rewards[0]) and isfinite(rewards[1])):
-            player = DEFENDER if not isfinite(rewards[0]) else ATTACKER
-            raise ValueError(f"non-finite reward for player '{player}'")
+            raise ValueError(f"the grid's constants overflow the circuit at "
+                             f"step {t}")
         records.append(StepRecord(t, state, memories[0], memories[1],
                                   rewards[0], rewards[1]))
     return records
@@ -715,8 +716,8 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
 @dataclass(frozen=True)
 class NativeBattle:
     """The battle of `as_netform(params, horizon)` as a `levelk.Game` played
-    by `simulate`: the same episodes, draws and rewards, without the net
-    machinery.  Its base slice holds no decision."""
+    by `simulate`: the same `horizon`-step episodes, draws and rewards,
+    without the net machinery."""
 
     params: GridParams
     horizon: int
@@ -755,9 +756,6 @@ class NativeBattle:
             played.append({DEFENDER: [rec.defender_reward for rec in records],
                            ATTACKER: [rec.attacker_reward for rec in records]})
         return played
-
-    def base_decisions(self, player: str) -> int:
-        return 0
 
 
 # What only the lockstep has of each player: its level-0 rule and its

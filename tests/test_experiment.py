@@ -808,9 +808,9 @@ def _level0_config(tmp_path, k_max=2, seeds=(3,)):
     })
 
 
-def _cell(defender=0, attacker=0, *extra):
+def _cell(defender=0, attacker=0, *extra, q3max="0.2"):
     return ["--defender-level", str(defender), "--attacker-level", str(attacker),
-            "--q3max", "0.2", *extra]
+            "--q3max", q3max, *extra]
 
 
 @pytest.mark.parametrize("command", ["eval", "trace"])
@@ -950,22 +950,27 @@ def test_cli_refuses_an_integer_beyond_the_float_range_at_load(tmp_path, capsys,
 @pytest.mark.parametrize("command", ["trace", "eval", "sweep"])
 def test_cli_grid_that_overflows_the_circuit_exits_with_error_line(
         tmp_path, capsys, command):
-    """The grid loads, but squaring V2's deviation overflows at the first
-    step: one error line, and no CSV is written."""
-    config_path = write_config(tmp_path, {
-        "grid": {"r1": 1e300},
-        "experiment": {"k_max": 0, "q3max_values": [0.2], "pairings": [[0, 0]],
-                       "eval_episodes": 2, "horizon": 5, "seeds": [3]},
-    })
-    out = tmp_path / "out"
-    options = [] if command == "sweep" else _cell()
-    assert main([command, "--config", str(config_path), "--out", str(out),
-                 *options]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ("error: the grid's constants overflow the circuit "
-                            "at step 1\n")
-    assert captured.out == ""
-    assert not list(out.glob("*.csv"))
+    """Each grid loads, but its circuit overflows: squaring V2's deviation
+    at the first step, or a reward that is not finite at the second, once
+    the attacker's first move multiplies x2.  One error line, and no CSV is
+    written."""
+    for grid, q3max, step in (({"r1": 1e300}, "0.2", 1),
+                              ({"x2": 1e308}, "0.7", 2)):
+        config_path = write_config(tmp_path, {
+            "grid": grid,
+            "experiment": {"k_max": 0, "q3max_values": [float(q3max)],
+                           "pairings": [[0, 0]], "eval_episodes": 2,
+                           "horizon": 5, "seeds": [3]},
+        })
+        out = tmp_path / f"out{step}"
+        options = [] if command == "sweep" else _cell(q3max=q3max)
+        assert main([command, "--config", str(config_path), "--out", str(out),
+                     *options]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: the grid's constants overflow the "
+                                f"circuit at step {step}\n")
+        assert captured.out == ""
+        assert not list(out.glob("*.csv"))
 
 
 def test_cli_duplicate_config_key_exits_with_error_line(tmp_path, capsys):

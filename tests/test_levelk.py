@@ -10,9 +10,9 @@ from gridgame import levelk, neural
 from gridgame.levelk import (PriorPolicy, QPolicy, TrainConfig,
                              build_hierarchy, epsilon_schedule, evaluate,
                              select_action, semi_batch_update, train_level)
-from gridgame.netform import (FiniteDiscrete, GlueBinding, IteratedGame,
-                              SemiBayesNet, boundary_kernel, chance,
-                              constant_kernel, decision)
+from gridgame.netform import (FiniteDiscrete, IteratedGame, SemiBayesNet,
+                              boundary_kernel, chance, constant_kernel,
+                              decision)
 from gridgame.neural import NetworkParams, NetworkSpec
 from oracles import assert_draws_nothing, params_equal
 from toy_games import PLAYER, single_state_game, single_state_prior
@@ -252,8 +252,8 @@ def clock_game(horizon):
         decision("action", FiniteDiscrete(2), PLAYER, parents=("clock",)),
     ])
     base = SemiBayesNet([chance("clock", clock, constant_kernel(0))])
-    game = IteratedGame(base, kernel, GlueBinding({"clock": "clock_prev"}),
-                        horizon, {PLAYER: lambda inst: 9.0 + inst["clock"]})
+    game = IteratedGame(base, kernel, {"clock": "clock_prev"}, horizon,
+                        {PLAYER: lambda inst: 9.0 + inst["clock"]})
     return game, PriorPolicy(
         2, 1, lambda parents: np.array([parents["clock"] - 1.0]),
         lambda parents, rng: 0)
@@ -288,9 +288,12 @@ def test_episode_transitions_pairing_and_rewards(monkeypatch):
     # test_semi_batch_two_transition_hand_example checks)
     assert len(features) == len(actions) == len(rewards) + 1
     assert actions[0] == 0 and actions[1] == 1
-    # a decision record more than there are slices
-    monkeypatch.setattr(IteratedGame, "base_decisions", lambda game, p: -1)
-    with pytest.raises(ValueError, match="5 decision records for 4 slices"):
+    # a game that scores one slice fewer than the trainee decided in
+    play = IteratedGame.play
+    monkeypatch.setattr(IteratedGame, "play", lambda *args: [
+        {player: rewards[:-1] for player, rewards in episode.items()}
+        for episode in play(*args)])
+    with pytest.raises(ValueError, match="4 decision records for 3 slices"):
         train_level(game, PLAYER, {}, {PLAYER: prior}, config,
                     np.random.default_rng(0))
 
@@ -452,6 +455,59 @@ def test_evaluate_reward_accounting_against_recomputation():
         for player in (DEFENDER, ATTACKER):
             expected = sum(traj.rewards[player]) / game.horizon
             assert report.per_episode[player][episode] == expected
+
+
+def _spy_on_play_episodes(monkeypatch):
+    """The `episodes` argument of every `NativeBattle.play` call."""
+    calls = []
+    play = scenario.NativeBattle.play
+    monkeypatch.setattr(scenario.NativeBattle, "play",
+                        lambda game, policies, episodes, rng: (
+                            calls.append(episodes),
+                            play(game, policies, episodes, rng))[1])
+    return calls
+
+
+def test_evaluate_plays_in_blocks_with_the_bytes_of_one_play(monkeypatch):
+    """`evaluate` asks `play` for at most 1,000 episodes at a time, which
+    bounds its memory, and reports what one unblocked call gives."""
+    grid = GridParams(q3_max=0.7)
+    game, level0s = scenario.NativeBattle(grid, 3), scenario.level0_policies(grid)
+    calls = _spy_on_play_episodes(monkeypatch)
+    block_rng, whole_rng = np.random.default_rng(5), np.random.default_rng(5)
+    blocked = evaluate(game, level0s, 2500, block_rng)
+    assert calls == [1000, 1000, 500]
+    monkeypatch.setattr(levelk, "_PLAY_BLOCK", 2500)
+    whole = evaluate(game, level0s, 2500, whole_rng)
+    assert calls[3:] == [2500]
+    assert repr(blocked) == repr(whole)
+    assert block_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def test_evaluate_meets_an_overflow_past_the_first_block_as_simulate_does(
+        monkeypatch):
+    """This grid's defender reward overflows only on a load within about
+    1e-4 of the top of p2_range.  At this seed the first 1,534 episodes
+    play through, and the next draws such a load.  The lockstep
+    of the second block meets it and `simulate` replays that block: the
+    same error, raised on the same episode, so with the rng state that the
+    per-episode loop ends in."""
+    grid = GridParams(r1=9.481e152, q3_max=0.7)
+    level0s = scenario.level0_policies(grid)
+    loop_rng, eval_rng = np.random.default_rng(0), np.random.default_rng(0)
+    episodes = 0
+    with pytest.raises(ValueError) as expected:
+        while True:
+            scenario.simulate(grid, level0s, 3, loop_rng)
+            episodes += 1
+    assert episodes == 1534
+    calls = _spy_on_play_episodes(monkeypatch)
+    with pytest.raises(ValueError) as raised:
+        evaluate(scenario.NativeBattle(grid, 3), level0s, 2500, eval_rng)
+    assert str(raised.value) == str(expected.value) == \
+        "the grid's constants overflow the circuit at step 2"
+    assert calls == [1000, 1000]
+    assert eval_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 def test_evaluate_requires_positive_episodes():

@@ -3,10 +3,10 @@ import pytest
 
 from dataclasses import dataclass
 
-from gridgame.netform import (Chance, Decision, FiniteDiscrete, GlueBinding,
-                              IteratedGame, NodeSpec, RealVector, Record,
-                              SemiBayesNet, Value, boundary_kernel, chance,
-                              constant_kernel, decision, rollout, sample_slice,
+from gridgame.netform import (Chance, Decision, FiniteDiscrete, IteratedGame,
+                              NodeSpec, RealVector, Record, SemiBayesNet,
+                              Value, boundary_kernel, chance, constant_kernel,
+                              decision, rollout, sample_slice,
                               topological_order)
 from gridgame.scenario import DefenderMemory, GridState
 
@@ -128,7 +128,7 @@ def test_valid_net_has_no_violations():
 
 def _glued(base_nodes, kernel_nodes, pairs):
     return IteratedGame(SemiBayesNet(base_nodes), SemiBayesNet(kernel_nodes),
-                        GlueBinding(pairs), 1, {})
+                        pairs, 1, {})
 
 
 def _root(name, space):
@@ -357,7 +357,7 @@ def _counter_game(horizon):
     ])
     base = SemiBayesNet([chance("S", BoundedReal(0, hi), constant_kernel(0.0))])
     rewards = {"p1": lambda inst: inst["S"]}
-    return IteratedGame(base, kernel, GlueBinding({"S": "S_prev"}), horizon, rewards)
+    return IteratedGame(base, kernel, {"S": "S_prev"}, horizon, rewards)
 
 
 def test_rollout_single_slice_matches_sample_slice():
@@ -397,7 +397,7 @@ def _noisy_game(horizon):
         chance("S", BoundedReal(-100, 100), lambda p, rng: float(rng.normal())),
         chance("D", FiniteDiscrete(3), constant_kernel(0)),
     ])
-    binding = GlueBinding({"S": "S_prev", "D": "D_prev"})
+    binding = {"S": "S_prev", "D": "D_prev"}
     # D_prev is unused by the dynamics but exercises multi-pair gluing.
     kernel = SemiBayesNet(
         list(kernel.nodes) + [chance("D_prev", FiniteDiscrete(3),
@@ -415,7 +415,7 @@ def test_rollout_determinism_same_seed():
     assert t1.rewards == t2.rewards
 
 
-def test_game_plays_the_rewards_of_rollout_and_counts_base_decisions():
+def test_game_plays_the_rewards_of_rollout():
     game = _noisy_game(6)
     policies = {"p1": lambda parents, rng: int(rng.integers(3))}
     play_rng, rollout_rng = np.random.default_rng(3), np.random.default_rng(3)
@@ -423,13 +423,6 @@ def test_game_plays_the_rewards_of_rollout_and_counts_base_decisions():
     assert game.play(policies, 3, play_rng) == \
         [rollout(game, policies, rollout_rng).rewards for _ in range(3)]
     assert play_rng.bit_generator.state == rollout_rng.bit_generator.state
-    assert game.base_decisions("p1") == 0
-    base = SemiBayesNet([
-        chance("S", BoundedReal(-100, 100), constant_kernel(0.0)),
-        decision("D", FiniteDiscrete(3), "p1"),
-    ])
-    game = IteratedGame(base, game.kernel, game.binding, 6, game.rewards)
-    assert (game.base_decisions("p1"), game.base_decisions("p2")) == (1, 0)
 
 
 def test_rollout_policy_consulted_every_slice():
@@ -447,33 +440,43 @@ def test_rollout_policy_consulted_every_slice():
 def test_rollout_missing_boundary_source():
     game = _counter_game(2)
     with pytest.raises(ValueError, match="binding source 'nope' not in preceding net"):
-        IteratedGame(game.base, game.kernel, GlueBinding({"nope": "S_prev"}),
-                     2, game.rewards)
+        IteratedGame(game.base, game.kernel, {"nope": "S_prev"}, 2,
+                     game.rewards)
 
 
 def test_binding_keeps_a_read_only_copy_of_its_pairs():
+    """A checked game keeps read-only copies of its binding and rewards:
+    changing the caller's mappings later can neither unglue it nor stop a
+    player being scored."""
     game = _counter_game(3)
     pairs = {"S": "S_prev"}
-    game = IteratedGame(game.base, game.kernel, GlueBinding(pairs), 3,
-                        game.rewards)
+    rewards = {"p1": lambda inst: inst["S"], "p2": lambda inst: -inst["S"]}
+    game = IteratedGame(game.base, game.kernel, pairs, 3, rewards)
     pairs["S"] = "nope"
     pairs["ghost"] = "S_prev"
-    assert dict(game.binding.pairs) == {"S": "S_prev"}
+    rewards.pop("p1")
+    assert dict(game.binding) == {"S": "S_prev"}
+    assert list(game.rewards) == ["p1", "p2"]
     with pytest.raises(TypeError):
-        game.binding.pairs["S"] = "nope"
+        game.binding["S"] = "nope"
+    with pytest.raises(AttributeError):
+        game.rewards.pop("p1")
     traj = rollout(game, {}, np.random.default_rng(0))
     assert [s["S"] for s in traj.slices] == [1.0, 2.0, 3.0]
+    assert traj.rewards == {"p1": [1.0, 2.0, 3.0], "p2": [-1.0, -2.0, -3.0]}
 
 
 def test_invalid_game_names_every_violation_in_one_error():
     game = _counter_game(2)
     kernel = SemiBayesNet(list(game.kernel.nodes) + [
         decision("D", FiniteDiscrete(2), "p2", parents=("S",))])
+    base = SemiBayesNet(list(game.base.nodes) + [
+        decision("B", FiniteDiscrete(2), "p1", parents=("S",))])
     with pytest.raises(ValueError) as info:
-        IteratedGame(game.base, kernel, GlueBinding({"nope": "S_prev"}), 0,
-                     game.rewards)
+        IteratedGame(base, kernel, {"nope": "S_prev"}, 0, game.rewards)
     message = str(info.value)
     assert "horizon must be >= 1, got 0" in message
+    assert "base net holds decision node 'B' of player 'p1'" in message
     assert "base->kernel: binding source 'nope' not in preceding net" in message
     assert "kernel->kernel: binding source 'nope' not in preceding net" in message
     assert "no reward function for player 'p2'" in message
@@ -497,7 +500,7 @@ def test_gluing_closure_on_randomized_games():
         base = SemiBayesNet([
             chance("S", span, lambda p, r, lo=lo, hi=hi: float(r.uniform(lo, hi))),
         ])
-        game = IteratedGame(base, kernel, GlueBinding({"S": "S_prev"}),
+        game = IteratedGame(base, kernel, {"S": "S_prev"},
                             int(rng.integers(1, 12)), {})
         traj = rollout(game, {}, np.random.default_rng(trial))
         # the base slice's S reaches each first slice as S_prev
@@ -521,7 +524,7 @@ def test_validate_game_reports_reward_gap():
     ])
     base = SemiBayesNet([chance("S", BoundedReal(0, 1), constant_kernel(0.0))])
     with pytest.raises(ValueError, match="no reward function for player 'p1'"):
-        IteratedGame(base, kernel, GlueBinding({"S": "S_prev"}), 3, {})
+        IteratedGame(base, kernel, {"S": "S_prev"}, 3, {})
 
 
 def test_node_spec_shape():

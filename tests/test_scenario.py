@@ -548,10 +548,10 @@ def test_q3_feature_zero_when_capability_is_zero():
 
 def test_emitted_game_with_a_renamed_binding_source_is_refused():
     game = as_netform(P)
-    pairs = dict(game.binding.pairs)
+    pairs = dict(game.binding)
     pairs["stat"] = pairs.pop(scenario.STATE_NODE)
     with pytest.raises(ValueError) as info:
-        replace(game, binding=netform.GlueBinding(pairs))
+        replace(game, binding=pairs)
     message = str(info.value)
     for label in ("base->kernel", "kernel->kernel"):
         assert f"{label}: binding source 'stat' not in preceding net" in message
@@ -683,8 +683,7 @@ def test_native_scorer_equals_evaluate_on_the_net_bit_for_bit(battle, episodes):
 
 @settings(max_examples=100, deadline=None)
 @given(battles(greedy_policies), st.integers(1, 8))
-def test_play_many_plays_greedy_episodes_in_lockstep_bit_for_bit(battle,
-                                                                 episodes):
+def test_play_plays_greedy_episodes_in_lockstep_bit_for_bit(battle, episodes):
     """On level-0 and greedy network policies `NativeBattle.play` never
     calls `simulate`, yet gives what `simulate` gives episode after
     episode, and `evaluate` on it what it gives on the net: the same
@@ -774,7 +773,6 @@ def test_play_goes_through_simulate_for_a_prior_of_another_grid(
 def test_native_battle_is_the_nets_game():
     game = NativeBattle(P, 7)
     assert game.players == as_netform(P, 7).players == (DEFENDER, ATTACKER)
-    assert [game.base_decisions(player) for player in game.players] == [0, 0]
     with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
         NativeBattle(P, 0)
 
@@ -802,22 +800,25 @@ def test_simulate_refuses_an_action_outside_its_players_space(player, policies,
     (DEFENDER, "defender_reward"), (ATTACKER, "attacker_reward")])
 def test_simulate_refuses_a_non_finite_reward_naming_the_player(
         monkeypatch, player, reward_fn):
+    """Either player's non-finite reward (the player names the case) is
+    refused as an overflow: once both actions are valid, a step's rewards
+    depend on the grid alone."""
     monkeypatch.setattr(scenario, reward_fn, lambda *args: float("nan"))
-    with pytest.raises(ValueError, match=f"non-finite reward for player "
-                       f"'{player}'"):
+    with pytest.raises(ValueError, match="^the grid's constants overflow the "
+                       "circuit at step 1$"):
         simulate(P, level0_policies(P), 3, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("player, reward_fns", [
-    (DEFENDER, ("defender_reward",)),
-    (ATTACKER, ("attacker_reward", "_attacker_rewards")),
-    (DEFENDER, ("defender_reward", "attacker_reward", "_attacker_rewards")),
-])
-def test_play_many_refuses_a_non_finite_reward_in_lockstep_as_simulate_does(
-        monkeypatch, player, reward_fns):
+@pytest.mark.parametrize("reward_fns", [
+    ("defender_reward",),
+    ("attacker_reward", "_attacker_rewards"),
+    ("defender_reward", "attacker_reward", "_attacker_rewards"),
+], ids=[DEFENDER, ATTACKER, "both"])
+def test_play_refuses_a_non_finite_reward_in_lockstep_as_simulate_does(
+        monkeypatch, reward_fns):
     """The lockstep runs, meets the bad reward and leaves the refusal to
-    `simulate`, which names the defender first when both rewards of a step
-    are bad."""
+    `simulate`, which refuses a non-finite reward of either player as an
+    overflow of the circuit."""
     for name in reward_fns:
         monkeypatch.setattr(scenario, name,
                             lambda v2, *rest: np.full(np.shape(v2), np.nan))
@@ -825,8 +826,8 @@ def test_play_many_refuses_a_non_finite_reward_in_lockstep_as_simulate_does(
     lockstep = scenario._lockstep
     monkeypatch.setattr(scenario, "_lockstep", lambda *args: (
         lockstep_calls.append(args), lockstep(*args))[1])
-    with pytest.raises(ValueError, match=f"^non-finite reward for player "
-                       f"'{player}'$"):
+    with pytest.raises(ValueError, match="^the grid's constants overflow the "
+                       "circuit at step 1$"):
         NativeBattle(P, 3).play(level0_policies(P), 2, np.random.default_rng(0))
     assert len(lockstep_calls) == 1
 

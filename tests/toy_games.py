@@ -8,9 +8,9 @@ Q-function tabular: one weight per state-action pair plus a shared bias.
 import numpy as np
 
 from gridgame.levelk import PriorPolicy
-from gridgame.netform import (FiniteDiscrete, GlueBinding, IteratedGame,
-                              SemiBayesNet, boundary_kernel, chance,
-                              constant_kernel, decision)
+from gridgame.netform import (FiniteDiscrete, IteratedGame, SemiBayesNet,
+                              boundary_kernel, chance, constant_kernel,
+                              decision)
 
 PLAYER = "solo"
 
@@ -23,8 +23,8 @@ def single_state_game(horizon: int) -> IteratedGame:
     ])
     base = SemiBayesNet([chance("action", FiniteDiscrete(2), constant_kernel(0))])
     rewards = {PLAYER: lambda inst: 1.0 if inst["action_prev"] == 1 else 0.0}
-    return IteratedGame(base, kernel, GlueBinding({"action": "action_prev"}),
-                        horizon, rewards)
+    return IteratedGame(base, kernel, {"action": "action_prev"}, horizon,
+                        rewards)
 
 
 def single_state_prior() -> PriorPolicy:
@@ -51,7 +51,7 @@ def chain_game(horizon: int, n: int = 5) -> IteratedGame:
         chance("state", FiniteDiscrete(n), constant_kernel(0)),
         chance("action", FiniteDiscrete(2), constant_kernel(0)),
     ])
-    binding = GlueBinding({"state": "state_prev", "action": "action_prev"})
+    binding = {"state": "state_prev", "action": "action_prev"}
     rewards = {PLAYER: lambda inst: 1.0 if inst["state"] == n - 1 else 0.0}
     return IteratedGame(base, kernel, binding, horizon, rewards)
 
