@@ -45,6 +45,9 @@ _TRAIN_TAG, _SWEEP_TAG, _EVAL_TAG, _TRACE_TAG = 101, 102, 103, 104
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """Builds every cell's grid, so a grid that can overflow fails at load.
+    `grid` is built first, at q3_max 1.0, which alone may refuse it."""
+
     grid: GridParams
     train: TrainConfig
     defender_optimistic_bias: float = 0.0
@@ -67,6 +70,8 @@ class ExperimentConfig:
             raise ValueError("q3max_values must list at least one value")
         if not all(q > 0 for q in self.q3max_values):
             raise ValueError("q3max_values must all be > 0")
+        for q in self.q3max_values:  # each cell's grid, refused if it overflows
+            cell_grid(self, q)
         # Each q3_max value keys its cells' RNG streams and, through the q3
         # part of every output file name, their files; neither may be shared.
         first: dict[tuple[str, Any], float] = {}
@@ -290,9 +295,11 @@ def save_policy(path: Path, policy: QPolicy, player: str, level: int,
     _atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1))
 
 
-def load_policy(path: Path, grid: GridParams) -> QPolicy:
-    """The greedy policy stored at `path`.  Of its keys only `player` and
-    `network` are read; the others are provenance."""
+def load_policy(path: Path, grid: GridParams, player: str, level: int,
+                seed: int) -> QPolicy:
+    """The greedy policy stored at `path`, which must be `player`'s at
+    `level` in the cell of `grid.q3_max` and `seed`: the file's `player`,
+    `level`, `q3_max` and `seed` must say so.  `train_config` is provenance."""
     payload = _read_json(path, "policy")
     if not isinstance(payload, dict):
         raise ValueError(f"policy file {path} does not hold a JSON object")
@@ -300,13 +307,15 @@ def load_policy(path: Path, grid: GridParams) -> QPolicy:
         raise ValueError(
             f"unsupported policy format version {payload.get('format_version')!r} "
             f"in {path}")
-    missing = {"player", "network"} - payload.keys()
+    cell = {"player": player, "level": level, "q3_max": grid.q3_max, "seed": seed}
+    missing = {*cell, "network"} - payload.keys()
     if missing:
         raise ValueError(f"policy file {path} lacks {', '.join(sorted(missing))}")
-    player = payload["player"]
-    prior = level0_policies(grid).get(player) if isinstance(player, str) else None
-    if prior is None:
-        raise ValueError(f"unknown player {player!r} in {path}")
+    for key, wanted in cell.items():
+        if payload[key] != wanted:
+            raise ValueError(f"policy file {path} holds {key} {payload[key]!r}, "
+                             f"not the {wanted!r} asked for")
+    prior = level0_policies(grid)[player]
     try:
         params = neural.network_from_dict(payload["network"])
     except (TypeError, ValueError) as exc:  # TypeError: a non-numeric entry
@@ -332,7 +341,7 @@ def resolve_policy(config: ExperimentConfig, out_dir: Path, player: str,
         raise FileNotFoundError(
             f"no trained policy for {player} level {level} at q3_max={q3_max:g}, "
             f"seed={seed}: expected {path}; run 'train' first")
-    return load_policy(path, grid)
+    return load_policy(path, grid, player, level, seed)
 
 
 def resolve_pairing(config: ExperimentConfig, out_dir: Path,

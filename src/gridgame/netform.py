@@ -280,9 +280,8 @@ def topological_order(net: SemiBayesNet) -> list[str]:
     """Parents-before-children order, stable by declaration order among ties.
 
     Raises ValueError naming a node on a cycle if the parent relation is
-    cyclic, which only a net under construction can be.  Nodes whose parents
-    are missing from the net are treated as blocked and reported the same
-    way.
+    cyclic, which only a net under construction can be.  A parent missing
+    from the net, which the net reports itself, does not hold its node back.
     """
     placed: set[str] = set()
     order: list[str] = []
@@ -290,7 +289,7 @@ def topological_order(net: SemiBayesNet) -> list[str]:
     while remaining:
         for name in remaining:
             node = net.node(name)
-            if all(p in placed for p in node.parents):
+            if all(p in placed or p not in net for p in node.parents):
                 order.append(name)
                 placed.add(name)
                 remaining.remove(name)
@@ -302,17 +301,14 @@ def topological_order(net: SemiBayesNet) -> list[str]:
 
 
 def _cycle_witness(net: SemiBayesNet, remaining: list[str], placed: set[str]) -> str:
-    # Walk unplaced-parent edges until a node repeats; that node is on a cycle
-    # (or depends on one / on a missing parent).
+    # Walk unplaced-parent edges, which every unplaced node has, until a node
+    # repeats; that node is on a cycle.
     current = remaining[0]
     seen = []
     while current not in seen:
         seen.append(current)
-        nxt = next((p for p in net.node(current).parents
-                    if p not in placed and p in net), None)
-        if nxt is None:
-            return current
-        current = nxt
+        current = next(p for p in net.node(current).parents
+                       if p not in placed and p in net)
     return current
 
 

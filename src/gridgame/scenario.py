@@ -54,7 +54,8 @@ DEFAULT_HORIZON = 100
 
 @dataclass(frozen=True)
 class GridParams:
-    """Circuit constants, player limits, and scenario defaults (per-unit)."""
+    """Circuit constants, player limits, and scenario defaults (per-unit);
+    constants that could overflow some step of some episode are refused."""
 
     r1: float = 0.03
     r2: float = 0.03
@@ -106,6 +107,21 @@ class GridParams:
             raise ValueError("defender_start_action out of range")
         if not 0 <= self.attacker_start_action < ATTACKER_ACTIONS:
             raise ValueError("attacker_start_action out of range")
+        # Over every reachable state |V2 - 1| and |V3 - 1| stay within
+        # `deviation`, and the attacker's memory quotient within `taps`.  A
+        # reward squares a number below 1e150, so it stays finite, with a
+        # margin far beyond rounding.  Each test is a `<`, so NaN fails it.
+        p2, p3, q3 = max(map(abs, self.p2_range)), abs(self.p3), self.q3_max
+        drop = (abs(self.r1) * (p2 + p3) + abs(self.r2) * p3 + abs(self.x2) * q3
+                + abs(self.x1) * (abs(self.q2_factor) * p2 + q3))
+        deviation = max(abs(self.v1_min - 1), abs(self.v1_max - 1)) + drop
+        taps = (2 * deviation + 2 * q3 * abs(self.x2) / self.v0) / self.tap_step
+        bands = deviation / self.band_halfwidth
+        if not (deviation < 1e150 and bands < 1e150 and taps < 1e150):
+            raise ValueError(
+                f"the grid's constants can overflow the circuit at q3_max={q3:g}: "
+                f"|V - 1| may reach {deviation:.3g} ({bands:.3g} band half-widths) "
+                f"and the attacker's tap quotient {taps:.3g}; each must be < 1e150")
 
 
 class GridState(NamedTuple):
@@ -673,16 +689,11 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
     nodes, and randomness is consumed in the same order as `netform.rollout`
     on `as_netform`, so seeded trajectories from the two paths are identical.
     Each action is checked against its player's space, as
-    `netform.sample_slice` checks it, with a ValueError naming the player,
-    and then the step's rewards.  A step whose arithmetic overflows, or
-    whose state or rewards are not finite, is a ValueError too: once both
-    actions are valid, only grid constants too large for the circuit can
-    cause it.
+    `netform.sample_slice` checks it, with a ValueError naming the player.
     """
     d_policy, a_policy = policies[DEFENDER], policies[ATTACKER]
     d_legal = DEFENDER_ACTION_SPACE.contains
     a_legal = ATTACKER_ACTION_SPACE.contains
-    isfinite = math.isfinite
     state = initial_state(params, rng)
     memories = (initial_defender_memory(defender_observation(state), params),
                 initial_attacker_memory(attacker_observation(state), params))
@@ -690,12 +701,8 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
     a_action = params.attacker_start_action
     records = []
     for t in range(1, horizon + 1):
-        try:
-            state, memories, rewards = transition(state, memories, d_action,
-                                                  a_action, rng, params)
-        except (OverflowError, ValueError) as exc:  # pow; floor(inf or NaN)
-            raise ValueError(f"the grid's constants overflow the circuit at "
-                             f"step {t}") from exc
+        state, memories, rewards = transition(state, memories, d_action,
+                                              a_action, rng, params)
         d_action = d_policy({DEFENDER_MEMORY_NODE: memories[0]}, rng)
         if not d_legal(d_action):
             raise ValueError(f"action {d_action!r} for player '{DEFENDER}' is "
@@ -705,9 +712,6 @@ def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
             raise ValueError(f"action {a_action!r} for player '{ATTACKER}' is "
                              f"outside its space {ATTACKER_ACTION_SPACE}")
         d_action, a_action = int(d_action), int(a_action)
-        if not (isfinite(rewards[0]) and isfinite(rewards[1])):
-            raise ValueError(f"the grid's constants overflow the circuit at "
-                             f"step {t}")
         records.append(StepRecord(t, state, memories[0], memories[1],
                                   rewards[0], rewards[1]))
     return records
@@ -736,20 +740,13 @@ class NativeBattle:
         from the rng, `_lockstep` plays the episodes side by side from the
         uniforms `simulate` would draw: `1 + horizon` per episode, the first
         load first.  Any other policy, such as one that explores, goes
-        through `simulate`.  So does the whole batch when the lockstep meets
-        a value that is not finite: replayed from the same rng state,
-        `simulate` raises its own error."""
+        through `simulate`."""
         deciders = {player: _lockstep_decider(policies[player], player,
                                               self.params)
                     for player in self.players}
         if None not in deciders.values():
-            start = rng.bit_generator.state
-            loads = rng.random((episodes, self.horizon + 1))
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    return _lockstep(self.params, deciders, loads)
-            except ArithmeticError:  # numpy's, pow's, or a non-finite reward
-                rng.bit_generator.state = start
+            return _lockstep(self.params, deciders,
+                             rng.random((episodes, self.horizon + 1)))
         played = []
         for _ in range(episodes):
             records = simulate(self.params, policies, self.horizon, rng)
@@ -803,9 +800,7 @@ def _lockstep(params: GridParams,
     `loads` holds episode e's uniforms.  Every value is an array with one
     entry per episode, computed by `simulate`'s functions where their
     arithmetic is elementwise and by their twins where a branch is not;
-    each reward comes from the scalar reward functions' bits.  A reward
-    that is not finite, which `simulate` refuses, raises FloatingPointError
-    as numpy's own errors do."""
+    each reward comes from the scalar reward functions' bits."""
     episodes, horizon = loads.shape[0], loads.shape[1] - 1
     levels = np.array(attacker_levels(params))
     d_action = np.full(episodes, params.defender_start_action)
@@ -836,8 +831,5 @@ def _lockstep(params: GridParams,
     # than numpy's square on some inputs, so it is called per reward.
     d_rewards = [list(map(defender_reward, v2, v3, repeat(params)))
                  for v2, v3 in zip(v2s.tolist(), v3s.tolist())]
-    a_rewards = _attacker_rewards(v2s, params)
-    if not (np.isfinite(d_rewards).all() and np.isfinite(a_rewards).all()):
-        raise FloatingPointError("non-finite reward")
     return [{DEFENDER: d, ATTACKER: a}
-            for d, a in zip(d_rewards, a_rewards.tolist())]
+            for d, a in zip(d_rewards, _attacker_rewards(v2s, params).tolist())]

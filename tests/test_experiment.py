@@ -188,6 +188,8 @@ def test_readme_config_example_loads():
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# circuit constants whose grids cannot overflow the circuit
+circuit = st.floats(-1e6, 1e6)
 unit = st.floats(0.0, 1.0)
 
 
@@ -198,12 +200,12 @@ def grids(draw):
     band = draw(st.floats(0.001, 0.1))
     p2_lo = draw(st.floats(-10.0, 10.0))
     return GridParams(
-        r1=draw(finite), r2=draw(finite), x1=draw(finite), x2=draw(finite),
+        r1=draw(circuit), r2=draw(circuit), x1=draw(circuit), x2=draw(circuit),
         v0=draw(st.floats(1e-6, 1e6)), tap_step=draw(st.floats(1e-6, 1.0)),
         v1_min=v1_min, v1_max=v1_max, band_halfwidth=band,
-        strike_threshold=band + draw(st.floats(1e-6, 1.0)), p3=draw(finite),
+        strike_threshold=band + draw(st.floats(1e-6, 1.0)), p3=draw(circuit),
         p2_range=(p2_lo, p2_lo + draw(st.floats(0.0, 10.0))),
-        q2_factor=draw(finite), memory_window=draw(st.integers(1, 50)),
+        q2_factor=draw(circuit), memory_window=draw(st.integers(1, 50)),
         v1_start=draw(st.floats(v1_min, v1_max)),
         defender_start_action=draw(st.integers(0, DEFENDER_ACTIONS - 1)),
         attacker_start_action=draw(st.integers(0, ATTACKER_ACTIONS - 1)))
@@ -320,7 +322,7 @@ def test_policy_save_load_round_trip(tmp_path):
     policy = _dummy_policy(grid)
     path = tmp_path / policy_filename(ATTACKER, 1, 0.7, 3)
     save_policy(path, policy, ATTACKER, 1, 0.7, 3, TrainConfig())
-    loaded = load_policy(path, grid)
+    loaded = load_policy(path, grid, ATTACKER, 1, 3)
     assert params_equal(loaded.params, policy.params)
     assert loaded.params.spec == policy.params.spec
     assert sorted(json.loads(path.read_text())) == [
@@ -334,7 +336,7 @@ def test_loaded_policy_never_draws_from_the_rng(tmp_path, player):
     path = tmp_path / policy_filename(player, 1, 0.7, 3)
     save_policy(path, _dummy_policy(grid, player), player, 1, 0.7, 3,
                 TrainConfig())
-    assert_draws_nothing(load_policy(path, grid), grid, player)
+    assert_draws_nothing(load_policy(path, grid, player, 1, 3), grid, player)
 
 
 @pytest.mark.parametrize("version", [1, 99, None])
@@ -347,7 +349,7 @@ def test_policy_of_another_format_version_refused(tmp_path, version):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError,
                        match=f"unsupported policy format version {version!r}"):
-        load_policy(path, grid)
+        load_policy(path, grid, ATTACKER, 1, 3)
 
 
 def test_loaded_policy_encodes_like_its_level0_prior(tmp_path):
@@ -364,7 +366,7 @@ def test_loaded_policy_encodes_like_its_level0_prior(tmp_path):
         path = tmp_path / policy_filename(player, 1, 0.7, 1)
         save_policy(path, _dummy_policy(grid, player), player, 1, 0.7, 1,
                     TrainConfig())
-        features = load_policy(path, grid).encoder(parents)
+        features = load_policy(path, grid, player, 1, 1).encoder(parents)
         assert features.tobytes() == priors[player].encoder(parents).tobytes()
 
 
@@ -379,7 +381,7 @@ def test_network_of_the_other_player_refused_at_load(tmp_path, player,
     wrong = "6->11" if shaped_as == ATTACKER else "7->3"
     right = "7->3" if player == DEFENDER else "6->11"
     with pytest.raises(ValueError) as info:
-        load_policy(path, grid)
+        load_policy(path, grid, player, 1, 1)
     assert str(path) in str(info.value)
     assert wrong in str(info.value) and right in str(info.value)
 
@@ -449,6 +451,52 @@ def test_cli_malformed_policy_file_exits_with_error_line(tmp_path, capsys,
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err
+
+
+IDENTITY_CONFIG = {
+    "train": {"episodes": 2, "hidden_layers": [4]},
+    "experiment": {"k_max": 2, "q3max_values": [0.2, 0.7],
+                   "pairings": [[1, 0], [2, 0]], "eval_episodes": 1,
+                   "horizon": 5, "seeds": [1, 2]},
+}
+
+
+@pytest.fixture(scope="module")
+def identity_run(tmp_path_factory):
+    """A `train` output with two levels, two q3_max values and two seeds."""
+    out = tmp_path_factory.mktemp("identity") / "out"
+    config_path = out.parent / "config.json"
+    config_path.write_text(json.dumps(IDENTITY_CONFIG))
+    assert main(["train", "--config", str(config_path), "--out", str(out),
+                 "--jobs", "1"]) == 0
+    return config_path, out
+
+
+@pytest.mark.parametrize("field, source, target, stored, wanted", [
+    ("player", (ATTACKER, 1, 0.7, 1), (DEFENDER, 1, 0.7, 1),
+     "'attacker'", "'defender'"),
+    ("level", (DEFENDER, 1, 0.7, 1), (DEFENDER, 2, 0.7, 1), "1", "2"),
+    ("q3_max", (DEFENDER, 1, 0.7, 1), (DEFENDER, 1, 0.2, 1), "0.7", "0.2"),
+    ("seed", (DEFENDER, 1, 0.7, 1), (DEFENDER, 1, 0.7, 2), "1", "2"),
+])
+def test_cli_policy_file_of_another_cell_exits_with_error_line(
+        tmp_path, capsys, identity_run, field, source, target, stored, wanted):
+    """A policy file copied over another cell's is refused, naming the
+    file, the field and both values, rather than scored as that cell."""
+    config_path, trained = identity_run
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in trained.glob("*.json"):
+        (out / path.name).write_bytes(path.read_bytes())
+    (out / policy_filename(*target)).write_bytes(
+        (trained / policy_filename(*source)).read_bytes())
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                 "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: policy file {out / policy_filename(*target)} "
+                   f"holds {field} {stored}, not the {wanted} asked for\n")
+    assert not (out / "sweep.csv").exists()
 
 
 def test_policy_filename_format():
@@ -680,7 +728,8 @@ def test_train_writes_the_policies_of_training_on_the_net(tmp_path):
     for player in (DEFENDER, ATTACKER):
         for level in (1, 2):
             stored = load_policy(
-                tmp_path / policy_filename(player, level, q3, seed), grid)
+                tmp_path / policy_filename(player, level, q3, seed), grid,
+                player, level, seed)
             assert params_equal(stored.params,
                                 hierarchy.policy(player, level).params)
 
@@ -947,30 +996,40 @@ def test_cli_refuses_an_integer_beyond_the_float_range_at_load(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["trace", "eval", "sweep"])
+@pytest.mark.parametrize("command", ["train", "trace", "eval", "sweep"])
 def test_cli_grid_that_overflows_the_circuit_exits_with_error_line(
         tmp_path, capsys, command):
-    """Each grid loads, but its circuit overflows: squaring V2's deviation
-    at the first step, or a reward that is not finite at the second, once
-    the attacker's first move multiplies x2.  One error line, and no CSV is
-    written."""
-    for grid, q3max, step in (({"r1": 1e300}, "0.2", 1),
-                              ({"x2": 1e308}, "0.7", 2)):
+    """Each grid can overflow the circuit: squaring V2's deviation, or a
+    reward once the attacker's move multiplies x2.  It is refused at load,
+    with one error line, before anything is written."""
+    for grid in ({"r1": 1e300}, {"x2": 1e308}):
         config_path = write_config(tmp_path, {
             "grid": grid,
-            "experiment": {"k_max": 0, "q3max_values": [float(q3max)],
+            "experiment": {"k_max": 0, "q3max_values": [0.2],
                            "pairings": [[0, 0]], "eval_episodes": 2,
                            "horizon": 5, "seeds": [3]},
         })
-        out = tmp_path / f"out{step}"
-        options = [] if command == "sweep" else _cell(q3max=q3max)
+        out = tmp_path / "out"
+        options = [] if command in ("train", "sweep") else _cell()
         assert main([command, "--config", str(config_path), "--out", str(out),
                      *options]) == 1
         captured = capsys.readouterr()
-        assert captured.err == ("error: the grid's constants overflow the "
-                                f"circuit at step {step}\n")
-        assert captured.out == ""
-        assert not list(out.glob("*.csv"))
+        assert captured.err.startswith("error: the grid's constants can "
+                                       "overflow the circuit at q3_max=1: ")
+        assert captured.err.endswith("; each must be < 1e150\n")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+
+def test_config_refuses_a_cell_whose_grid_can_overflow():
+    """The grid section passes at q3_max 1.0, but the attacker's larger
+    injection in the cell at 100 can overflow its tap quotient."""
+    data = {"grid": {"x1": 1e147}, "experiment": {"q3max_values": [0.7]}}
+    config_from_dict(data)
+    data["experiment"]["q3max_values"].append(100.0)
+    with pytest.raises(ValueError, match="^the grid's constants can overflow "
+                       "the circuit at q3_max=100: "):
+        config_from_dict(data)
 
 
 def test_cli_duplicate_config_key_exits_with_error_line(tmp_path, capsys):

@@ -484,32 +484,6 @@ def test_evaluate_plays_in_blocks_with_the_bytes_of_one_play(monkeypatch):
     assert block_rng.bit_generator.state == whole_rng.bit_generator.state
 
 
-def test_evaluate_meets_an_overflow_past_the_first_block_as_simulate_does(
-        monkeypatch):
-    """This grid's defender reward overflows only on a load within about
-    1e-4 of the top of p2_range.  At this seed the first 1,534 episodes
-    play through, and the next draws such a load.  The lockstep
-    of the second block meets it and `simulate` replays that block: the
-    same error, raised on the same episode, so with the rng state that the
-    per-episode loop ends in."""
-    grid = GridParams(r1=9.481e152, q3_max=0.7)
-    level0s = scenario.level0_policies(grid)
-    loop_rng, eval_rng = np.random.default_rng(0), np.random.default_rng(0)
-    episodes = 0
-    with pytest.raises(ValueError) as expected:
-        while True:
-            scenario.simulate(grid, level0s, 3, loop_rng)
-            episodes += 1
-    assert episodes == 1534
-    calls = _spy_on_play_episodes(monkeypatch)
-    with pytest.raises(ValueError) as raised:
-        evaluate(scenario.NativeBattle(grid, 3), level0s, 2500, eval_rng)
-    assert str(raised.value) == str(expected.value) == \
-        "the grid's constants overflow the circuit at step 2"
-    assert calls == [1000, 1000]
-    assert eval_rng.bit_generator.state == loop_rng.bit_generator.state
-
-
 def test_evaluate_requires_positive_episodes():
     game = single_state_game(5)
     with pytest.raises(ValueError):

@@ -112,6 +112,7 @@ def test_validate_dangling_parent_and_duplicates():
     assert "missing parent 'ghost'" in message
     assert "duplicate node name 'A'" in message
     assert "node 'B' lists a parent twice" in message
+    assert "cycle" not in message  # a missing parent holds nothing back
 
 
 def test_valid_net_has_no_violations():

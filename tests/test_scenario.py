@@ -1,8 +1,9 @@
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridgame import netform, scenario
@@ -796,42 +797,6 @@ def test_simulate_refuses_an_action_outside_its_players_space(player, policies,
         simulate(P, policies, 3, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("player, reward_fn", [
-    (DEFENDER, "defender_reward"), (ATTACKER, "attacker_reward")])
-def test_simulate_refuses_a_non_finite_reward_naming_the_player(
-        monkeypatch, player, reward_fn):
-    """Either player's non-finite reward (the player names the case) is
-    refused as an overflow: once both actions are valid, a step's rewards
-    depend on the grid alone."""
-    monkeypatch.setattr(scenario, reward_fn, lambda *args: float("nan"))
-    with pytest.raises(ValueError, match="^the grid's constants overflow the "
-                       "circuit at step 1$"):
-        simulate(P, level0_policies(P), 3, np.random.default_rng(0))
-
-
-@pytest.mark.parametrize("reward_fns", [
-    ("defender_reward",),
-    ("attacker_reward", "_attacker_rewards"),
-    ("defender_reward", "attacker_reward", "_attacker_rewards"),
-], ids=[DEFENDER, ATTACKER, "both"])
-def test_play_refuses_a_non_finite_reward_in_lockstep_as_simulate_does(
-        monkeypatch, reward_fns):
-    """The lockstep runs, meets the bad reward and leaves the refusal to
-    `simulate`, which refuses a non-finite reward of either player as an
-    overflow of the circuit."""
-    for name in reward_fns:
-        monkeypatch.setattr(scenario, name,
-                            lambda v2, *rest: np.full(np.shape(v2), np.nan))
-    lockstep_calls = []
-    lockstep = scenario._lockstep
-    monkeypatch.setattr(scenario, "_lockstep", lambda *args: (
-        lockstep_calls.append(args), lockstep(*args))[1])
-    with pytest.raises(ValueError, match="^the grid's constants overflow the "
-                       "circuit at step 1$"):
-        NativeBattle(P, 3).play(level0_policies(P), 2, np.random.default_rng(0))
-    assert len(lockstep_calls) == 1
-
-
 def test_simulate_stores_a_numpy_integer_action_as_a_plain_int():
     records = simulate(P, _fixed(np.int64(2), np.int64(7)), 2,
                        np.random.default_rng(0))
@@ -887,3 +852,77 @@ def test_invalid_params_rejected():
             GridParams(p2_range=p2_range)
     with pytest.raises(ValueError):
         GridParams(memory_window=0)
+
+
+def _signed(low, high):
+    """0, or +/-10**e for e drawn from [low, high]."""
+    return st.one_of(st.just(0.0), st.builds(
+        lambda sign, e: sign * 10.0 ** e, st.sampled_from((-1.0, 1.0)),
+        st.floats(low, high)))
+
+
+def _positive(low, high):
+    return st.floats(low, high).map(lambda e: 10.0 ** e)
+
+
+@st.composite
+def large_grids(draw):
+    """Grid constants up to about 1e160, most of which `GridParams` refuses."""
+    v1_min = draw(_signed(-3, 160))
+    v1_max = max(v1_min + draw(_positive(-3, 160)), math.nextafter(v1_min, 2e308))
+    band = draw(_positive(-160, 2))
+    p2_lo = draw(_signed(-3, 160))
+    kwargs = dict(
+        r1=draw(_signed(-3, 160)), r2=draw(_signed(-3, 160)),
+        x1=draw(_signed(-3, 160)), x2=draw(_signed(-3, 160)),
+        v0=draw(_positive(-10, 10)), tap_step=draw(_positive(-160, 2)),
+        v1_min=v1_min, v1_max=v1_max, band_halfwidth=band,
+        strike_threshold=band * (1 + draw(_positive(-3, 3))),
+        q3_max=draw(st.one_of(st.just(0.0), _positive(-3, 160))),
+        p3=draw(_signed(-3, 160)),
+        p2_range=(p2_lo, p2_lo + draw(st.one_of(st.just(0.0),
+                                                 _positive(-3, 160)))),
+        q2_factor=draw(_signed(-3, 160)), memory_window=draw(st.integers(1, 6)),
+        v1_start=draw(st.floats(v1_min, v1_max)),
+        defender_start_action=draw(st.integers(0, DEFENDER_ACTIONS - 1)),
+        attacker_start_action=draw(st.integers(0, ATTACKER_ACTIONS - 1)))
+    try:
+        return GridParams(**kwargs)
+    except ValueError as exc:
+        assert str(exc).startswith("the grid's constants can overflow")
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid=large_grids(), seed=st.integers(0, 2 ** 32 - 1))
+def test_an_accepted_grid_never_overflows_the_circuit(grid, seed):
+    """Random valid actions in `simulate`, and the priors in the lockstep,
+    under numpy's strictest error handling: every state, memory metric and
+    reward of a grid that `GridParams` accepts is finite."""
+    assume(grid is not None)
+    random = {DEFENDER: lambda parents, rng: int(rng.integers(DEFENDER_ACTIONS)),
+              ATTACKER: lambda parents, rng: int(rng.integers(ATTACKER_ACTIONS))}
+    with np.errstate(all="raise"):
+        for rec in simulate(grid, random, 30, np.random.default_rng(seed)):
+            assert np.isfinite([*rec.state, rec.defender_memory.metric,
+                                rec.attacker_memory.metric,
+                                rec.defender_reward, rec.attacker_reward]).all()
+        played = NativeBattle(grid, 30).play(level0_policies(grid), 4,
+                                             np.random.default_rng(seed))
+    assert np.isfinite([episode[player] for episode in played
+                        for player in (DEFENDER, ATTACKER)]).all()
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(r1=1e300),
+    dict(x2=1e308),
+    dict(r1=9.481e152, q3_max=0.7),
+    dict(band_halfwidth=1e-160),  # a reward squares |V - 1| / band_halfwidth
+    dict(tap_step=1e-300, v0=1e-10),  # the attacker's tap quotient only
+    # p2 - p3 overflows, and r1 = 0 makes the bound NaN, as V2 would be
+    dict(r1=0.0, r2=0.0, x1=0.0, x2=0.0, p3=-1e308, p2_range=(1e308, 1e308)),
+], ids=["r1", "x2", "r1-q3max", "band", "taps", "nan"])
+def test_grid_params_refuse_constants_that_can_overflow_the_circuit(kwargs):
+    with pytest.raises(ValueError, match=r"^the grid's constants can overflow "
+                       r"the circuit at q3_max=.*; each must be < 1e150$"):
+        GridParams(**kwargs)
