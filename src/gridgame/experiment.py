@@ -311,8 +311,10 @@ def load_policy(path: Path, grid: GridParams, player: str, level: int,
     missing = {*cell, "network"} - payload.keys()
     if missing:
         raise ValueError(f"policy file {path} lacks {', '.join(sorted(missing))}")
+    # each of its JSON type too: true and 1.0 both equal a level 1
+    kinds = dict(player=(str,), level=(int,), q3_max=(int, float), seed=(int,))
     for key, wanted in cell.items():
-        if payload[key] != wanted:
+        if payload[key] != wanted or type(payload[key]) not in kinds[key]:
             raise ValueError(f"policy file {path} holds {key} {payload[key]!r}, "
                              f"not the {wanted!r} asked for")
     prior = level0_policies(grid)[player]

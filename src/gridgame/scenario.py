@@ -109,19 +109,20 @@ class GridParams:
             raise ValueError("attacker_start_action out of range")
         # Over every reachable state |V2 - 1| and |V3 - 1| stay within
         # `deviation`, and the attacker's memory quotient within `taps`.  A
-        # reward squares a number below 1e150, so it stays finite, with a
-        # margin far beyond rounding.  Each test is a `<`, so NaN fails it.
+        # reward squares a number below 1e150, so it stays finite, far beyond
+        # rounding; so does an attacker level's q3 * (k - 5).  `<` fails NaN.
         p2, p3, q3 = max(map(abs, self.p2_range)), abs(self.p3), self.q3_max
         drop = (abs(self.r1) * (p2 + p3) + abs(self.r2) * p3 + abs(self.x2) * q3
                 + abs(self.x1) * (abs(self.q2_factor) * p2 + q3))
         deviation = max(abs(self.v1_min - 1), abs(self.v1_max - 1)) + drop
         taps = (2 * deviation + 2 * q3 * abs(self.x2) / self.v0) / self.tap_step
         bands = deviation / self.band_halfwidth
-        if not (deviation < 1e150 and bands < 1e150 and taps < 1e150):
+        if not all(bound < 1e150 for bound in (q3, deviation, bands, taps)):
             raise ValueError(
                 f"the grid's constants can overflow the circuit at q3_max={q3:g}: "
                 f"|V - 1| may reach {deviation:.3g} ({bands:.3g} band half-widths) "
-                f"and the attacker's tap quotient {taps:.3g}; each must be < 1e150")
+                f"and the attacker's tap quotient {taps:.3g}; these four must be "
+                f"< 1e150")
 
 
 class GridState(NamedTuple):

@@ -499,6 +499,38 @@ def test_cli_policy_file_of_another_cell_exits_with_error_line(
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("level", True), ("level", 1.0), ("seed", True), ("seed", 1.0)])
+def test_cli_policy_file_naming_its_cell_in_another_type_exits_with_error_line(
+        tmp_path, capsys, identity_run, field, value):
+    """A stored `true` or `1.0` equals the cell's 1, yet does not name it."""
+    config_path, trained = identity_run
+    out = tmp_path / "out"
+    out.mkdir()
+    for path in trained.glob("*.json"):
+        (out / path.name).write_bytes(path.read_bytes())
+    edited = out / policy_filename(DEFENDER, 1, 0.7, 1)
+    payload = json.loads(edited.read_text())
+    payload[field] = value
+    edited.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                 "--jobs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: policy file {edited} holds {field} {value!r}, "
+                   f"not the 1 asked for\n")
+    assert not (out / "sweep.csv").exists()
+
+
+def test_policy_with_an_integral_q3_max_loads_for_its_float_cell(tmp_path):
+    """A q3_max stored as 1 names the cell of 1.0, as a config's [1] does."""
+    path = tmp_path / policy_filename(DEFENDER, 1, 1.0, 1)
+    save_policy(path, _dummy_policy(GridParams(q3_max=1), DEFENDER), DEFENDER,
+                1, 1, 1, TrainConfig())
+    assert json.loads(path.read_text())["q3_max"] == 1
+    load_policy(path, GridParams(q3_max=1.0), DEFENDER, 1, 1)
+
+
 def test_policy_filename_format():
     assert policy_filename(DEFENDER, 2, 1.6, 7) == "defender_L2_q1.6_s7.json"
     assert policy_filename(ATTACKER, 1, 0.2, 10) == "attacker_L1_q0.2_s10.json"
@@ -1016,7 +1048,7 @@ def test_cli_grid_that_overflows_the_circuit_exits_with_error_line(
         captured = capsys.readouterr()
         assert captured.err.startswith("error: the grid's constants can "
                                        "overflow the circuit at q3_max=1: ")
-        assert captured.err.endswith("; each must be < 1e150\n")
+        assert captured.err.endswith("; these four must be < 1e150\n")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert not out.exists()
 

@@ -867,7 +867,8 @@ def _positive(low, high):
 
 @st.composite
 def large_grids(draw):
-    """Grid constants up to about 1e160, most of which `GridParams` refuses."""
+    """Grid constants up to about 1e160, and q3_max up to 1e308, most of
+    which `GridParams` refuses."""
     v1_min = draw(_signed(-3, 160))
     v1_max = max(v1_min + draw(_positive(-3, 160)), math.nextafter(v1_min, 2e308))
     band = draw(_positive(-160, 2))
@@ -878,7 +879,7 @@ def large_grids(draw):
         v0=draw(_positive(-10, 10)), tap_step=draw(_positive(-160, 2)),
         v1_min=v1_min, v1_max=v1_max, band_halfwidth=band,
         strike_threshold=band * (1 + draw(_positive(-3, 3))),
-        q3_max=draw(st.one_of(st.just(0.0), _positive(-3, 160))),
+        q3_max=draw(st.one_of(st.just(0.0), _positive(-3, 308))),
         p3=draw(_signed(-3, 160)),
         p2_range=(p2_lo, p2_lo + draw(st.one_of(st.just(0.0),
                                                  _positive(-3, 160)))),
@@ -921,8 +922,12 @@ def test_an_accepted_grid_never_overflows_the_circuit(grid, seed):
     dict(tap_step=1e-300, v0=1e-10),  # the attacker's tap quotient only
     # p2 - p3 overflows, and r1 = 0 makes the bound NaN, as V2 would be
     dict(r1=0.0, r2=0.0, x1=0.0, x2=0.0, p3=-1e308, p2_range=(1e308, 1e308)),
-], ids=["r1", "x2", "r1-q3max", "band", "taps", "nan"])
+    # q3_max * (k - 5) overflows for the attacker's outer levels, though
+    # the line drop is 0 or tiny
+    dict(x1=0.0, x2=0.0, q3_max=8e307),
+    dict(x1=1e-300, x2=0.0, q3_max=8e307),
+], ids=["r1", "x2", "r1-q3max", "band", "taps", "nan", "q3max", "q3max-x1"])
 def test_grid_params_refuse_constants_that_can_overflow_the_circuit(kwargs):
     with pytest.raises(ValueError, match=r"^the grid's constants can overflow "
-                       r"the circuit at q3_max=.*; each must be < 1e150$"):
+                       r"the circuit at q3_max=.*; these four must be < 1e150$"):
         GridParams(**kwargs)
