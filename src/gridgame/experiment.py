@@ -203,7 +203,7 @@ def _read_json(path: str | os.PathLike, kind: str, **options) -> object:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             return json.load(handle, **options)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from None
 
 

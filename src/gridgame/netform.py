@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NoReturn, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -135,9 +135,8 @@ class SemiBayesNet:
     player owning more than one decision node.  It also builds what
     `sample_slice` reads: one step per node of (name, parents, chance kernel
     or None, decision owner or None, the bound `contains` of the node's
-    space), in `topological_order`, the roots' steps apart from the others.
-    Only roots can be glued, so only the root steps may meet a node that is
-    already set.
+    space), the roots' steps first, each part in `topological_order`, and
+    the set of root names, the only nodes that can be glued.
     """
 
     def __init__(self, nodes: Sequence[NodeSpec]):
@@ -178,8 +177,7 @@ class SemiBayesNet:
             step = (name, node.parents, kernel, owner, node.space.contains)
             (steps if node.parents else root_steps).append(step)
         self._roots = frozenset(step[0] for step in root_steps)
-        self._root_steps: tuple[_Step, ...] = tuple(root_steps)
-        self._steps: tuple[_Step, ...] = tuple(steps)
+        self._steps: tuple[_Step, ...] = (*root_steps, *steps)
 
     def node(self, name: str) -> NodeSpec:
         return self._by_name[name]
@@ -323,45 +321,27 @@ def sample_slice(net: SemiBayesNet, boundary: Mapping[str, Value],
     mapping of the node's parent values.  Every produced value is checked
     against the node's space on every call.
     """
-    if not net._roots.issuperset(boundary):
-        for name in boundary:
-            if name not in net:
-                raise ValueError(f"boundary value for unknown node '{name}'")
-            if name not in net._roots:
-                raise ValueError(f"boundary value for non-root node '{name}'")
+    for name in boundary:
+        if name not in net._roots:
+            kind = "non-root" if name in net else "unknown"
+            raise ValueError(f"boundary value for {kind} node '{name}'")
     inst: Instantiation = dict(boundary)
-    for name, _, kernel, owner, contains in net._root_steps:
-        if name in inst:
-            continue
-        draw = kernel if kernel is not None else policies.get(owner)
-        if draw is None:
-            _no_policy(owner, name)
-        value = draw({}, rng)
-        if not contains(value):
-            _outside_space(net, name, value)
-        inst[name] = value
     for name, parents, kernel, owner, contains in net._steps:
+        if name in inst:  # a glued root
+            continue
         # A plain loop: a comprehension is one more function call in 3.11.
         parent_values = {}
         for parent in parents:
             parent_values[parent] = inst[parent]
         draw = kernel if kernel is not None else policies.get(owner)
         if draw is None:
-            _no_policy(owner, name)
+            raise ValueError(f"no policy for player '{owner}' (node '{name}')")
         value = draw(parent_values, rng)
         if not contains(value):
-            _outside_space(net, name, value)
+            raise ValueError(f"value {value!r} for node '{name}' is outside its "
+                             f"space {net.node(name).space}")
         inst[name] = value
     return inst
-
-
-def _no_policy(owner: str, name: str) -> NoReturn:
-    raise ValueError(f"no policy for player '{owner}' (node '{name}')")
-
-
-def _outside_space(net: SemiBayesNet, name: str, value: Value) -> NoReturn:
-    raise ValueError(f"value {value!r} for node '{name}' is outside its space "
-                     f"{net.node(name).space}")
 
 
 def rollout(game: IteratedGame, policies: Mapping[str, Policy],

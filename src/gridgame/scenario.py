@@ -201,21 +201,10 @@ def defender_reward(v2: float, v3: float, params: GridParams) -> float:
 
 
 def attacker_reward(v2: float, params: GridParams) -> float:
-    """1 for each strict violation of the good band around V2 (0, 1; the two
-    conditions are mutually exclusive, so 2 never occurs)."""
+    """1.0 when V2 strictly leaves the good band around 1.0, else 0.0;
+    elementwise over an array too."""
     eps = params.band_halfwidth
-    reward = 0.0
-    if v2 > 1.0 + eps:
-        reward += 1.0
-    if v2 < 1.0 - eps:
-        reward += 1.0
-    return reward
-
-
-def _attacker_rewards(v2: np.ndarray, params: GridParams) -> np.ndarray:
-    """`attacker_reward` elementwise."""
-    eps = params.band_halfwidth
-    return np.where((v2 > 1.0 + eps) | (v2 < 1.0 - eps), 1.0, 0.0)
+    return ((v2 > 1.0 + eps) | (v2 < 1.0 - eps)) * 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -228,23 +217,6 @@ def _sign(x: float) -> float:
     if x < 0:
         return -1.0
     return 0.0
-
-
-def _defender_term(v1_prev: float, v1_now: float,
-                   v3_prev: float, v3_now: float) -> float:
-    """sign(dV1) * sign(dV3): the defender's metric, the mean of its last m+1
-    terms, is a windowed correlation of V1 moves against V3 moves in [-1, 1]."""
-    return _sign(v1_now - v1_prev) * _sign(v3_now - v3_prev)
-
-
-def _attacker_term(v3_prev: float, v3_now: float, q3_prev: float, q3_now: float,
-                   params: GridParams) -> float:
-    """sign(floor((dV3 - dq3 * x2 / v0) / tap_step)): zero when V3 moved
-    roughly as the attacker's own injection change predicts, +/-1 when
-    something else (a defender tap, in this circuit) shifted it by at least
-    one tap step.  The attacker's metric sums its last m+1 terms."""
-    return _sign(math.floor(_attacker_taps(v3_prev, v3_now, q3_prev, q3_now,
-                                           params)))
 
 
 def _attacker_taps(v3_prev, v3_now, q3_prev, q3_now, params: GridParams):
@@ -306,18 +278,24 @@ def initial_attacker_memory(obs: tuple[float, ...],
 
 def step_defender_memory(mem: DefenderMemory, obs: tuple[float, ...], action: int,
                          params: GridParams) -> DefenderMemory:
+    """The window's new term is sign(dV1) * sign(dV3): the defender's metric,
+    the mean of its last m+1 terms, is a windowed correlation of V1 moves
+    against V3 moves in [-1, 1]."""
     v1, v2, v3, p1, q1 = obs
-    term = _defender_term(mem.v1, v1, mem.v3, v3)
-    terms = mem.terms[1:] + (term,)
-    return DefenderMemory(v1, v2, v3, p1, q1, action, terms)
+    term = _sign(v1 - mem.v1) * _sign(v3 - mem.v3)
+    return DefenderMemory(v1, v2, v3, p1, q1, action, mem.terms[1:] + (term,))
 
 
 def step_attacker_memory(mem: AttackerMemory, obs: tuple[float, ...], action: int,
                          params: GridParams) -> AttackerMemory:
+    """The window's new term is sign(floor((dV3 - dq3 * x2 / v0) / tap_step)):
+    zero when V3 moved roughly as the attacker's own injection change
+    predicts, +/-1 when something else (a defender tap, in this circuit)
+    shifted it by at least one tap step.  The attacker's metric sums its
+    last m+1 terms."""
     v2, v3, p3, q3 = obs
-    term = _attacker_term(mem.v3, v3, mem.q3, q3, params)
-    terms = mem.terms[1:] + (term,)
-    return AttackerMemory(v2, v3, p3, q3, action, terms)
+    term = _sign(math.floor(_attacker_taps(mem.v3, v3, mem.q3, q3, params)))
+    return AttackerMemory(v2, v3, p3, q3, action, mem.terms[1:] + (term,))
 
 
 # ---------------------------------------------------------------------------
@@ -414,31 +392,25 @@ def _level0_attackers(v2: np.ndarray, q3_current: np.ndarray,
 # Transition
 # ---------------------------------------------------------------------------
 
-def _load(params: GridParams, u):
-    """p2 uniform on p2_range from the double `u`, or elementwise from an
-    array of them, with the float operations of `rng.uniform(lo, hi)`
-    (lo + (hi - lo) * u), which are the same bits."""
+def _loaded_state(u, q3, v1, params: GridParams) -> GridState:
+    """The state under the load p2 uniform on p2_range from the double `u`,
+    with the float operations of `rng.uniform(lo, hi)` (lo + (hi - lo) * u),
+    which are the same bits; elementwise over arrays too."""
     lo, hi = params.p2_range
-    return lo + (hi - lo) * u
-
-
-def _draw_load(params: GridParams, rng: np.random.Generator) -> float:
-    return _load(params, rng.random())
+    p2 = lo + (hi - lo) * u
+    return power_flow(p2, params.q2_factor * p2, params.p3, q3, v1, params)
 
 
 def initial_state(params: GridParams, rng: np.random.Generator) -> GridState:
-    p2 = _draw_load(params, rng)
     q3 = attacker_levels(params)[params.attacker_start_action]
-    return power_flow(p2, params.q2_factor * p2, params.p3, q3,
-                      params.v1_start, params)
+    return _loaded_state(rng.random(), q3, params.v1_start, params)
 
 
 def advance_state(state: GridState, defender_action: int, attacker_action: int,
                   rng: np.random.Generator, params: GridParams) -> GridState:
     v1 = apply_defender_action(state.V1, defender_action, params)
     q3 = attacker_levels(params)[attacker_action]
-    p2 = _draw_load(params, rng)
-    return power_flow(p2, params.q2_factor * p2, params.p3, q3, v1, params)
+    return _loaded_state(rng.random(), q3, v1, params)
 
 
 def transition(state: GridState, memories: tuple[DefenderMemory, AttackerMemory],
@@ -806,17 +778,14 @@ def _lockstep(params: GridParams,
     levels = np.array(attacker_levels(params))
     d_action = np.full(episodes, params.defender_start_action)
     a_action = np.full(episodes, params.attacker_start_action)
-    p2 = _load(params, loads[:, 0])
-    state = power_flow(p2, params.q2_factor * p2, params.p3, levels[a_action],
-                       np.full(episodes, params.v1_start), params)
+    state = _loaded_state(loads[:, 0], levels[a_action],
+                          np.full(episodes, params.v1_start), params)
     d_mem = initial_defender_memory(defender_observation(state), params)
     a_mem = initial_attacker_memory(attacker_observation(state), params)
     v2s, v3s = np.empty((episodes, horizon)), np.empty((episodes, horizon))
     for t in range(1, horizon + 1):
         v1 = _apply_defender_actions(state.V1, d_action, params)
-        p2 = _load(params, loads[:, t])
-        state = power_flow(p2, params.q2_factor * p2, params.p3,
-                           levels[a_action], v1, params)
+        state = _loaded_state(loads[:, t], levels[a_action], v1, params)
         d_term = np.sign(state.V1 - d_mem.v1) * np.sign(state.V3 - d_mem.v3)
         a_term = np.sign(np.floor(
             _attacker_taps(a_mem.v3, state.V3, a_mem.q3, state.q3, params)))
@@ -833,4 +802,4 @@ def _lockstep(params: GridParams,
     d_rewards = [list(map(defender_reward, v2, v3, repeat(params)))
                  for v2, v3 in zip(v2s.tolist(), v3s.tolist())]
     return [{DEFENDER: d, ATTACKER: a}
-            for d, a in zip(d_rewards, _attacker_rewards(v2s, params).tolist())]
+            for d, a in zip(d_rewards, attacker_reward(v2s, params).tolist())]

@@ -1137,6 +1137,28 @@ def test_cli_truncated_json_file_exits_with_error_line_naming_it(
     assert err.startswith("error:") and str(path) in err
 
 
+@pytest.mark.parametrize("kind", ["config", "policy"])
+def test_cli_file_that_is_not_utf8_exits_with_error_line_naming_it(
+        tmp_path, capsys, kind):
+    config_path = write_config(tmp_path, {
+        "experiment": {"k_max": 1, "q3max_values": [0.7],
+                       "pairings": [[1, 0]], "eval_episodes": 1,
+                       "horizon": 5, "seeds": [1]}})
+    out = tmp_path / "out"
+    out.mkdir()
+    policy_path = out / policy_filename(DEFENDER, 1, 0.7, 1)
+    save_policy(policy_path, _dummy_policy(GridParams(q3_max=0.7), DEFENDER),
+                DEFENDER, 1, 0.7, 1, TrainConfig())
+    path = config_path if kind == "config" else policy_path
+    path.write_bytes(b"\xff")
+    code = main(["sweep", "--config", str(config_path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} file {path} is not valid JSON: ")
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert not (out / "sweep.csv").exists()
+
+
 def test_cli_unknown_sweep_value_rejected(tmp_path, capsys):
     config_path = write_config(tmp_path, {
         "experiment": {"k_max": 0, "q3max_values": [0.7], "pairings": [[0, 0]],

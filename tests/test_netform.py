@@ -336,6 +336,26 @@ def test_every_draw_gets_a_fresh_mapping_of_exactly_its_parents():
     assert all(type(parents) is dict for parents in mappings)
 
 
+def test_roots_missing_from_the_boundary_are_drawn_before_any_other_node():
+    drawn = []
+
+    def logging(name):
+        def kernel(parents, rng):
+            drawn.append(name)
+            return rng.random()
+        return kernel
+
+    net = SemiBayesNet([
+        chance("A", BoundedReal(0, 1), logging("A")),
+        chance("B", BoundedReal(0, 1), logging("B"), parents=("A",)),
+        chance("C", BoundedReal(0, 1), logging("C")),
+    ])
+    inst = sample_slice(net, {}, {}, np.random.default_rng(0))
+    assert drawn == ["A", "C", "B"]
+    assert [inst[name] for name in drawn] == \
+        np.random.default_rng(0).random(3).tolist()
+
+
 def test_unfilled_glued_root_raises():
     net = SemiBayesNet([chance("R", BoundedReal(0, 1), boundary_kernel("R"))])
     with pytest.raises(ValueError, match="missing boundary value"):
