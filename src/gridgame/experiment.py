@@ -29,7 +29,7 @@ import numpy as np
 
 from . import neural, scenario
 from .levelk import (PriorPolicy, QPolicy, TrainConfig, build_hierarchy,
-                     evaluate)
+                     evaluate, evaluate_matches)
 from .scenario import (ATTACKER, DEFENDER, GridParams, NativeBattle,
                        level0_policies, simulate)
 
@@ -188,28 +188,36 @@ def config_from_dict(data: Any) -> ExperimentConfig:
                             "experiment", grid=grid, train=train)
 
 
+class _DuplicateKey(ValueError):
+    pass
+
+
 def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     """A JSON object's members as a dict; a repeated key is an error rather
     than the last value silently winning."""
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ValueError(f"duplicate key '{key}' in config")
+            raise _DuplicateKey(key)
         data[key] = value
     return data
 
 
-def _read_json(path: str | os.PathLike, kind: str, **options) -> object:
+def _read_json(path: str | os.PathLike, kind: str) -> object:
+    """The JSON document in the `kind` file at `path`; a ValueError naming
+    the file if Python cannot parse it or an object in it repeats a key."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            return json.load(handle, **options)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return json.load(handle, object_pairs_hook=_unique_keys)
+        except _DuplicateKey as exc:
+            raise ValueError(
+                f"{kind} file {path} holds duplicate key '{exc}'") from None
+        except ValueError as exc:  # also a bad UTF-8 byte or a huge integer
             raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from None
 
 
 def load_config(path: str | os.PathLike) -> ExperimentConfig:
-    return config_from_dict(
-        _read_json(path, "config", object_pairs_hook=_unique_keys))
+    return config_from_dict(_read_json(path, "config"))
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -481,18 +489,36 @@ def run_train(config: ExperimentConfig, out_dir: Path,
     return written, failures
 
 
-def _sweep_row(config: ExperimentConfig, out_dir: Path,
-               row: tuple[float, int, int, int]) -> SweepRecord:
-    """Evaluate one (q3_max, defender level, attacker level, seed) row."""
-    q3, d_level, a_level, s = row
-    policies = resolve_pairing(config, out_dir, d_level, a_level, q3, s)
-    rng = cell_rng(s, _SWEEP_TAG, _q3_key(q3), d_level, a_level)
-    report = evaluate(NativeBattle(cell_grid(config, q3), config.horizon),
-                      policies, config.eval_episodes, rng)
-    return SweepRecord(q3, d_level, a_level, s,
-                       report.mean_reward_per_step[DEFENDER],
-                       report.mean_reward_per_step[ATTACKER],
-                       config.eval_episodes, config.horizon)
+def _sweep_cell(config: ExperimentConfig, out_dir: Path,
+                cell: tuple[float, int, tuple[tuple[int, int], ...]],
+                ) -> list[SweepRecord] | list[ValueError | OSError | None]:
+    """Score the pairings of one (q3_max, seed) cell in one lockstep,
+    loading each (player, level) policy once; each pairing keeps the rng
+    stream of its row.  If some pairing's policies fail to load, nothing is
+    played, and each pairing gives its error or None."""
+    q3, s, pairings = cell
+    load = functools.cache(lambda player, level: resolve_policy(
+        config, out_dir, player, level, q3, s))
+    resolved: list = []
+    for d_level, a_level in pairings:
+        try:
+            resolved.append({DEFENDER: load(DEFENDER, d_level),
+                             ATTACKER: load(ATTACKER, a_level)})
+        except (ValueError, OSError) as exc:
+            resolved.append(exc)
+    if any(isinstance(policies, Exception) for policies in resolved):
+        return [error if isinstance(error, Exception) else None
+                for error in resolved]
+    reports = evaluate_matches(
+        NativeBattle(cell_grid(config, q3), config.horizon),
+        [(policies, config.eval_episodes,
+          cell_rng(s, _SWEEP_TAG, _q3_key(q3), d_level, a_level))
+         for (d_level, a_level), policies in zip(pairings, resolved)])
+    return [SweepRecord(q3, d_level, a_level, s,
+                        report.mean_reward_per_step[DEFENDER],
+                        report.mean_reward_per_step[ATTACKER],
+                        config.eval_episodes, config.horizon)
+            for (d_level, a_level), report in zip(pairings, reports)]
 
 
 def run_sweep(config: ExperimentConfig, out_dir: Path,
@@ -500,23 +526,33 @@ def run_sweep(config: ExperimentConfig, out_dir: Path,
               defender_level: int | None = None,
               attacker_level: int | None = None,
               jobs: int | None = None) -> list[SweepRecord]:
-    """Evaluate every configured pairing at every q3_max and seed on `jobs`
-    workers (see `worker_count`); write sweep.csv."""
-    pairings = [(d, a) for d, a in config.pairings
-                if (defender_level is None or d == defender_level)
-                and (attacker_level is None or a == attacker_level)]
+    """Evaluate every configured pairing at every q3_max and seed, one
+    (q3_max, seed) cell per work unit on `jobs` workers (see
+    `worker_count`); write sweep.csv, or raise the error of the first row,
+    in config order, whose policies fail to load."""
+    pairings = tuple((d, a) for d, a in config.pairings
+                     if (defender_level is None or d == defender_level)
+                     and (attacker_level is None or a == attacker_level))
     if not config.pairings:  # both refused before anything is written
         raise ValueError("the config lists no pairings to sweep")
     if not pairings:
         raise ValueError(f"no configured pairing {list(config.pairings)} matches "
                          f"the level filter defender={defender_level}, "
                          f"attacker={attacker_level}")
-    rows = [(q3, d, a, s) for q3 in _selected(config.q3max_values, q3_max, "--q3max")
-            for d, a in pairings for s in _selected(config.seeds, seed, "--seed")]
-    workers = worker_count(jobs, len(rows))
+    q3s = _selected(config.q3max_values, q3_max, "--q3max")
+    seeds = _selected(config.seeds, seed, "--seed")
+    cells = [(q3, s, pairings) for q3 in q3s for s in seeds]
+    workers = worker_count(jobs, len(cells))
     out_dir.mkdir(parents=True, exist_ok=True)
-    with _in_order(_sweep_row, config, out_dir, rows, workers) as results:
-        records = list(results)
+    with _in_order(_sweep_cell, config, out_dir, cells, workers) as results:
+        by_cell = dict(zip(((q3, s) for q3, s, _ in cells), results))
+    # rows in config order: q3_max, then pairing, then seed; a cell that
+    # gives None for a row gives an error for some row
+    records = [by_cell[q3, s][i] for q3 in q3s for i in range(len(pairings))
+               for s in seeds]
+    for record in records:
+        if isinstance(record, Exception):
+            raise record
     write_csv(out_dir / "sweep.csv", SWEEP_COLUMNS, records)
     return records
 

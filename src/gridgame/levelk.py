@@ -13,6 +13,7 @@ episodes without the net machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -21,17 +22,22 @@ from . import neural
 from .netform import ParentValues, Policy
 
 
+# One match: each player's policy, and how many episodes to play in a row
+# from the rng.
+Match = tuple[Mapping[str, Policy], int, np.random.Generator]
+
+
 class Game(Protocol):
-    """What training and scoring read of a game: its players, and the
-    rewards per player and kernel slice of `episodes` episodes played in a
-    row from one rng, one mapping per episode.  Each player decides once
-    per kernel slice."""
+    """What training and scoring read of a game: its players, and, for each
+    of a sequence of matches played one after another, the rewards per
+    player and kernel slice of its episodes, one mapping per episode.  Each
+    player decides once per kernel slice."""
 
     @property
     def players(self) -> tuple[str, ...]: ...
 
-    def play(self, policies: Mapping[str, Policy], episodes: int,
-             rng: np.random.Generator) -> list[Mapping[str, list[float]]]: ...
+    def play(self, matches: Sequence[Match],
+             ) -> list[list[Mapping[str, list[float]]]]: ...
 
 
 @dataclass(frozen=True)
@@ -197,7 +203,7 @@ def train_level(game: Game, trainee: str,
                                     prior.encoder)
         policies: dict[str, Policy] = dict(opponents)
         policies[trainee] = recorder
-        rewards = game.play(policies, 1, rng)[0][trainee]
+        rewards = game.play([(policies, 1, rng)])[0][0][trainee]
         if len(recorder.actions) != len(rewards):
             raise ValueError(f"{len(recorder.actions)} decision records for "
                              f"{len(rewards)} slices")
@@ -268,8 +274,8 @@ class EvalReport:
         return float(np.std(self.per_episode[player]))
 
 
-# The most episodes `evaluate` asks of one `play` call, which may hold them
-# all at once: scoring's memory stays bounded however many episodes it plays.
+# The most episodes that scoring asks of one `play` call, which may hold
+# them all at once: its memory stays bounded however many episodes it plays.
 _PLAY_BLOCK = 1000
 
 
@@ -278,14 +284,29 @@ def evaluate(game: Game, policies: Mapping[str, Policy],
     """Average reward per step over independent episodes, for every player
     that `game.play` scores; per-episode means are kept for variance
     reporting."""
-    if episodes < 1:
+    return evaluate_matches(game, [(policies, episodes, rng)])[0]
+
+
+def evaluate_matches(game: Game, matches: Sequence[Match]) -> list[EvalReport]:
+    """`evaluate` of each match, the matches played one after another in
+    `play` calls of at most `_PLAY_BLOCK` episodes in all, so that a game
+    may play the episodes of several matches side by side."""
+    if any(episodes < 1 for _, episodes, _ in matches):
         raise ValueError("episodes must be >= 1")
-    per_episode: dict[str, list[float]] = {}
-    for start in range(0, episodes, _PLAY_BLOCK):
-        block = game.play(policies, min(_PLAY_BLOCK, episodes - start), rng)
-        for episode in block:
-            for player, rewards in episode.items():
-                per_episode.setdefault(player, []).append(sum(rewards) / len(rewards))
-    means = {player: sum(values) / episodes
-             for player, values in per_episode.items()}
-    return EvalReport(means, per_episode)
+    # each episode's match, cut into blocks; a run of one match in a block
+    # is its share of that block's `play` call
+    owners = [i for i, (_, episodes, _) in enumerate(matches)
+              for _ in range(episodes)]
+    per_episode: list[dict[str, list[float]]] = [{} for _ in matches]
+    for start in range(0, len(owners), _PLAY_BLOCK):
+        shares = [(i, len(list(run))) for i, run in
+                  groupby(owners[start:start + _PLAY_BLOCK])]
+        played = game.play([(matches[i][0], n, matches[i][2]) for i, n in shares])
+        for (i, _), episodes in zip(shares, played):
+            for episode in episodes:
+                for player, rewards in episode.items():
+                    per_episode[i].setdefault(player, []).append(
+                        sum(rewards) / len(rewards))
+    return [EvalReport({player: sum(values) / episodes
+                        for player, values in means.items()}, means)
+            for means, (_, episodes, _) in zip(per_episode, matches)]

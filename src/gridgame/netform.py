@@ -234,11 +234,13 @@ class IteratedGame:
     def players(self) -> tuple[str, ...]:
         return self.kernel.players
 
-    def play(self, policies: Mapping[str, Policy], episodes: int,
-             rng: np.random.Generator) -> list[dict[str, list[float]]]:
-        """The rewards, per player and kernel slice, of `episodes` rollouts
-        one after another."""
-        return [rollout(self, policies, rng).rewards for _ in range(episodes)]
+    def play(self, matches: Sequence[tuple[Mapping[str, Policy], int,
+                                          np.random.Generator]],
+             ) -> list[list[dict[str, list[float]]]]:
+        """For each (policies, episodes, rng) match in turn, the rewards, per
+        player and kernel slice, of its rollouts one after another."""
+        return [[rollout(self, policies, rng).rewards for _ in range(episodes)]
+                for policies, episodes, rng in matches]
 
 
 def _glue_violations(prev: SemiBayesNet, kernel: SemiBayesNet,

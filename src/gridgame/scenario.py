@@ -27,14 +27,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cache, partial
-from itertools import repeat
+from itertools import accumulate
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import netform, neural
-from .levelk import PriorPolicy, QPolicy
+from .levelk import Match, PriorPolicy, QPolicy
 from .netform import (FiniteDiscrete, IteratedGame, RealVector, Record,
                       SemiBayesNet, boundary_kernel, chance, constant_kernel,
                       decision)
@@ -195,9 +195,14 @@ def attacker_levels(params: GridParams) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def defender_reward(v2: float, v3: float, params: GridParams) -> float:
-    """Quadratic penalty on both downstream voltage deviations; always <= 0."""
+    """Quadratic penalty on both downstream voltage deviations; always <= 0;
+    elementwise over arrays too."""
     eps = params.band_halfwidth
-    return -(((v2 - 1.0) / eps) ** 2) - (((v3 - 1.0) / eps) ** 2)
+    # Numpy's square rounds some x ** 2 other than Python's float pow, which
+    # calls libm's `pow`; `np.float_power` calls it too, and
+    # `tests/test_scenario.py` checks the equality on the build it runs on.
+    square = np.float_power if isinstance(v2, np.ndarray) else pow
+    return -square((v2 - 1.0) / eps, 2.0) - square((v3 - 1.0) / eps, 2.0)
 
 
 def attacker_reward(v2: float, params: GridParams) -> float:
@@ -377,15 +382,16 @@ def _level0_attackers(v2: np.ndarray, q3_current: np.ndarray,
     levels = np.array(attacker_levels(params))
     deviation = abs(v2[:, None] + params.x1 * (levels - q3_current[:, None]) - 1.0)
     low, high = deviation[:, 0], deviation[:, -1]
-    # the length of the run of deviations equal to `high` ending at the top
-    top_run = (deviation == high[:, None])[:, ::-1].cumprod(axis=1).sum(axis=1)
+    # when `high` exceeds `low`, the first deviation equal to it starts the
+    # run of them ending at the top (the deviations fall, then rise)
+    first_high = (deviation == high[:, None]).argmax(axis=1)
     # the first nearest level, which is the first equal one when there is one
     current_index = abs(levels - q3_current[:, None]).argmin(axis=1)
     drift = np.where(v2 < 1.0, np.minimum(current_index + 1, ATTACKER_ACTIONS - 1),
                      np.maximum(current_index - 1, 0))
     strike = params.strike_threshold
     return np.where(low >= high, np.where(low > strike, 0, drift),
-                    np.where(high > strike, ATTACKER_ACTIONS - top_run, drift))
+                    np.where(high > strike, first_high, drift))
 
 
 # ---------------------------------------------------------------------------
@@ -704,77 +710,113 @@ class NativeBattle:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
-    def play(self, policies: Mapping[str, netform.Policy], episodes: int,
-             rng: np.random.Generator) -> list[dict[str, list[float]]]:
-        """`episodes` episodes of `simulate`, one after another.
+    def play(self, matches: Sequence[Match]) -> list[list[dict[str, list[float]]]]:
+        """Each match's episodes of `simulate`, one after another.
 
-        When each player's policy is its prior in `level0_policies(params)`
-        or a `QPolicy` over that prior's encoder, neither of which draws
-        from the rng, `_lockstep` plays the episodes side by side from the
-        uniforms `simulate` would draw: `1 + horizon` per episode, the first
-        load first.  Any other policy, such as one that explores, goes
-        through `simulate`."""
-        deciders = {player: _lockstep_decider(policies[player], player,
-                                              self.params)
-                    for player in self.players}
-        if None not in deciders.values():
-            return _lockstep(self.params, deciders,
-                             rng.random((episodes, self.horizon + 1)))
-        played = []
-        for _ in range(episodes):
-            records = simulate(self.params, policies, self.horizon, rng)
-            played.append({DEFENDER: [rec.defender_reward for rec in records],
-                           ATTACKER: [rec.attacker_reward for rec in records]})
+        When each player's policy in a match is its prior in
+        `level0_policies(params)` or a `QPolicy` over that prior's encoder,
+        neither of which draws from the rng, the match draws the uniforms
+        `simulate` would draw, `1 + horizon` per episode, the first load
+        first, and `_lockstep` plays its episodes beside those of every other
+        such match.  Any other match, such as one whose trainee explores,
+        goes through `simulate`."""
+        played: list = []
+        rows = []  # (index into `played`, policies, loads) of each lockstep match
+        for policies, episodes, rng in matches:
+            if all(_batchable(policies[player], player, self.params)
+                   for player in self.players):
+                rows.append((len(played), policies,
+                             rng.random((episodes, self.horizon + 1))))
+                played.append(None)
+                continue
+            played.append([])
+            for _ in range(episodes):
+                records = simulate(self.params, policies, self.horizon, rng)
+                played[-1].append(
+                    {DEFENDER: [rec.defender_reward for rec in records],
+                     ATTACKER: [rec.attacker_reward for rec in records]})
+        if rows:
+            lockstep = _lockstep(self.params, [row[1:] for row in rows])
+            for (i, _, _), episodes in zip(rows, lockstep):
+                played[i] = episodes
         return played
 
 
-# What only the lockstep has of each player: its level-0 rule and its
-# features, over a memory whose fields are arrays with one entry per episode.
+# What only the lockstep has of each player: its level-0 rule over the
+# episodes `ix` and its features, over a memory whose fields are arrays with
+# one entry per episode.
 _BATCHED = {
-    DEFENDER: (lambda mem, p: _level0_defenders(mem.v1, mem.v2, mem.v3, p),
+    DEFENDER: (lambda mem, ix, p: _level0_defenders(mem.v1[ix], mem.v2[ix],
+                                                    mem.v3[ix], p),
                _defender_features),
-    ATTACKER: (lambda mem, p: _level0_attackers(mem.v2, mem.q3, p),
+    ATTACKER: (lambda mem, ix, p: _level0_attackers(mem.v2[ix], mem.q3[ix], p),
                _attacker_features),
 }
 
 
-def _lockstep_decider(policy: netform.Policy, player: str, params: GridParams,
-                      ) -> Callable[[NamedTuple], np.ndarray] | None:
-    """`policy`'s actions as `player` for a memory whose fields are arrays;
-    None unless `policy` is the player's prior in `level0_policies(params)`
-    or a `QPolicy` over its encoder with its feature width and action count
-    (any other network fails in `simulate`)."""
+def _batchable(policy: netform.Policy, player: str, params: GridParams) -> bool:
+    """Whether `_lockstep` plays `policy` as `player`: it must be the
+    player's prior in `level0_policies(params)` or a `QPolicy` over its
+    encoder with its feature width and action count (any other network
+    fails in `simulate`)."""
     prior = level0_policies(params)[player]
-    rule_rows, features = _BATCHED[player]
-    if policy is prior:
-        return lambda mem: rule_rows(mem, params)
-    if isinstance(policy, QPolicy) and policy.encoder is prior.encoder:
-        net = policy.params
-        if (net.spec.input_dim, net.spec.output_dim) == \
-                (prior.feature_dim, prior.action_count):
-            return lambda mem: neural.forward_rows(
-                net, _feature_rows(features(mem, params))).argmax(axis=1)
-    return None
+    return policy is prior or (
+        isinstance(policy, QPolicy) and policy.encoder is prior.encoder
+        and (policy.params.spec.input_dim, policy.params.spec.output_dim)
+        == (prior.feature_dim, prior.action_count))
 
 
-def _feature_rows(features: tuple) -> np.ndarray:
-    """One row per episode from features that are arrays or shared scalars.
-    (A loop: `np.column_stack(np.broadcast_arrays(...))` costs 4x as much.)"""
-    rows = np.empty((len(features[0]), len(features)))
+def _lockstep_decider(params: GridParams, player: str,
+                      policies: Sequence[netform.Policy], ends: Sequence[int],
+                      ) -> Callable[[NamedTuple], np.ndarray]:
+    """`player`'s actions for a memory whose fields are arrays, where
+    `policies[i]` decides for the episodes of row i, which end before
+    `ends[i]`.  The episodes of one policy object decide together: by the
+    prior's batched rule, or by one `forward_rows` over their feature rows."""
+    prior = level0_policies(params)[player]
+    rule, features = _BATCHED[player]
+    episodes: dict[int, tuple[netform.Policy, list[int]]] = {}
+    for policy, start, end in zip(policies, (0, *ends[:-1]), ends):
+        episodes.setdefault(id(policy), (policy, []))[1].extend(range(start, end))
+    groups = [(np.array(ix, dtype=np.intp),
+               None if policy is prior else policy.params)
+              for policy, ix in episodes.values()]
+    networks = any(net is not None for _, net in groups)
+    block = np.empty((ends[-1], prior.feature_dim))
+
+    def decide(mem):
+        if networks:
+            _feature_rows(features(mem, params), block)
+        actions = np.empty(len(block), dtype=np.intp)
+        for ix, net in groups:
+            actions[ix] = rule(mem, ix, params) if net is None else \
+                neural.forward_rows(net, block[ix]).argmax(axis=1)
+        return actions
+    return decide
+
+
+def _feature_rows(features: tuple, block: np.ndarray) -> None:
+    """Fill `block`, one row per episode, from features that are arrays or
+    shared scalars.  (A loop: `np.column_stack(np.broadcast_arrays(...))`
+    costs 4x as much.)"""
     for j, column in enumerate(features):
-        rows[:, j] = column
-    return rows
+        block[:, j] = column
 
 
 def _lockstep(params: GridParams,
-              deciders: Mapping[str, Callable[[NamedTuple], np.ndarray]],
-              loads: np.ndarray) -> list[dict[str, list[float]]]:
-    """The episodes of `simulate` under `deciders`, side by side: row e of
-    `loads` holds episode e's uniforms.  Every value is an array with one
-    entry per episode, computed by `simulate`'s functions where their
-    arithmetic is elementwise and by their twins where a branch is not;
-    each reward comes from the scalar reward functions' bits."""
+              rows: Sequence[tuple[Mapping[str, netform.Policy], np.ndarray]],
+              ) -> list[list[dict[str, list[float]]]]:
+    """The episodes of `simulate` for each row, a match's policies and its
+    loads (row e holds episode e's uniforms), all side by side.  Every value
+    is an array with one entry per episode of every row, computed by
+    `simulate`'s functions where their arithmetic is elementwise, the
+    rewards' too, and by their twins where a branch is not."""
+    loads = np.concatenate([row_loads for _, row_loads in rows])
+    ends = list(accumulate(len(row_loads) for _, row_loads in rows))
     episodes, horizon = loads.shape[0], loads.shape[1] - 1
+    deciders = {player: _lockstep_decider(
+        params, player, [policies[player] for policies, _ in rows], ends)
+        for player in (DEFENDER, ATTACKER)}
     levels = np.array(attacker_levels(params))
     d_action = np.full(episodes, params.defender_start_action)
     a_action = np.full(episodes, params.attacker_start_action)
@@ -797,9 +839,7 @@ def _lockstep(params: GridParams,
         if t < horizon:  # the decisions after the last step act on nothing
             d_action = deciders[DEFENDER](d_mem)
             a_action = deciders[ATTACKER](a_mem)
-    # Python's float pow, which `defender_reward` runs, rounds x ** 2 other
-    # than numpy's square on some inputs, so it is called per reward.
-    d_rewards = [list(map(defender_reward, v2, v3, repeat(params)))
-                 for v2, v3 in zip(v2s.tolist(), v3s.tolist())]
-    return [{DEFENDER: d, ATTACKER: a}
-            for d, a in zip(d_rewards, attacker_reward(v2s, params).tolist())]
+    played = [{DEFENDER: d, ATTACKER: a} for d, a in zip(
+        defender_reward(v2s, v3s, params).tolist(),
+        attacker_reward(v2s, params).tolist())]
+    return [played[start:end] for start, end in zip((0, *ends[:-1]), ends)]

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgame import cli, experiment, scenario
+from gridgame import cli, experiment, levelk, scenario
 from gridgame.cli import main
 from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
                                  ExperimentConfig, cell_grid, cell_rng,
@@ -1071,7 +1071,46 @@ def test_cli_duplicate_config_key_exits_with_error_line(tmp_path, capsys):
                  "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "duplicate key 'k_max'" in err
+    assert err == f"error: config file {config_path} holds duplicate key 'k_max'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_duplicate_policy_key_exits_with_error_line(tmp_path, capsys):
+    """A policy file whose `level` is given twice is refused, not scored
+    under the last value."""
+    config_path = write_config(tmp_path, {
+        "experiment": {"k_max": 2, "q3max_values": [0.7],
+                       "pairings": [[1, 0]], "eval_episodes": 1,
+                       "horizon": 5, "seeds": [1]}})
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / policy_filename(DEFENDER, 1, 0.7, 1)
+    save_policy(path, _dummy_policy(GridParams(q3_max=0.7), DEFENDER),
+                DEFENDER, 1, 0.7, 1, TrainConfig())
+    text = path.read_text()
+    assert text.count('"level": 1,') == 1
+    path.write_text(text.replace('"level": 1,', '"level": 2, "level": 1,'))
+    code = main(["eval", "--config", str(config_path), "--out", str(out),
+                 "--defender-level", "1", "--attacker-level", "0",
+                 "--q3max", "0.7"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: policy file {path} holds duplicate key 'level'\n"
+    assert [p.name for p in out.iterdir()] == [path.name]
+
+
+def test_cli_integer_too_long_to_parse_exits_with_error_line_naming_it(
+        tmp_path, capsys):
+    """Python refuses to parse an integer of over 4,300 digits with a bare
+    ValueError; the error line still names the file."""
+    config_path = tmp_path / "config.json"
+    config_path.write_text('{"grid": {"r1": 1' + "0" * 5000 + "}}")
+    code = main(["train", "--config", str(config_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {config_path} is not valid JSON: ")
+    assert err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 
@@ -1212,13 +1251,22 @@ def test_cli_jobs_1_and_2_write_identical_bytes(tmp_path, capsys):
     assert [line.replace("jobs2", "jobs1") for line in printed[2:]] == printed[:2]
 
 
+FOUR_CELLS = {**TWO_CELLS,
+              "experiment": {**TWO_CELLS["experiment"], "seeds": [1, 2]}}
+
+
 def test_cli_sweep_reports_the_first_missing_policy_in_config_order(
         tmp_path, capsys):
-    config_path = write_config(tmp_path, TWO_CELLS)
+    """Rows run by (q3_max, seed) cell, but the error is that of the first
+    failing row in config order (q3_max, then pairing, then seed).  Cell
+    (0.7, 1) fails first, at its row D0/A1; row D1/A0 of the later cell
+    (0.7, 2) comes before that row in config order."""
+    config_path = write_config(tmp_path, FOUR_CELLS)
     out = tmp_path / "out"
     assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
     (out / policy_filename(DEFENDER, 1, 1.2, 1)).unlink()
     (out / policy_filename(ATTACKER, 1, 0.7, 1)).unlink()
+    (out / policy_filename(DEFENDER, 1, 0.7, 2)).unlink()
     capsys.readouterr()
     errors = []
     for jobs in ("1", "2"):
@@ -1227,9 +1275,60 @@ def test_cli_sweep_reports_the_first_missing_policy_in_config_order(
         assert multiprocessing.active_children() == []
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
-    assert errors[0].startswith("error:")
-    assert policy_filename(ATTACKER, 1, 0.7, 1) in errors[0]
+    assert errors[0].startswith("error:") and errors[0].count("\n") == 1
+    assert policy_filename(DEFENDER, 1, 0.7, 2) in errors[0]
     assert not (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("option, value, column", [
+    ("--defender-level", "1", "defender_level"),
+    ("--attacker-level", "0", "attacker_level"),
+    ("--seed", "2", "seed"),
+])
+def test_cli_filtered_sweep_writes_the_bytes_of_its_rows_in_the_full_sweep(
+        tmp_path, option, value, column):
+    """A row's score does not depend on the rows scored beside it."""
+    config_path = write_config(tmp_path, FOUR_CELLS)
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(config_path), "--out", str(out)]) == 0
+    assert main(["sweep", "--config", str(config_path), "--out", str(out)]) == 0
+    header, *rows = (out / "sweep.csv").read_bytes().splitlines(keepends=True)
+    index = header.decode().rstrip("\n").split(",").index(column)
+    kept = [row for row in rows if row.decode().split(",")[index] == value]
+    assert 0 < len(kept) < len(rows)
+    assert main(["sweep", "--config", str(config_path), "--out", str(out),
+                 option, value]) == 0
+    assert (out / "sweep.csv").read_bytes() == b"".join([header, *kept])
+
+
+def test_sweep_plays_blocks_of_at_most_play_block_episodes(tmp_path,
+                                                           monkeypatch):
+    """However the rows of a cell are cut into blocks, no lockstep call
+    plays more than `_PLAY_BLOCK` episodes, and sweep.csv and every row's
+    rng end state are those of unblocked play."""
+    config = config_from_dict({**TWO_CELLS, "experiment": {
+        **TWO_CELLS["experiment"], "eval_episodes": 3}})
+    run_train(config, tmp_path, jobs=1)
+    lockstep, cell_rng = scenario._lockstep, experiment.cell_rng
+    played, rngs = [], []
+    monkeypatch.setattr(scenario, "_lockstep", lambda params, rows: (
+        played.append(sum(len(loads) for _, loads in rows)),
+        lockstep(params, rows))[1])
+    monkeypatch.setattr(experiment, "cell_rng", lambda *args: (
+        rngs.append(cell_rng(*args)), rngs[-1])[1])
+    outputs = {}
+    for block in (1000, 5):
+        monkeypatch.setattr(levelk, "_PLAY_BLOCK", block)
+        played.clear()
+        rngs.clear()
+        run_sweep(config, tmp_path, jobs=1)
+        outputs[block] = ((tmp_path / "sweep.csv").read_bytes(),
+                          [rng.bit_generator.state for rng in rngs])
+        assert max(played) <= block
+        assert sum(played) == 8 * 3  # 2 cells x 4 pairings x 3 episodes
+    assert played == [5, 5, 2, 5, 5, 2]  # each cell's 12 episodes, cut
+    assert len(outputs[5][1]) == 8
+    assert outputs[5] == outputs[1000]
 
 
 @pytest.mark.parametrize("command", ["train", "sweep"])

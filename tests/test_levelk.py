@@ -291,8 +291,8 @@ def test_episode_transitions_pairing_and_rewards(monkeypatch):
     # a game that scores one slice fewer than the trainee decided in
     play = IteratedGame.play
     monkeypatch.setattr(IteratedGame, "play", lambda *args: [
-        {player: rewards[:-1] for player, rewards in episode.items()}
-        for episode in play(*args)])
+        [{player: rewards[:-1] for player, rewards in episode.items()}
+         for episode in match] for match in play(*args)])
     with pytest.raises(ValueError, match="4 decision records for 3 slices"):
         train_level(game, PLAYER, {}, {PLAYER: prior}, config,
                     np.random.default_rng(0))
@@ -458,13 +458,14 @@ def test_evaluate_reward_accounting_against_recomputation():
 
 
 def _spy_on_play_episodes(monkeypatch):
-    """The `episodes` argument of every `NativeBattle.play` call."""
+    """The episodes of every `NativeBattle.play` call, summed over its
+    matches."""
     calls = []
     play = scenario.NativeBattle.play
     monkeypatch.setattr(scenario.NativeBattle, "play",
-                        lambda game, policies, episodes, rng: (
-                            calls.append(episodes),
-                            play(game, policies, episodes, rng))[1])
+                        lambda game, matches: (
+                            calls.append(sum(n for _, n, _ in matches)),
+                            play(game, matches))[1])
     return calls
 
 

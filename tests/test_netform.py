@@ -441,8 +441,8 @@ def test_game_plays_the_rewards_of_rollout():
     policies = {"p1": lambda parents, rng: int(rng.integers(3))}
     play_rng, rollout_rng = np.random.default_rng(3), np.random.default_rng(3)
     assert game.players == ("p1",)
-    assert game.play(policies, 3, play_rng) == \
-        [rollout(game, policies, rollout_rng).rewards for _ in range(3)]
+    assert game.play([(policies, 3, play_rng)]) == \
+        [[rollout(game, policies, rollout_rng).rewards for _ in range(3)]]
     assert play_rng.bit_generator.state == rollout_rng.bit_generator.state
 
 

@@ -218,6 +218,11 @@ def test_forward_rows_is_forward_on_every_row_byte_for_byte(
     assert q_rows.shape == (rows, output_dim)
     for x, q in zip(xs, q_rows):
         assert q.tobytes() == forward(params, x).tobytes()
+    # the rows of one policy's episodes, which the lockstep gathers from
+    # those of all its matches
+    ix = np.flatnonzero(rng.random(rows) < 0.5)
+    for i, q in zip(ix, forward_rows(params, xs[ix]), strict=True):
+        assert q.tobytes() == forward(params, xs[i]).tobytes()
 
 
 def test_batched_gradient_needs_one_action_and_target_per_row():

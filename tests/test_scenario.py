@@ -170,6 +170,25 @@ def test_reward_ranges(v2, v3):
     assert attacker_reward(v2, P) in (0.0, 1.0)  # both violations can't fire
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(1e-3, 1e3),
+       band=st.sampled_from([P.band_halfwidth, 1e-3, 0.0625]))
+def test_defender_reward_of_arrays_is_the_scalar_reward_on_every_entry(
+        seed, scale, band):
+    """The lockstep's defender rewards, and so sweep.csv, rest on this
+    equality: on a numpy or libm build where `np.float_power` rounds a
+    square other than Python's float pow, this fails rather than letting
+    the scores drift.  Numpy's plain square differs on about 0.08% of
+    inputs, so on about three of an example's 4,000 squares."""
+    rng = np.random.default_rng(seed)
+    params = replace(P, band_halfwidth=band)
+    v2, v3 = 1.0 + rng.normal(0.0, scale * band, (2, 40, 50))
+    rewards = defender_reward(v2, v3, params).tolist()
+    assert repr(rewards) == repr(
+        [[defender_reward(a, b, params) for a, b in zip(row2, row3)]
+         for row2, row3 in zip(v2.tolist(), v3.tolist())])
+
+
 # ---------------------------------------------------------------------------
 # memory metrics
 # ---------------------------------------------------------------------------
@@ -707,13 +726,67 @@ def test_play_plays_greedy_episodes_in_lockstep_bit_for_bit(battle, episodes):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scenario, "simulate", refuse)
-        played = game.play(policies, episodes, lockstep_rng)
+        played = game.play([(policies, episodes, lockstep_rng)])[0]
         report = evaluate(game, policies, episodes, report_rng)
     assert repr(played) == repr(expected)
     assert repr(report.per_episode) == repr(expected_report.per_episode)
     assert repr(report.mean_reward_per_step) == \
         repr(expected_report.mean_reward_per_step)
     for rng in (lockstep_rng, report_rng, net_rng):
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@st.composite
+def lockstep_matches(draw):
+    """One to four matches on one grid, each with its own seed and one to
+    five episodes.  A match's policy for a player is drawn anew or taken
+    from an earlier match, so matches share policy objects or do not; the
+    grid may have no attacker reach (q3_max 0 or subnormal) or x1 = 0."""
+    params = replace(draw(grids()), **draw(st.sampled_from(
+        [{}, {"x1": 0.0}, {"q3_max": 1e-310}])))
+    matches = []
+    for _ in range(draw(st.integers(1, 4))):
+        policies = draw(greedy_policies(params))
+        for player in policies:
+            if matches and draw(st.booleans()):
+                policies[player] = draw(st.sampled_from(matches))[0][player]
+        matches.append((policies, draw(st.integers(1, 5)),
+                        draw(st.integers(0, 2 ** 32 - 1))))
+    return params, matches, draw(st.integers(1, 30))
+
+
+@settings(max_examples=100, deadline=None)
+@given(lockstep_matches())
+def test_lockstep_plays_each_match_as_simulate_plays_it_alone(case):
+    """`NativeBattle.play` plays all its greedy matches in one lockstep,
+    where each player's episodes decide in groups of one policy object;
+    yet every match gets exactly what `simulate` gives it alone, and its
+    rng ends where `simulate` leaves it."""
+    params, matches, horizon = case
+    expected, loop_rngs = [], []
+    for policies, episodes, seed in matches:
+        loop_rngs.append(np.random.default_rng(seed))
+        expected.append([])
+        for _ in range(episodes):
+            records = simulate(params, policies, horizon, loop_rngs[-1])
+            expected[-1].append(
+                {DEFENDER: [rec.defender_reward for rec in records],
+                 ATTACKER: [rec.attacker_reward for rec in records]})
+    rngs = [np.random.default_rng(seed) for _, _, seed in matches]
+    real_lockstep, calls = scenario._lockstep, []
+
+    def lockstep(*args):
+        calls.append(args)
+        return real_lockstep(*args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "simulate", None)  # the lockstep calls no simulate
+        patch.setattr(scenario, "_lockstep", lockstep)
+        played = NativeBattle(params, horizon).play(
+            [(policies, episodes, rng)
+             for (policies, episodes, _), rng in zip(matches, rngs)])
+    assert len(calls) == 1
+    assert repr(played) == repr(expected)
+    for rng, loop_rng in zip(rngs, loop_rngs):
         assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
@@ -765,7 +838,7 @@ def test_play_goes_through_simulate_for_a_prior_of_another_grid(
     calls = []
     monkeypatch.setattr(scenario, "simulate", lambda *args: (
         calls.append(args), simulate(*args))[1])
-    assert repr(NativeBattle(P, 12).play(policies, 3, play_rng)) == \
+    assert repr(NativeBattle(P, 12).play([(policies, 3, play_rng)])[0]) == \
         repr(expected)
     assert len(calls) == 3
     assert play_rng.bit_generator.state == loop_rng.bit_generator.state
@@ -916,8 +989,8 @@ def test_an_accepted_grid_never_overflows_the_circuit(grid, seed):
             assert np.isfinite([*rec.state, rec.defender_memory.metric,
                                 rec.attacker_memory.metric,
                                 rec.defender_reward, rec.attacker_reward]).all()
-        played = NativeBattle(grid, 30).play(level0_policies(grid), 4,
-                                             np.random.default_rng(seed))
+        played, = NativeBattle(grid, 30).play(
+            [(level0_policies(grid), 4, np.random.default_rng(seed))])
     assert np.isfinite([episode[player] for episode in played
                         for player in (DEFENDER, ATTACKER)]).all()
 
