@@ -18,6 +18,7 @@ import functools
 import io
 import json
 import os
+import pickle
 import secrets
 import sys
 import typing
@@ -420,17 +421,73 @@ def worker_count(jobs: int | None, units: int) -> int:
 @contextlib.contextmanager
 def _in_order(unit_fn, config: ExperimentConfig, out_dir: Path,
               units: list, workers: int):
-    """`unit_fn(config, out_dir, unit)` for each unit, yielded (or raised) in
-    the order of `units` however many workers run them."""
+    """`unit_fn(config, out_dir, unit)` for each (q3_max, seed, ...) cell in
+    `units`, yielded (or raised) in the order of `units` however many
+    workers run them.
+
+    Worker k is a child forked at once from the loaded modules (the program
+    starts no threads of its own that a fork could break).  It runs
+    `units[k::workers]`, cells being of one size, and pickles each result,
+    or the exception it raised, down a pipe of its own; the calling process
+    runs no unit.  A worker that ends before a cell's result is a
+    ChildProcessError naming the cell.  On the way out, every worker still
+    running is killed, and every one is reaped."""
     work = functools.partial(unit_fn, config, out_dir)
     if workers == 1:
         yield map(work, units)
         return
-    import multiprocessing  # here, not at the top: it slows every start-up
-    # fork: workers start at once from the loaded modules, and the program
-    # has started no threads of its own that a fork could break
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
-        yield pool.imap(work, units, chunksize=1)
+    import signal  # here, not at the top: importing it slows every start-up
+    children: list[tuple[int, typing.BinaryIO]] = []  # (pid, its pipe's read end)
+    try:
+        for k in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _run_in_child(work, units[k::workers], write)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        yield (_result(children[i % workers][1], unit)
+               for i, unit in enumerate(units))
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_in_child(work, units: list, write: int) -> typing.NoReturn:
+    """A forked worker's whole life: each unit's (True, result) or (False,
+    exception) pickled to the pipe `write`, then exit, without returning
+    into the caller's frames or running its clean-up."""
+    status = 1
+    try:
+        with open(write, "wb") as pipe:
+            for unit in units:
+                try:
+                    outcome = (True, work(unit))
+                except Exception as exc:
+                    outcome = (False, exc)
+                pipe.write(pickle.dumps(outcome))  # whole, or not at all
+                pipe.flush()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _result(pipe: typing.BinaryIO, cell: tuple) -> Any:
+    """The next result that a worker sends down `pipe`, which is `cell`'s,
+    or the exception that the cell raised, raised again."""
+    try:
+        ok, value = pickle.load(pipe)
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError(
+            f"the worker process for the cell at q3_max={cell[0]:g} "
+            f"seed={cell[1]} ended without its result") from None
+    if not ok:
+        raise value
+    return value
 
 
 def _train_cell(config: ExperimentConfig, out_dir: Path,

@@ -29,15 +29,15 @@ Match = tuple[Mapping[str, Policy], int, np.random.Generator]
 
 class Game(Protocol):
     """What training and scoring read of a game: its players, and, for each
-    of a sequence of matches played one after another, the rewards per
-    player and kernel slice of its episodes, one mapping per episode.  Each
-    player decides once per kernel slice."""
+    of a sequence of matches played one after another, one mapping from
+    player to the rewards of its episodes, a float array with one row per
+    episode and one column per kernel slice.  Each player decides once per
+    kernel slice."""
 
     @property
     def players(self) -> tuple[str, ...]: ...
 
-    def play(self, matches: Sequence[Match],
-             ) -> list[list[Mapping[str, list[float]]]]: ...
+    def play(self, matches: Sequence[Match]) -> list[Mapping[str, np.ndarray]]: ...
 
 
 @dataclass(frozen=True)
@@ -203,7 +203,7 @@ def train_level(game: Game, trainee: str,
                                     prior.encoder)
         policies: dict[str, Policy] = dict(opponents)
         policies[trainee] = recorder
-        rewards = game.play([(policies, 1, rng)])[0][0][trainee]
+        rewards = game.play([(policies, 1, rng)])[0][trainee][0]
         if len(recorder.actions) != len(rewards):
             raise ValueError(f"{len(recorder.actions)} decision records for "
                              f"{len(rewards)} slices")
@@ -302,11 +302,17 @@ def evaluate_matches(game: Game, matches: Sequence[Match]) -> list[EvalReport]:
         shares = [(i, len(list(run))) for i, run in
                   groupby(owners[start:start + _PLAY_BLOCK])]
         played = game.play([(matches[i][0], n, matches[i][2]) for i, n in shares])
-        for (i, _), episodes in zip(shares, played):
-            for episode in episodes:
-                for player, rewards in episode.items():
-                    per_episode[i].setdefault(player, []).append(
-                        sum(rewards) / len(rewards))
-    return [EvalReport({player: sum(values) / episodes
+        for (i, _), rewards in zip(shares, played):
+            for player, values in rewards.items():
+                per_episode[i].setdefault(player, []).extend(
+                    _means(values).tolist())
+    return [EvalReport({player: float(_means(np.array(values)))
                         for player, values in means.items()}, means)
-            for means, (_, episodes, _) in zip(per_episode, matches)]
+            for means in per_episode]
+
+
+def _means(values: np.ndarray) -> np.ndarray:
+    """The means along the last axis, each summed in order from the first
+    entry, as Python 3.11's `sum` adds floats (a later `sum` compensates):
+    `cumsum` adds in order, and `+ 0.0` turns a -0.0 sum into `sum`'s 0.0."""
+    return (np.cumsum(values, axis=-1)[..., -1] + 0.0) / values.shape[-1]

@@ -236,11 +236,19 @@ class IteratedGame:
 
     def play(self, matches: Sequence[tuple[Mapping[str, Policy], int,
                                           np.random.Generator]],
-             ) -> list[list[dict[str, list[float]]]]:
-        """For each (policies, episodes, rng) match in turn, the rewards, per
-        player and kernel slice, of its rollouts one after another."""
-        return [[rollout(self, policies, rng).rewards for _ in range(episodes)]
-                for policies, episodes, rng in matches]
+             ) -> list[dict[str, np.ndarray]]:
+        """For each (policies, episodes, rng) match in turn, the rewards of
+        its rollouts one after another: per player, an array with a row per
+        rollout and a column per kernel slice."""
+        played = []
+        for policies, episodes, rng in matches:
+            rewards = {player: np.empty((episodes, self.horizon))
+                       for player in self.rewards}
+            for episode in range(episodes):
+                for player, values in rollout(self, policies, rng).rewards.items():
+                    rewards[player][episode] = values
+            played.append(rewards)
+        return played
 
 
 def _glue_violations(prev: SemiBayesNet, kernel: SemiBayesNet,

@@ -369,11 +369,16 @@ def _level0_defenders(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray,
                       params: GridParams) -> np.ndarray:
     """`level0_defender` elementwise: the same keys, row i for action i,
     sorted stably, so that equal keys keep the first action."""
-    v1_next = np.stack([np.maximum(params.v1_min, v1 - params.tap_step), v1,
+    v1_next = np.array([np.maximum(params.v1_min, v1 - params.tap_step), v1,
                         np.minimum(params.v1_max, v1 + params.tap_step)])
     shift = v1_next - v1
     deviation = abs((v2 + shift + v3 + shift) / 2.0 - 1.0)
     return np.lexsort((v1_next, abs(shift), deviation), axis=0)[0]
+
+
+# Row 0 holds the drift down from each grid index, row 1 the drift up.
+_DRIFTS = np.array([[max(k - 1, 0) for k in range(ATTACKER_ACTIONS)],
+                    [min(k + 1, ATTACKER_ACTIONS - 1) for k in range(ATTACKER_ACTIONS)]])
 
 
 def _level0_attackers(v2: np.ndarray, q3_current: np.ndarray,
@@ -381,17 +386,15 @@ def _level0_attackers(v2: np.ndarray, q3_current: np.ndarray,
     """`level0_attacker` elementwise, one row of grid deviations per entry."""
     levels = np.array(attacker_levels(params))
     deviation = abs(v2[:, None] + params.x1 * (levels - q3_current[:, None]) - 1.0)
-    low, high = deviation[:, 0], deviation[:, -1]
-    # when `high` exceeds `low`, the first deviation equal to it starts the
-    # run of them ending at the top (the deviations fall, then rise)
-    first_high = (deviation == high[:, None]).argmax(axis=1)
+    # the larger end deviation, and the first grid index reaching it: 0 when
+    # the low end reaches it, else the start of the run of equal deviations
+    # ending at the top (the deviations fall, then rise)
+    peak = np.maximum(deviation[:, 0], deviation[:, -1])
+    strike = (deviation == peak[:, None]).argmax(axis=1)
     # the first nearest level, which is the first equal one when there is one
     current_index = abs(levels - q3_current[:, None]).argmin(axis=1)
-    drift = np.where(v2 < 1.0, np.minimum(current_index + 1, ATTACKER_ACTIONS - 1),
-                     np.maximum(current_index - 1, 0))
-    strike = params.strike_threshold
-    return np.where(low >= high, np.where(low > strike, 0, drift),
-                    np.where(high > strike, first_high, drift))
+    drift = _DRIFTS[(v2 < 1.0).view(np.uint8), current_index]
+    return np.where(peak > params.strike_threshold, strike, drift)
 
 
 # ---------------------------------------------------------------------------
@@ -710,8 +713,10 @@ class NativeBattle:
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 
-    def play(self, matches: Sequence[Match]) -> list[list[dict[str, list[float]]]]:
-        """Each match's episodes of `simulate`, one after another.
+    def play(self, matches: Sequence[Match]) -> list[dict[str, np.ndarray]]:
+        """Each match's episodes of `simulate`, one after another: per
+        player, an array of the rewards with a row per episode and a column
+        per step.
 
         When each player's policy in a match is its prior in
         `level0_policies(params)` or a `QPolicy` over that prior's encoder,
@@ -729,16 +734,17 @@ class NativeBattle:
                              rng.random((episodes, self.horizon + 1))))
                 played.append(None)
                 continue
-            played.append([])
-            for _ in range(episodes):
+            rewards = {player: np.empty((episodes, self.horizon))
+                       for player in self.players}
+            for episode in range(episodes):
                 records = simulate(self.params, policies, self.horizon, rng)
-                played[-1].append(
-                    {DEFENDER: [rec.defender_reward for rec in records],
-                     ATTACKER: [rec.attacker_reward for rec in records]})
+                rewards[DEFENDER][episode] = [rec.defender_reward for rec in records]
+                rewards[ATTACKER][episode] = [rec.attacker_reward for rec in records]
+            played.append(rewards)
         if rows:
             lockstep = _lockstep(self.params, [row[1:] for row in rows])
-            for (i, _, _), episodes in zip(rows, lockstep):
-                played[i] = episodes
+            for (i, _, _), rewards in zip(rows, lockstep):
+                played[i] = rewards
         return played
 
 
@@ -805,9 +811,10 @@ def _feature_rows(features: tuple, block: np.ndarray) -> None:
 
 def _lockstep(params: GridParams,
               rows: Sequence[tuple[Mapping[str, netform.Policy], np.ndarray]],
-              ) -> list[list[dict[str, list[float]]]]:
-    """The episodes of `simulate` for each row, a match's policies and its
-    loads (row e holds episode e's uniforms), all side by side.  Every value
+              ) -> list[dict[str, np.ndarray]]:
+    """The rewards of `simulate`'s episodes for each row, a match's policies
+    and its loads (row e holds episode e's uniforms), all played side by
+    side, as `NativeBattle.play` gives them.  Every value
     is an array with one entry per episode of every row, computed by
     `simulate`'s functions where their arithmetic is elementwise, the
     rewards' too, and by their twins where a branch is not."""
@@ -839,7 +846,7 @@ def _lockstep(params: GridParams,
         if t < horizon:  # the decisions after the last step act on nothing
             d_action = deciders[DEFENDER](d_mem)
             a_action = deciders[ATTACKER](a_mem)
-    played = [{DEFENDER: d, ATTACKER: a} for d, a in zip(
-        defender_reward(v2s, v3s, params).tolist(),
-        attacker_reward(v2s, params).tolist())]
-    return [played[start:end] for start, end in zip((0, *ends[:-1]), ends)]
+    d_rewards = defender_reward(v2s, v3s, params)
+    a_rewards = attacker_reward(v2s, params)
+    return [{DEFENDER: d_rewards[start:end], ATTACKER: a_rewards[start:end]}
+            for start, end in zip((0, *ends[:-1]), ends)]

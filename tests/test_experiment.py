@@ -1,9 +1,12 @@
+import builtins
 import csv
 import json
 import math
-import multiprocessing
 import os
 import re
+import subprocess
+import sys
+import time
 import typing
 from pathlib import Path
 
@@ -670,7 +673,7 @@ def test_train_manifest_lists_the_cells_finished_before_a_crash(
     assert manifest["policies"] == ["defender_L1_q0.7_s1.json",
                                     "attacker_L1_q0.7_s1.json"]
     assert manifest["failures"] == []
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
@@ -1235,6 +1238,108 @@ def test_worker_count_defaults_to_the_cpus_and_caps_any_request(monkeypatch):
     assert worker_count(10 ** 9, 10 ** 9) == 1
 
 
+def assert_no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cell_unit(config, out_dir, cell):
+    """A work unit of `_in_order`: the cell and the pid that ran it; a
+    negative seed raises, naming the cell, and a seed of 99 hangs."""
+    if cell[1] < 0:
+        raise ValueError(f"bad cell {cell}")
+    if cell[1] == 99:
+        time.sleep(60)
+    return cell, os.getpid()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_in_order_yields_each_result_in_unit_order(workers):
+    """Worker k is a forked child that runs units[k::workers]; the caller
+    runs none, and gets every result in the order of the units."""
+    units = [(0.7, seed) for seed in range(7)]
+    with experiment._in_order(_cell_unit, None, None, units, workers) as results:
+        got = list(results)
+    assert [cell for cell, _ in got] == units
+    pids = [pid for _, pid in got]
+    assert len(set(pids)) == workers and os.getpid() not in pids
+    assert pids == [pids[i % workers] for i in range(len(units))]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("failing", [0, 4, 6])
+def test_in_order_raises_a_units_exception_at_its_position(workers, failing):
+    units = [(0.7, -1 if i == failing else i) for i in range(7)]
+    before = []
+    with pytest.raises(ValueError, match=re.escape("bad cell (0.7, -1)")):
+        with experiment._in_order(_cell_unit, None, None, units,
+                                  workers) as results:
+            for cell, _ in results:
+                before.append(cell)
+    assert before == units[:failing]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_in_order_kills_its_workers_when_the_consumer_stops_early(workers):
+    """Units 3 on hang; leaving after two results kills and reaps every
+    worker at once."""
+    units = [(0.7, seed if seed < 3 else 99) for seed in range(7)]
+    start = time.monotonic()
+    with experiment._in_order(_cell_unit, None, None, units, workers) as results:
+        assert [next(results)[0], next(results)[0]] == units[:2]
+    assert time.monotonic() - start < 30
+    assert_no_child_left()
+
+
+# Runs the CLI with the arguments after `-c`, with one cell's worker dying
+# before it sends its result; then says whether a child is left.
+_DYING_WORKER = """
+import os, sys
+from gridgame import cli, experiment
+
+unit_fn = sys.argv[1]
+real = getattr(experiment, unit_fn)
+
+def dying(config, out_dir, cell):
+    if cell[0] == 1.2:
+        os._exit(3)
+    return real(config, out_dir, cell)
+
+setattr(experiment, unit_fn, dying)
+code = cli.main(sys.argv[2:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("a child is left")
+except ChildProcessError:
+    print("no child is left")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("command, unit_fn", [("train", "_train_cell"),
+                                              ("sweep", "_sweep_cell")])
+def test_cli_fails_with_an_error_line_when_a_worker_dies(tmp_path, command,
+                                                         unit_fn):
+    config_path = write_config(tmp_path, TWO_CELLS)
+    out = tmp_path / "out"
+    args = ["--config", str(config_path), "--out", str(out)]
+    if command == "sweep":
+        assert main(["train", *args]) == 0
+    src = Path(experiment.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _DYING_WORKER, unit_fn, command, *args,
+         "--jobs", "2"], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: the worker process for the cell at "
+                           "q3_max=1.2 seed=1 ended without its result\n")
+    assert proc.stdout == "no child is left\n"
+    assert not (out / "sweep.csv").exists()
+
+
 def test_cli_jobs_1_and_2_write_identical_bytes(tmp_path, capsys):
     config_path = write_config(tmp_path, TWO_CELLS)
     outputs = {}
@@ -1243,12 +1348,55 @@ def test_cli_jobs_1_and_2_write_identical_bytes(tmp_path, capsys):
         for command in ("train", "sweep"):
             assert main([command, "--config", str(config_path),
                          "--out", str(out), "--jobs", jobs]) == 0
-            assert multiprocessing.active_children() == []
+            assert_no_child_left()
         outputs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
     assert len(outputs["1"]) == 6  # 4 policies, manifest.json, sweep.csv
     assert outputs["1"] == outputs["2"]
     printed = capsys.readouterr().out.splitlines()
     assert [line.replace("jobs2", "jobs1") for line in printed[2:]] == printed[:2]
+
+
+def _compensated_sum(iterable, /, start=0):
+    """`sum` as Python 3.12 adds floats, with Neumaier's compensation; any
+    other items as the running Python adds them."""
+    values = list(iterable)
+    if not all(type(value) is float for value in values):
+        return _python_sum(values, start)
+    total, compensation = float(start), 0.0
+    for value in values:
+        partial = total + value
+        if abs(total) >= abs(value):
+            compensation += (total - partial) + value
+        else:
+            compensation += (value - partial) + total
+        total = partial
+    return total + compensation
+
+
+_python_sum = builtins.sum
+
+
+def test_sweep_and_eval_bytes_do_not_depend_on_pythons_float_sum(
+        tmp_path, monkeypatch):
+    """Python 3.12's `sum` of floats compensates, 3.11's does not; the
+    scores add in order either way, so `sweep.csv` and the eval CSV keep
+    their bytes under a compensated `sum`."""
+    config_path = write_config(tmp_path, {"experiment": {
+        "k_max": 0, "q3max_values": [0.7, 1.2], "pairings": [[0, 0]],
+        "eval_episodes": 20, "horizon": 100, "seeds": [1, 2]}})
+    out = tmp_path / "out"
+    args = ["--config", str(config_path), "--out", str(out)]
+
+    def outputs():
+        assert main(["sweep", *args]) == 0
+        assert main(["eval", *args, "--defender-level", "0",
+                     "--attacker-level", "0", "--q3max", "0.7"]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    expected = outputs()
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert sum([0.1] * 10) == 1.0  # in order, 0.9999999999999999
+    assert outputs() == expected
 
 
 FOUR_CELLS = {**TWO_CELLS,
@@ -1272,7 +1420,7 @@ def test_cli_sweep_reports_the_first_missing_policy_in_config_order(
     for jobs in ("1", "2"):
         assert main(["sweep", "--config", str(config_path), "--out", str(out),
                      "--jobs", jobs]) == 1
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1]
     assert errors[0].startswith("error:") and errors[0].count("\n") == 1

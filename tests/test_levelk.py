@@ -291,8 +291,8 @@ def test_episode_transitions_pairing_and_rewards(monkeypatch):
     # a game that scores one slice fewer than the trainee decided in
     play = IteratedGame.play
     monkeypatch.setattr(IteratedGame, "play", lambda *args: [
-        [{player: rewards[:-1] for player, rewards in episode.items()}
-         for episode in match] for match in play(*args)])
+        {player: rewards[:, :-1] for player, rewards in match.items()}
+        for match in play(*args)])
     with pytest.raises(ValueError, match="4 decision records for 3 slices"):
         train_level(game, PLAYER, {}, {PLAYER: prior}, config,
                     np.random.default_rng(0))
@@ -453,8 +453,10 @@ def test_evaluate_reward_accounting_against_recomputation():
     for episode in range(6):
         traj = rollout(game, level0s, rng)
         for player in (DEFENDER, ATTACKER):
-            expected = sum(traj.rewards[player]) / game.horizon
-            assert report.per_episode[player][episode] == expected
+            total = 0.0  # added in order, whatever Python's `sum` does
+            for reward in traj.rewards[player]:
+                total += reward
+            assert report.per_episode[player][episode] == total / game.horizon
 
 
 def _spy_on_play_episodes(monkeypatch):
@@ -483,6 +485,40 @@ def test_evaluate_plays_in_blocks_with_the_bytes_of_one_play(monkeypatch):
     assert calls[3:] == [2500]
     assert repr(blocked) == repr(whole)
     assert block_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+class _SameRewards:
+    """A game whose every episode earns `rewards`, one per slice."""
+
+    players = (PLAYER,)
+
+    def __init__(self, rewards):
+        self.rewards = rewards
+
+    def play(self, matches):
+        return [{PLAYER: np.tile(self.rewards, (episodes, 1))}
+                for _, episodes, _ in matches]
+
+
+def _in_order_mean(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+@pytest.mark.parametrize("rewards", [[-0.0, -0.0], [1e16, 1.0, -1e16],
+                                     [0.1] * 10, [-0.3, 0.1, 0.7, -5e-324]])
+def test_evaluate_means_add_in_order_from_the_first_reward(rewards):
+    """Each mean is the sum of its terms, added in order as Python 3.11's
+    `sum` adds floats, over their count: a sum of -0.0s is 0.0, and no
+    addition is compensated (Python 3.12's `sum` gives 0.1 for the mean of
+    ten 0.1s)."""
+    report = evaluate(_SameRewards(rewards), {}, 3, np.random.default_rng(0))
+    mean = _in_order_mean(rewards)
+    assert repr(report.per_episode[PLAYER]) == repr([mean] * 3)
+    assert repr(report.mean_reward_per_step[PLAYER]) == \
+        repr(_in_order_mean([mean] * 3))
 
 
 def test_evaluate_requires_positive_episodes():

@@ -701,6 +701,20 @@ def test_native_scorer_equals_evaluate_on_the_net_bit_for_bit(battle, episodes):
     assert net_rng.bit_generator.state == native_rng.bit_generator.state
 
 
+def _simulated(params, policies, horizon, episodes, rng):
+    """The rewards of `episodes` runs of `simulate` in the form of `play`,
+    with lists for arrays: per player, a row per episode."""
+    runs = [simulate(params, policies, horizon, rng) for _ in range(episodes)]
+    return {DEFENDER: [[rec.defender_reward for rec in run] for run in runs],
+            ATTACKER: [[rec.attacker_reward for rec in run] for run in runs]}
+
+
+def _lists(rewards):
+    """A match's rewards from `play`, with lists for arrays."""
+    assert all(values.dtype == np.float64 for values in rewards.values())
+    return {player: values.tolist() for player, values in rewards.items()}
+
+
 @settings(max_examples=100, deadline=None)
 @given(battles(greedy_policies), st.integers(1, 8))
 def test_play_plays_greedy_episodes_in_lockstep_bit_for_bit(battle, episodes):
@@ -711,11 +725,7 @@ def test_play_plays_greedy_episodes_in_lockstep_bit_for_bit(battle, episodes):
     params, policies, horizon, seed = battle
     game = NativeBattle(params, horizon)
     loop_rng, net_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    expected = []
-    for _ in range(episodes):
-        records = simulate(params, policies, horizon, loop_rng)
-        expected.append({DEFENDER: [rec.defender_reward for rec in records],
-                         ATTACKER: [rec.attacker_reward for rec in records]})
+    expected = _simulated(params, policies, horizon, episodes, loop_rng)
     expected_report = evaluate(as_netform(params, horizon), policies, episodes,
                                net_rng)
     lockstep_rng, report_rng = (np.random.default_rng(seed),
@@ -728,7 +738,7 @@ def test_play_plays_greedy_episodes_in_lockstep_bit_for_bit(battle, episodes):
         patch.setattr(scenario, "simulate", refuse)
         played = game.play([(policies, episodes, lockstep_rng)])[0]
         report = evaluate(game, policies, episodes, report_rng)
-    assert repr(played) == repr(expected)
+    assert repr(_lists(played)) == repr(expected)
     assert repr(report.per_episode) == repr(expected_report.per_episode)
     assert repr(report.mean_reward_per_step) == \
         repr(expected_report.mean_reward_per_step)
@@ -763,15 +773,9 @@ def test_lockstep_plays_each_match_as_simulate_plays_it_alone(case):
     yet every match gets exactly what `simulate` gives it alone, and its
     rng ends where `simulate` leaves it."""
     params, matches, horizon = case
-    expected, loop_rngs = [], []
-    for policies, episodes, seed in matches:
-        loop_rngs.append(np.random.default_rng(seed))
-        expected.append([])
-        for _ in range(episodes):
-            records = simulate(params, policies, horizon, loop_rngs[-1])
-            expected[-1].append(
-                {DEFENDER: [rec.defender_reward for rec in records],
-                 ATTACKER: [rec.attacker_reward for rec in records]})
+    loop_rngs = [np.random.default_rng(seed) for _, _, seed in matches]
+    expected = [_simulated(params, policies, horizon, episodes, rng)
+                for (policies, episodes, _), rng in zip(matches, loop_rngs)]
     rngs = [np.random.default_rng(seed) for _, _, seed in matches]
     real_lockstep, calls = scenario._lockstep, []
 
@@ -785,7 +789,7 @@ def test_lockstep_plays_each_match_as_simulate_plays_it_alone(case):
             [(policies, episodes, rng)
              for (policies, episodes, _), rng in zip(matches, rngs)])
     assert len(calls) == 1
-    assert repr(played) == repr(expected)
+    assert repr([_lists(rewards) for rewards in played]) == repr(expected)
     for rng, loop_rng in zip(rngs, loop_rngs):
         assert rng.bit_generator.state == loop_rng.bit_generator.state
 
@@ -830,16 +834,12 @@ def test_play_goes_through_simulate_for_a_prior_of_another_grid(
                            attacker.encoder)
     policies = {DEFENDER: level0_policies(P)[DEFENDER], ATTACKER: attacker}
     loop_rng, play_rng = np.random.default_rng(8), np.random.default_rng(8)
-    expected = []
-    for _ in range(3):
-        records = simulate(P, policies, 12, loop_rng)
-        expected.append({DEFENDER: [rec.defender_reward for rec in records],
-                         ATTACKER: [rec.attacker_reward for rec in records]})
+    expected = _simulated(P, policies, 12, 3, loop_rng)
     calls = []
     monkeypatch.setattr(scenario, "simulate", lambda *args: (
         calls.append(args), simulate(*args))[1])
-    assert repr(NativeBattle(P, 12).play([(policies, 3, play_rng)])[0]) == \
-        repr(expected)
+    assert repr(_lists(NativeBattle(P, 12).play([(policies, 3, play_rng)])[0])) \
+        == repr(expected)
     assert len(calls) == 3
     assert play_rng.bit_generator.state == loop_rng.bit_generator.state
 
@@ -991,8 +991,7 @@ def test_an_accepted_grid_never_overflows_the_circuit(grid, seed):
                                 rec.defender_reward, rec.attacker_reward]).all()
         played, = NativeBattle(grid, 30).play(
             [(level0_policies(grid), 4, np.random.default_rng(seed))])
-    assert np.isfinite([episode[player] for episode in played
-                        for player in (DEFENDER, ATTACKER)]).all()
+    assert np.isfinite([played[DEFENDER], played[ATTACKER]]).all()
 
 
 @pytest.mark.parametrize("kwargs", [
