@@ -154,6 +154,96 @@ def forward_batch(params: NetworkParams, xs: Sequence[Sequence[float]]) -> np.nd
     return _forward_activations(params, xs)[-1]
 
 
+# The rounding constants of `greedy_bound`: the unit roundoff of a double, a
+# generous bound on the absolute error of `np.tanh` (tests/test_neural.py
+# checks it against `math.tanh`), the absolute error a product can lose to
+# gradual underflow, and a relative allowance for rounding the bound itself.
+_U = 2.0 ** -53
+_TANH_ERROR = 2.0 ** -40
+_UNDERFLOW = 2.0 ** -1074
+_SLACK = 1.0 + 2.0 ** -20
+_NO_OVERFLOW = float(np.finfo(float).max) / 4
+
+
+def greedy_bound(params: NetworkParams) -> tuple[float, float, float]:
+    """`(e0, e1, reach)`: on a batch whose entries are at most X in absolute
+    value, with X <= `reach`, `forward_batch` and `forward_rows` differ by at
+    most E = e0 + e1·X on every output.  Past `reach` the bound is infinite.
+
+    Take any two evaluations of the network that round every sum of a
+    layer's product in their own order, with or without FMA, as
+    `forward_batch`'s `a @ w.T` and `forward`'s `w.dot(a)` may.  A layer has
+    input width K, largest absolute row sum R of W, β = max|b|, and its
+    inputs are at most A in absolute value (A = X for the first layer, 1
+    after a tanh) and differ between the evaluations by at most d (d = 0 for
+    the first).  With u = 2⁻⁵³ and γ_K = Ku/(1 − Ku), each evaluation's dot
+    product is within γ_K·Σ|w||a| <= γ_K·R·A of the exact product of its own
+    inputs (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., §3.1), plus K·2⁻¹⁰⁷⁴ lost to underflow, and the exact products of
+    the two inputs differ by at most R·d.  Each bias add rounds by at most
+    u·((1 + γ_K)·R·A + β).  So the pre-activations differ by at most
+
+        d' = R·d + 2γ_K·R·A + 2u·((1 + γ_K)·R·A + β) + 2K·2⁻¹⁰⁷⁴,
+
+    and after a tanh, which is 1-Lipschitz and which `np.tanh` misses by at
+    most τ = 2⁻⁴⁰ in each evaluation, by at most d' + 2τ.  E is the output
+    layer's d'.  Only the first layer's terms carry X, so E is affine in X.
+    No sum or bias add can overflow while R·A + β <= max/4, which holds
+    for every later layer or the bound is infinite, and for the first while
+    X <= `reach`.  The constants, rounded themselves, are scaled by
+    1 + 2⁻²⁰."""
+    e0 = e1 = 0.0
+    reach = np.inf
+    last = params.n_layers - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+            k = w.shape[1]
+            gamma = k * _U / (1.0 - k * _U)
+            r = float(np.abs(w).sum(axis=1).max())
+            beta = float(np.abs(b).max())
+            per_a = 2.0 * (gamma + _U * (1.0 + gamma)) * r  # d' per unit of A
+            fixed = 2.0 * (_U * beta + k * _UNDERFLOW)
+            if i == 0:
+                e0, e1 = fixed, per_a
+                if r > 0.0:
+                    reach = (_NO_OVERFLOW - beta) / r
+            else:
+                e0, e1 = r * e0 + per_a + fixed, r * e1
+                if not r + beta <= _NO_OVERFLOW:
+                    e0 = np.inf
+            if i != last:
+                e0 += 2.0 * _TANH_ERROR
+    return e0 * _SLACK, e1 * _SLACK, reach
+
+
+def greedy_rows(params: NetworkParams, xs: np.ndarray,
+                bound: tuple[float, float, float]) -> np.ndarray:
+    """`forward_rows(params, xs).argmax(axis=1)`, from one `forward_batch`.
+
+    `bound` is `greedy_bound(params)`.  A row whose batched top Q-value beats
+    each of its others by more than 2E has that top in `forward_rows` too,
+    since each value there is within E of its batched twin (`top - margin`
+    rounds to nearest, so a double below it is below the exact difference
+    too).  Every other row (ties, near ties) is computed again by
+    `forward_rows`, so ties still go to the lowest index.  With E finite no
+    value is NaN or infinite, so each row has at least its top within the
+    margin; with E infinite (an input past `reach`, non-finite weights)
+    every row is computed again."""
+    e0, e1, reach = bound
+    x_max = float(np.abs(xs).max(initial=0.0))
+    margin = 2.0 * (e0 + e1 * x_max) if x_max <= reach else np.inf
+    if not margin < np.inf:
+        return forward_rows(params, xs).argmax(axis=1)
+    q = forward_batch(params, xs)
+    actions = q.argmax(axis=1)
+    top = q[np.arange(len(q)), actions]  # `q.max(axis=1)` costs 3x as much
+    near = q >= (top - margin)[:, None]
+    if np.count_nonzero(near) != len(q):
+        unsure = np.flatnonzero(np.count_nonzero(near, axis=1) != 1)
+        actions[unsure] = forward_rows(params, xs[unsure]).argmax(axis=1)
+    return actions
+
+
 def _forward_activations(params: NetworkParams,
                          x: Sequence[float] | np.ndarray) -> list[np.ndarray]:
     """Layer inputs [x, h1, ..., h_last] plus the final output, pre-backprop.

@@ -778,25 +778,27 @@ def _lockstep_decider(params: GridParams, player: str,
     """`player`'s actions for a memory whose fields are arrays, where
     `policies[i]` decides for the episodes of row i, which end before
     `ends[i]`.  The episodes of one policy object decide together: by the
-    prior's batched rule, or by one `forward_rows` over their feature rows."""
+    prior's batched rule, or by one `greedy_rows` over their feature rows,
+    with the network's `greedy_bound` computed once."""
     prior = level0_policies(params)[player]
     rule, features = _BATCHED[player]
     episodes: dict[int, tuple[netform.Policy, list[int]]] = {}
     for policy, start, end in zip(policies, (0, *ends[:-1]), ends):
         episodes.setdefault(id(policy), (policy, []))[1].extend(range(start, end))
-    groups = [(np.array(ix, dtype=np.intp),
-               None if policy is prior else policy.params)
+    groups = [(np.array(ix, dtype=np.intp), None, None) if policy is prior
+              else (np.array(ix, dtype=np.intp), policy.params,
+                    neural.greedy_bound(policy.params))
               for policy, ix in episodes.values()]
-    networks = any(net is not None for _, net in groups)
+    networks = any(net is not None for _, net, _ in groups)
     block = np.empty((ends[-1], prior.feature_dim))
 
     def decide(mem):
         if networks:
             _feature_rows(features(mem, params), block)
         actions = np.empty(len(block), dtype=np.intp)
-        for ix, net in groups:
+        for ix, net, bound in groups:
             actions[ix] = rule(mem, ix, params) if net is None else \
-                neural.forward_rows(net, block[ix]).argmax(axis=1)
+                neural.greedy_rows(net, block[ix], bound)
         return actions
     return decide
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import time
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridgame import cli, experiment, levelk, scenario
+from gridgame import cli, experiment, levelk, neural, scenario
 from gridgame.cli import main
 from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
                                  ExperimentConfig, cell_grid, cell_rng,
@@ -823,6 +824,45 @@ def test_sweep_and_eval_score_policies_loaded_from_disk_in_lockstep(
     monkeypatch.setattr(scenario, "simulate", refuse)
     assert len(run_sweep(config, tmp_path, jobs=1)) == 4
     assert run_eval(config, tmp_path, 1, 1, 0.7, seed=1)["episodes"] == 3
+
+
+def test_scoring_bytes_do_not_depend_on_the_greedy_certificate(
+        tmp_path, monkeypatch):
+    """`sweep` and `eval` decide most network rows of the lockstep from one
+    batched product, certified by `neural.greedy_bound`.  Forced off (an
+    infinite bound, so every row goes to `forward_rows`), `train`, `sweep`
+    and `eval` write the same bytes."""
+    config_path = write_config(tmp_path, {
+        "train": {"episodes": 20},
+        "experiment": {"k_max": 2, "q3max_values": [0.7, 1.2],
+                       "pairings": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1],
+                                    [1, 2], [2, 2]],
+                       "eval_episodes": 10, "horizon": 30, "seeds": [1]}})
+    out = tmp_path / "out"
+    args = ["--config", str(config_path), "--out", str(out)]
+    decided, exact = [], []
+    real_greedy_rows, real_forward_rows = neural.greedy_rows, neural.forward_rows
+    monkeypatch.setattr(neural, "greedy_rows", lambda params, xs, bound: (
+        decided.append(len(xs)), real_greedy_rows(params, xs, bound))[1])
+    monkeypatch.setattr(neural, "forward_rows", lambda params, xs: (
+        exact.append(len(xs)), real_forward_rows(params, xs))[1])
+
+    def outputs():
+        shutil.rmtree(out, ignore_errors=True)
+        decided.clear()
+        exact.clear()
+        assert main(["train", *args]) == 0
+        assert main(["sweep", *args, "--jobs", "1"]) == 0
+        assert main(["eval", *args, "--defender-level", "2",
+                     "--attacker-level", "1", "--q3max", "1.2"]) == 0
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    certified = outputs()
+    assert sum(exact) < sum(decided) / 10
+    monkeypatch.setattr(neural, "greedy_bound",
+                        lambda params: (math.inf, 0.0, math.inf))
+    assert outputs() == certified
+    assert sum(exact) == sum(decided) > 0
 
 
 # ---------------------------------------------------------------------------

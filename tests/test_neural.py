@@ -1,11 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridgame import neural
 from gridgame.neural import (NetworkParams, NetworkSpec, apply_update, forward,
-                             forward_batch, forward_rows, init,
-                             network_from_dict, network_to_dict, td_gradient)
+                             forward_batch, forward_rows, greedy_bound,
+                             greedy_rows, init, network_from_dict,
+                             network_to_dict, td_gradient)
 from oracles import n_params, params_equal
 
 
@@ -223,6 +227,132 @@ def test_forward_rows_is_forward_on_every_row_byte_for_byte(
     ix = np.flatnonzero(rng.random(rows) < 0.5)
     for i, q in zip(ix, forward_rows(params, xs[ix]), strict=True):
         assert q.tobytes() == forward(params, xs[i]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# greedy_rows: the argmax of forward_rows, certified from forward_batch
+# ---------------------------------------------------------------------------
+
+def _spy_on_forward_rows(monkeypatch):
+    """The batches `greedy_rows` hands to `forward_rows`, as lists of rows."""
+    batches, real = [], neural.forward_rows
+
+    def spy(params, xs):
+        batches.append(np.asarray(xs).tolist())
+        return real(params, xs)
+    monkeypatch.setattr(neural, "forward_rows", spy)
+    return batches
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(0, 64),
+       hidden=st.lists(st.integers(1, 32), max_size=3),
+       input_dim=st.integers(1, 12), output_dim=st.integers(1, 12),
+       scale=st.floats(0.01, 10.0), x_scale=st.floats(0.01, 100.0))
+@example(seed=4, rows=50, hidden=[16, 16], input_dim=6, output_dim=11,
+         scale=0.1, x_scale=1.0)
+def test_greedy_rows_is_the_argmax_of_forward_rows(
+        seed, rows, hidden, input_dim, output_dim, scale, x_scale):
+    rng = np.random.default_rng(seed)
+    params = init(NetworkSpec(input_dim, tuple(hidden), output_dim), scale,
+                  float(rng.normal()), rng)
+    xs = rng.normal(size=(rows, input_dim)) * x_scale
+    actions = greedy_rows(params, xs, greedy_bound(params))
+    assert actions.dtype == np.intp
+    assert actions.tolist() == forward_rows(params, xs).argmax(axis=1).tolist()
+
+
+def _tied_network(second_bias):
+    """Q = (x0, x1 + 0.5, x1 + `second_bias`): units 1 and 2 share their
+    weights, so they tie exactly at `second_bias` 0.5."""
+    return NetworkParams([np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])],
+                         [np.array([0.0, 0.5, second_bias])])
+
+
+@pytest.mark.parametrize("second_bias", [0.5, np.nextafter(0.5, 1.0)],
+                         ids=["exact tie", "one ulp apart"])
+def test_greedy_rows_computes_tied_and_near_tied_rows_exactly(
+        monkeypatch, second_bias):
+    """Rows where unit 0 wins by far are certified from the batch; rows where
+    units 1 and 2 tie, or lie 1 ulp apart, go to `forward_rows`, and an
+    exact tie goes to the lower index."""
+    params = _tied_network(second_bias)
+    xs = np.array([[3.0, -1.0], [0.1, 0.7], [-2.0, 0.25], [5.0, 1.0],
+                   [0.0, -0.3]])
+    batches = _spy_on_forward_rows(monkeypatch)
+    actions = greedy_rows(params, xs, greedy_bound(params))
+    assert batches == [xs[[1, 2, 4]].tolist()]
+    assert actions.tolist() == forward_rows(params, xs).argmax(axis=1).tolist()
+    assert actions[[0, 3]].tolist() == [0, 0]
+    if second_bias == 0.5:
+        assert actions[[1, 2, 4]].tolist() == [1, 1, 1]
+
+
+@pytest.mark.parametrize("params, xs", [
+    (NetworkParams([[[1e300, 0.0], [-1e300, 0.0], [0.0, 1.0]]],
+                   [[0.0, 0.0, 0.0]]), [[1e10, 1.0], [1e10, 2.0]]),
+    (NetworkParams([[[1.0, 0.0], [0.0, 1.0]],
+                    [[1e308, 0.0], [0.0, 1.0], [0.0, 0.0]]],
+                   [[0.0, 0.0], [1e308, 0.0, 1.0]]), [[10.0, 1.0], [20.0, 0.0]]),
+], ids=["first layer", "after a tanh"])
+def test_greedy_rows_falls_back_when_the_batched_product_overflows(
+        monkeypatch, params, xs):
+    """Huge but finite weights overflow `forward_batch`, here to one infinite
+    Q-value per row, its top.  No row is certified from it: every row goes
+    to `forward_rows`."""
+    xs = np.array(xs)
+    batches = _spy_on_forward_rows(monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.isfinite(forward_batch(params, xs)).all()
+        actions = greedy_rows(params, xs, greedy_bound(params))
+        expected = forward_rows(params, xs).argmax(axis=1)
+    assert batches[0] == xs.tolist()
+    assert actions.tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize("bias, finite", [(1e307, True), (2e307, False)])
+def test_greedy_bound_is_infinite_where_a_later_sum_could_overflow(bias, finite):
+    """A layer after a tanh sums at most R + β, which must stay within a
+    quarter of the largest double; here R = 3e307."""
+    params = NetworkParams([[[1.0]], [[3e307], [0.0]]], [[0.0], [bias, 0.0]])
+    e0, e1, reach = greedy_bound(params)
+    assert math.isfinite(e0) == finite
+    assert reach == np.finfo(float).max / 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 64),
+       hidden=st.lists(st.integers(1, 32), max_size=3),
+       input_dim=st.integers(1, 12), output_dim=st.integers(1, 12),
+       scale=st.floats(0.01, 10.0), x_scale=st.floats(0.01, 100.0))
+def test_forward_batch_is_within_the_greedy_bound_of_forward(
+        seed, rows, hidden, input_dim, output_dim, scale, x_scale):
+    """`greedy_rows`' certificate rests on this bound on the two products'
+    rounding: where it fails, a certified row could take another action
+    than `forward`, so this fails first."""
+    rng = np.random.default_rng(seed)
+    params = init(NetworkSpec(input_dim, tuple(hidden), output_dim), scale,
+                  float(rng.normal()), rng)
+    xs = rng.normal(size=(rows, input_dim)) * x_scale
+    e0, e1, reach = greedy_bound(params)
+    x_max = np.abs(xs).max()
+    assert x_max <= reach
+    exact = np.array([forward(params, x) for x in xs])
+    assert np.abs(forward_batch(params, xs) - exact).max() <= e0 + e1 * x_max
+
+
+def test_numpy_tanh_is_within_the_greedy_bounds_tanh_error():
+    """`greedy_bound` takes `np.tanh` to be within 2⁻⁴⁰ of tanh and at most
+    1 in absolute value; on a numpy build where it is not, this fails.  Its
+    bits differ from `math.tanh` on about a quarter of inputs."""
+    rng = np.random.default_rng(0)
+    xs = np.concatenate([rng.normal(size=20_000) * scale
+                         for scale in (1e-300, 1e-8, 0.01, 0.3, 1.0, 3.0, 30.0)]
+                        + [rng.uniform(-20.0, 20.0, 20_000)])
+    ys = np.tanh(xs)
+    exact = np.array([math.tanh(x) for x in xs.tolist()])
+    assert np.abs(ys - exact).max() <= neural._TANH_ERROR
+    assert np.abs(ys).max() <= 1.0
 
 
 def test_batched_gradient_needs_one_action_and_target_per_row():

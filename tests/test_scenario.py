@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gridgame import netform, scenario
+from gridgame import netform, neural, scenario
 from gridgame.levelk import QPolicy, TrainConfig, evaluate, train_level
 from gridgame.neural import NetworkSpec, init
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
@@ -816,6 +816,41 @@ def test_training_on_the_native_battle_equals_training_on_the_net_bit_for_bit(
     assert policy.params.to_vector().tobytes() == \
         expected.params.to_vector().tobytes()
     assert net_rng.bit_generator.state == native_rng.bit_generator.state
+
+
+def _twin_unit_policy(player, seed, first, second):
+    """A greedy QPolicy for `player` whose output units `first` and `second`
+    have the same weights and bias.  `forward`'s matrix-vector product may
+    still round the two 1 ulp apart, so they tie exactly or nearly."""
+    prior = level0_policies(P)[player]
+    spec = NetworkSpec(prior.feature_dim, (8,), prior.action_count)
+    params = init(spec, 1.0, 0.0, np.random.default_rng(seed))
+    params.weights[-1][second] = params.weights[-1][first]
+    params.biases[-1][second] = params.biases[-1][first] = 0.5
+    return QPolicy(params, prior.encoder)
+
+
+def test_lockstep_plays_tied_output_units_as_simulate_plays_them(monkeypatch):
+    """A decision between two twin output units is never certified from the
+    batched product: it goes to `forward_rows`, which picks what `simulate`'s
+    `forward(...).argmax()` picks, the lower unit on an exact tie.  The other
+    decisions are certified.  Episode for episode, the rewards are
+    `simulate`'s."""
+    policies = {DEFENDER: _twin_unit_policy(DEFENDER, 3, 1, 2),
+                ATTACKER: _twin_unit_policy(ATTACKER, 4, 2, 6)}
+    loop_rng, play_rng = np.random.default_rng(9), np.random.default_rng(9)
+    expected = _simulated(P, policies, 40, 6, loop_rng)
+    decided, exact = [], []
+    real_greedy_rows, real_forward_rows = neural.greedy_rows, neural.forward_rows
+    monkeypatch.setattr(neural, "greedy_rows", lambda params, xs, bound: (
+        decided.append(len(xs)), real_greedy_rows(params, xs, bound))[1])
+    monkeypatch.setattr(neural, "forward_rows", lambda params, xs: (
+        exact.append(len(xs)), real_forward_rows(params, xs))[1])
+    monkeypatch.setattr(scenario, "simulate", None)
+    played = NativeBattle(P, 40).play([(policies, 6, play_rng)])[0]
+    assert repr(_lists(played)) == repr(expected)
+    assert play_rng.bit_generator.state == loop_rng.bit_generator.state
+    assert 0 < sum(exact) < sum(decided)
 
 
 @pytest.mark.parametrize("network", [False, True])
