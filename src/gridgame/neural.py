@@ -10,6 +10,7 @@ also the gradient layout.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -167,16 +168,17 @@ _NO_OVERFLOW = float(np.finfo(float).max) / 4
 
 def greedy_bound(params: NetworkParams) -> tuple[float, float, float]:
     """`(e0, e1, reach)`: on a batch whose entries are at most X in absolute
-    value, with X <= `reach`, `forward_batch` and `forward_rows` differ by at
-    most E = e0 + e1·X on every output.  Past `reach` the bound is infinite.
+    value, with X <= `reach`, `forward_rows` and `GreedyStack`'s stacked
+    product (or `forward_batch`) differ by at most E = e0 + e1·X on every
+    output.  Past `reach` the bound is infinite.
 
     Take any two evaluations of the network that round every sum of a
-    layer's product in their own order, with or without FMA, as
-    `forward_batch`'s `a @ w.T` and `forward`'s `w.dot(a)` may.  A layer has
-    input width K, largest absolute row sum R of W, β = max|b|, and its
-    inputs are at most A in absolute value (A = X for the first layer, 1
-    after a tanh) and differ between the evaluations by at most d (d = 0 for
-    the first).  With u = 2⁻⁵³ and γ_K = Ku/(1 − Ku), each evaluation's dot
+    layer's product in their own order, with or without FMA, as the stacked
+    `W @ X`, `forward_batch`'s `a @ w.T` and `forward`'s `w.dot(a)` may.  A
+    layer has input width K, largest absolute row sum R of W, β = max|b|,
+    and its inputs are at most A in absolute value (A = X for the first
+    layer, 1 after a tanh) and differ between the evaluations by at most d
+    (d = 0 for the first).  With u = 2⁻⁵³ and γ_K = Ku/(1 − Ku), each evaluation's dot
     product is within γ_K·Σ|w||a| <= γ_K·R·A of the exact product of its own
     inputs (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
     ed., §3.1), plus K·2⁻¹⁰⁷⁴ lost to underflow, and the exact products of
@@ -216,32 +218,83 @@ def greedy_bound(params: NetworkParams) -> tuple[float, float, float]:
     return e0 * _SLACK, e1 * _SLACK, reach
 
 
-def greedy_rows(params: NetworkParams, xs: np.ndarray,
-                bound: tuple[float, float, float]) -> np.ndarray:
-    """`forward_rows(params, xs).argmax(axis=1)`, from one `forward_batch`.
+class GreedyStack:
+    """Networks of equal layer shapes, stacked once to be decided together:
+    each layer's weights as one G×out×in array and its biases as G×out×1, so
+    that `greedy` runs one `np.matmul` per layer for all G networks."""
 
-    `bound` is `greedy_bound(params)`.  A row whose batched top Q-value beats
-    each of its others by more than 2E has that top in `forward_rows` too,
-    since each value there is within E of its batched twin (`top - margin`
-    rounds to nearest, so a double below it is below the exact difference
-    too).  Every other row (ties, near ties) is computed again by
-    `forward_rows`, so ties still go to the lowest index.  With E finite no
-    value is NaN or infinite, so each row has at least its top within the
-    margin; with E infinite (an input past `reach`, non-finite weights)
-    every row is computed again."""
-    e0, e1, reach = bound
-    x_max = float(np.abs(xs).max(initial=0.0))
-    margin = 2.0 * (e0 + e1 * x_max) if x_max <= reach else np.inf
-    if not margin < np.inf:
-        return forward_rows(params, xs).argmax(axis=1)
-    q = forward_batch(params, xs)
-    actions = q.argmax(axis=1)
-    top = q[np.arange(len(q)), actions]  # `q.max(axis=1)` costs 3x as much
-    near = q >= (top - margin)[:, None]
-    if np.count_nonzero(near) != len(q):
-        unsure = np.flatnonzero(np.count_nonzero(near, axis=1) != 1)
-        actions[unsure] = forward_rows(params, xs[unsure]).argmax(axis=1)
-    return actions
+    def __init__(self, nets: Sequence[NetworkParams]):
+        self.nets = tuple(nets)
+        if len({net.spec for net in self.nets}) != 1:
+            raise ValueError("a stack needs one or more networks of equal "
+                             "layer shapes")
+        self.bounds = [greedy_bound(net) for net in self.nets]
+        layers = zip(*(zip(net.weights, net.biases) for net in self.nets))
+        self.layers = [(np.stack([w for w, _ in layer]),
+                        np.stack([b for _, b in layer])[:, :, None])
+                       for layer in layers]
+        self.units = np.arange(self.nets[0].spec.output_dim, dtype=float)
+
+    def greedy(self, xs: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
+        """A G×R array whose row g starts with
+        `forward_rows(nets[g], xs[g, :, :sizes[g]].T).argmax(axis=1)`.
+
+        `xs` is G×in×R: network g's inputs as columns, its first `sizes[g]`
+        real and the rest padding, which counts towards g's largest input
+        and decides nothing.  The product is transposed, `W @ X` per layer,
+        so the bias add broadcasts along the long axis and the top is a
+        reduction over the short output axis.  A column whose top
+        Q-value beats each of its others by more than 2E, E from g's own
+        `greedy_bound`, has that top in `forward_rows` too, since each value
+        there is within E of its stacked twin (`top - margin` rounds to
+        nearest, so a double below it is below the exact difference too).
+        Every other real column (ties, near ties) is computed again by
+        `forward_rows` of its own network, so ties still go to the lowest
+        index.  With E finite no value is NaN or infinite, so each column has
+        at least its top within the margin; with E infinite (an input past
+        `reach`, non-finite weights) every real column of that network is
+        computed again, and the others are still certified.  One network's
+        stack is its own greedy argmax: `greedy(xs.T[None], [len(xs)])[0]`
+        for its rows `xs`."""
+        x_max = np.abs(xs).max(axis=(1, 2), initial=0.0).tolist()
+        # Python floats, which overflow to inf without a warning
+        margins = [2.0 * (e0 + e1 * x) if x <= reach else np.inf
+                   for (e0, e1, reach), x in zip(self.bounds, x_max)]
+        certain = [m < np.inf for m in margins]
+        all_certain = all(certain)
+        # with E finite nothing overflows; with E infinite that network's
+        # values may be infinite or NaN, and none of its columns is
+        # certified.  Entering `np.errstate` costs about 2 µs, a tenth of a
+        # few-column call, so the product runs under it only then.
+        quiet = contextlib.nullcontext() if all_certain else \
+            np.errstate(over="ignore", invalid="ignore")
+        with quiet:
+            q = self._forward(xs)
+            near = q >= (q.max(axis=1) - np.array(margins)[:, None])[:, None]
+        # a column's one unit near its top is its top, and its index is
+        # Σ k·near[k]: one small product, cheaper than an argmax
+        actions = np.matmul(self.units, near).astype(np.intp)
+        if all_certain and np.count_nonzero(near) == actions.size:
+            return actions
+        unsure = (np.count_nonzero(near, axis=1) != 1) | \
+            np.logical_not(certain)[:, None]
+        unsure &= np.arange(xs.shape[2]) < np.asarray(sizes)[:, None]
+        for g in np.flatnonzero(unsure.any(axis=1)):
+            cols = np.flatnonzero(unsure[g])
+            actions[g, cols] = forward_rows(self.nets[g],
+                                            xs[g][:, cols].T).argmax(axis=1)
+        return actions
+
+    def _forward(self, xs: np.ndarray) -> np.ndarray:
+        """The stacked Q-values, G×out×R."""
+        a = xs
+        last = len(self.layers) - 1
+        for i, (w, b) in enumerate(self.layers):
+            a = np.matmul(w, a)
+            a += b
+            if i != last:
+                np.tanh(a, a)
+        return a
 
 
 def _forward_activations(params: NetworkParams,

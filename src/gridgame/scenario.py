@@ -777,38 +777,57 @@ def _lockstep_decider(params: GridParams, player: str,
                       ) -> Callable[[NamedTuple], np.ndarray]:
     """`player`'s actions for a memory whose fields are arrays, where
     `policies[i]` decides for the episodes of row i, which end before
-    `ends[i]`.  The episodes of one policy object decide together: by the
-    prior's batched rule, or by one `greedy_rows` over their feature rows,
-    with the network's `greedy_bound` computed once."""
+    `ends[i]`.  The episodes of one policy object decide together, by the
+    prior's batched rule, and the networks of equal layer shapes decide in
+    one `neural.GreedyStack`, stacked once: each step gathers their
+    episodes' feature columns, padded to the largest group with copies of
+    the group's first, into one network × feature × episode array."""
     prior = level0_policies(params)[player]
     rule, features = _BATCHED[player]
     episodes: dict[int, tuple[netform.Policy, list[int]]] = {}
     for policy, start, end in zip(policies, (0, *ends[:-1]), ends):
         episodes.setdefault(id(policy), (policy, []))[1].extend(range(start, end))
-    groups = [(np.array(ix, dtype=np.intp), None, None) if policy is prior
-              else (np.array(ix, dtype=np.intp), policy.params,
-                    neural.greedy_bound(policy.params))
-              for policy, ix in episodes.values()]
-    networks = any(net is not None for _, net, _ in groups)
-    block = np.empty((ends[-1], prior.feature_dim))
+    priors, shapes = [], {}
+    for policy, ix in episodes.values():
+        if not ix:  # the policy of zero-episode matches only
+            continue
+        if policy is prior:
+            priors.append(np.array(ix, dtype=np.intp))
+        else:
+            shapes.setdefault(policy.params.spec, []).append((policy.params, ix))
+    total = ends[-1]
+    stacks = []  # (stack, sizes, gather, scatter); a pad scatters to `total`
+    for members in shapes.values():
+        sizes = [len(ix) for _, ix in members]
+        width = max(sizes)
+        stacks.append((neural.GreedyStack([net for net, _ in members]), sizes,
+                       np.array([ix + ix[:1] * (width - len(ix))
+                                 for _, ix in members], dtype=np.intp),
+                       np.array([ix + [total] * (width - len(ix))
+                                 for _, ix in members], dtype=np.intp)))
+    if stacks:
+        block = np.empty((prior.feature_dim, total))
 
     def decide(mem):
-        if networks:
+        actions = np.empty(total + 1, dtype=np.intp)
+        for ix in priors:
+            actions[ix] = rule(mem, ix, params)
+        if stacks:
             _feature_rows(features(mem, params), block)
-        actions = np.empty(len(block), dtype=np.intp)
-        for ix, net, bound in groups:
-            actions[ix] = rule(mem, ix, params) if net is None else \
-                neural.greedy_rows(net, block[ix], bound)
-        return actions
+        for stack, sizes, gather, scatter in stacks:
+            # `take` gathers as `block[:, gather]` does, in half the time
+            actions[scatter] = stack.greedy(
+                block.take(gather, axis=1).transpose(1, 0, 2), sizes)
+        return actions[:total]
     return decide
 
 
 def _feature_rows(features: tuple, block: np.ndarray) -> None:
-    """Fill `block`, one row per episode, from features that are arrays or
-    shared scalars.  (A loop: `np.column_stack(np.broadcast_arrays(...))`
-    costs 4x as much.)"""
+    """Fill `block`, one row per feature and one column per episode, from
+    features that are arrays or shared scalars.  (A loop:
+    `np.stack(np.broadcast_arrays(...))` costs 6x as much.)"""
     for j, column in enumerate(features):
-        block[:, j] = column
+        block[j] = column
 
 
 def _lockstep(params: GridParams,

@@ -829,21 +829,24 @@ def test_sweep_and_eval_score_policies_loaded_from_disk_in_lockstep(
 def test_scoring_bytes_do_not_depend_on_the_greedy_certificate(
         tmp_path, monkeypatch):
     """`sweep` and `eval` decide most network rows of the lockstep from one
-    batched product, certified by `neural.greedy_bound`.  Forced off (an
-    infinite bound, so every row goes to `forward_rows`), `train`, `sweep`
-    and `eval` write the same bytes."""
+    stacked product per player, certified by `neural.greedy_bound`.  Forced
+    off (an infinite bound, so every row goes to `forward_rows`), `train`,
+    `sweep` and `eval` write the same bytes.  The stacks decide every
+    network decision of the sweep: one per network player, episode and
+    step but the last."""
+    pairings = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1], [1, 2], [2, 2]]
     config_path = write_config(tmp_path, {
         "train": {"episodes": 20},
         "experiment": {"k_max": 2, "q3max_values": [0.7, 1.2],
-                       "pairings": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1],
-                                    [1, 2], [2, 2]],
+                       "pairings": pairings,
                        "eval_episodes": 10, "horizon": 30, "seeds": [1]}})
+    sweep_decisions = 2 * sum((d > 0) + (a > 0) for d, a in pairings) * 10 * 29
     out = tmp_path / "out"
     args = ["--config", str(config_path), "--out", str(out)]
     decided, exact = [], []
-    real_greedy_rows, real_forward_rows = neural.greedy_rows, neural.forward_rows
-    monkeypatch.setattr(neural, "greedy_rows", lambda params, xs, bound: (
-        decided.append(len(xs)), real_greedy_rows(params, xs, bound))[1])
+    real_greedy, real_forward_rows = neural.GreedyStack.greedy, neural.forward_rows
+    monkeypatch.setattr(neural.GreedyStack, "greedy", lambda self, xs, sizes: (
+        decided.append(sum(sizes)), real_greedy(self, xs, sizes))[1])
     monkeypatch.setattr(neural, "forward_rows", lambda params, xs: (
         exact.append(len(xs)), real_forward_rows(params, xs))[1])
 
@@ -853,6 +856,7 @@ def test_scoring_bytes_do_not_depend_on_the_greedy_certificate(
         exact.clear()
         assert main(["train", *args]) == 0
         assert main(["sweep", *args, "--jobs", "1"]) == 0
+        assert sum(decided) == sweep_decisions
         assert main(["eval", *args, "--defender-level", "2",
                      "--attacker-level", "1", "--q3max", "1.2"]) == 0
         return {path.name: path.read_bytes() for path in out.iterdir()}

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from gridgame import neural
 from gridgame.neural import (NetworkParams, NetworkSpec, apply_update, forward,
-                             forward_batch, forward_rows, greedy_bound,
-                             greedy_rows, init, network_from_dict,
-                             network_to_dict, td_gradient)
+                             forward_batch, forward_rows, greedy_bound, init,
+                             network_from_dict, network_to_dict, td_gradient)
 from oracles import n_params, params_equal
 
 
@@ -230,16 +229,30 @@ def test_forward_rows_is_forward_on_every_row_byte_for_byte(
 
 
 # ---------------------------------------------------------------------------
-# greedy_rows: the argmax of forward_rows, certified from forward_batch
+# greedy_rows: one network's GreedyStack, the certified argmax of forward_rows
 # ---------------------------------------------------------------------------
 
-def _spy_on_forward_rows(monkeypatch):
-    """The batches `greedy_rows` hands to `forward_rows`, as lists of rows."""
+def greedy_rows(params, xs, bound):
+    """`forward_rows(params, xs).argmax(axis=1)` from a one-network
+    `GreedyStack`, whose bound is `bound`, on the columns of `xs.T`."""
+    stack = neural.GreedyStack([params])
+    assert stack.bounds == [bound]
+    xs = np.asarray(xs, dtype=float)
+    return stack.greedy(xs.T[None], [len(xs)])[0]
+
+
+def _spy_on_forward_rows(monkeypatch, quiet=False):
+    """The batches a stack hands to `forward_rows`, as lists of rows.  With
+    `quiet`, `forward_rows` runs under `np.errstate`, so that a row which
+    overflows there, as it does in `forward`, raises no warning."""
     batches, real = [], neural.forward_rows
 
     def spy(params, xs):
         batches.append(np.asarray(xs).tolist())
-        return real(params, xs)
+        if not quiet:
+            return real(params, xs)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return real(params, xs)
     monkeypatch.setattr(neural, "forward_rows", spy)
     return batches
 
@@ -273,7 +286,7 @@ def _tied_network(second_bias):
                          ids=["exact tie", "one ulp apart"])
 def test_greedy_rows_computes_tied_and_near_tied_rows_exactly(
         monkeypatch, second_bias):
-    """Rows where unit 0 wins by far are certified from the batch; rows where
+    """Rows where unit 0 wins by far are certified from the product; rows where
     units 1 and 2 tie, or lie 1 ulp apart, go to `forward_rows`, and an
     exact tie goes to the lower index."""
     params = _tied_network(second_bias)
@@ -297,9 +310,9 @@ def test_greedy_rows_computes_tied_and_near_tied_rows_exactly(
 ], ids=["first layer", "after a tanh"])
 def test_greedy_rows_falls_back_when_the_batched_product_overflows(
         monkeypatch, params, xs):
-    """Huge but finite weights overflow `forward_batch`, here to one infinite
-    Q-value per row, its top.  No row is certified from it: every row goes
-    to `forward_rows`."""
+    """Huge but finite weights overflow the batched product, here to one
+    infinite Q-value per row, its top.  No row is certified from it: every
+    row goes to `forward_rows`."""
     xs = np.array(xs)
     batches = _spy_on_forward_rows(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -327,9 +340,9 @@ def test_greedy_bound_is_infinite_where_a_later_sum_could_overflow(bias, finite)
        scale=st.floats(0.01, 10.0), x_scale=st.floats(0.01, 100.0))
 def test_forward_batch_is_within_the_greedy_bound_of_forward(
         seed, rows, hidden, input_dim, output_dim, scale, x_scale):
-    """`greedy_rows`' certificate rests on this bound on the two products'
-    rounding: where it fails, a certified row could take another action
-    than `forward`, so this fails first."""
+    """`greedy_bound` also holds for `forward_batch`, training's batched
+    pass, which no greedy decision uses; the certificate's premise is
+    `test_stacked_product_is_within_the_greedy_bound_of_forward`."""
     rng = np.random.default_rng(seed)
     params = init(NetworkSpec(input_dim, tuple(hidden), output_dim), scale,
                   float(rng.normal()), rng)
@@ -353,6 +366,142 @@ def test_numpy_tanh_is_within_the_greedy_bounds_tanh_error():
     exact = np.array([math.tanh(x) for x in xs.tolist()])
     assert np.abs(ys - exact).max() <= neural._TANH_ERROR
     assert np.abs(ys).max() <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# GreedyStack: every network's greedy_rows from one stacked product per layer
+# ---------------------------------------------------------------------------
+
+def _assert_stack_decides_as_forward_rows(stack, xs, sizes):
+    actions = stack.greedy(xs, sizes)
+    assert actions.dtype == np.intp
+    assert actions.shape == (len(sizes), xs.shape[2])
+    for net, x, size, decided in zip(stack.nets, xs, sizes, actions,
+                                     strict=True):
+        expected = forward_rows(net, x[:, :size].T).argmax(axis=1)
+        assert decided[:size].tolist() == expected.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
+       hidden=st.lists(st.integers(1, 32), max_size=3),
+       input_dim=st.integers(1, 12), output_dim=st.integers(1, 12),
+       scale=st.floats(0.01, 10.0),
+       x_scales=st.lists(st.floats(0.01, 100.0), min_size=4, max_size=4))
+@example(seed=4, sizes=[150, 100], hidden=[16, 16], input_dim=7, output_dim=3,
+         scale=0.1, x_scales=[1.0] * 4)
+@example(seed=5, sizes=[0, 0, 3], hidden=[2], input_dim=1, output_dim=1,
+         scale=10.0, x_scales=[100.0] * 4)
+def test_greedy_stack_decides_as_forward_rows_for_every_network(
+        seed, sizes, hidden, input_dim, output_dim, scale, x_scales):
+    """Networks of equal shapes, with groups of unequal sizes (0 included)
+    padded to the largest at the group's own input scale: each network's
+    real columns take the argmax of its own `forward_rows`."""
+    rng = np.random.default_rng(seed)
+    spec = NetworkSpec(input_dim, tuple(hidden), output_dim)
+    nets = [init(spec, scale, float(rng.normal()), rng) for _ in sizes]
+    xs = np.stack([rng.normal(size=(input_dim, max(sizes))) * x_scale
+                   for x_scale in x_scales[:len(sizes)]])
+    _assert_stack_decides_as_forward_rows(neural.GreedyStack(nets), xs, sizes)
+
+
+def test_greedy_stack_refuses_networks_of_unequal_shapes():
+    rng = np.random.default_rng(0)
+    nets = [init(NetworkSpec(3, hidden, 2), 1.0, 0.0, rng)
+            for hidden in [(4,), (5,)]]
+    with pytest.raises(ValueError, match="equal layer shapes"):
+        neural.GreedyStack(nets)
+    with pytest.raises(ValueError, match="equal layer shapes"):
+        neural.GreedyStack([])
+
+
+def _columns(rows, width):
+    """`rows` as the columns of an in×`width` block, padded with the last."""
+    rows = rows + rows[-1:] * (width - len(rows))
+    return np.array(rows, dtype=float).T
+
+
+@pytest.mark.parametrize("second_bias", [0.5, np.nextafter(0.5, 1.0)],
+                         ids=["exact tie", "one ulp apart"])
+def test_greedy_stack_computes_only_one_networks_tied_rows_exactly(
+        monkeypatch, second_bias):
+    """Beside a network whose every row is certified, the tied network's
+    rows where units 1 and 2 tie, or lie 1 ulp apart, go to its own
+    `forward_rows`, and an exact tie goes to the lower index.  Its padding
+    is a tied row too, and is not computed again."""
+    clear = NetworkParams([np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])],
+                          [np.array([0.0, 0.0, 0.0])])
+    tied = _tied_network(second_bias)
+    clear_rows = [[3.0, 0.0], [-2.0, 0.5], [0.0, 4.0], [1.0, -1.0], [-1.0, 2.0]]
+    tied_rows = [[3.0, -1.0], [0.1, 0.7], [5.0, 1.0], [-2.0, 0.25]]
+    xs = np.stack([_columns(clear_rows, 5), _columns(tied_rows + [[0.0, -0.3]], 5)])
+    sizes = [5, 4]
+    batches = _spy_on_forward_rows(monkeypatch)
+    stack = neural.GreedyStack([clear, tied])
+    actions = stack.greedy(xs, sizes)
+    assert batches == [[[0.1, 0.7], [-2.0, 0.25]]]
+    _assert_stack_decides_as_forward_rows(stack, xs, sizes)
+    assert actions[0].tolist() == [0, 1, 2, 0, 2]
+    assert actions[1, [0, 2]].tolist() == [0, 0]
+    if second_bias == 0.5:
+        assert actions[1, [1, 3]].tolist() == [1, 1]
+
+
+@pytest.mark.parametrize("huge, rows", [
+    (NetworkParams([[[1e300, 0.0], [-1e300, 0.0], [0.0, 1.0]]],
+                   [[0.0, 0.0, 0.0]]), [[1e10, 1.0], [1e10, 2.0]]),
+    (NetworkParams([[[1.0, 0.0], [0.0, 1.0]],
+                    [[1e308, 0.0], [0.0, 1.0], [0.0, 0.0]]],
+                   [[0.0, 0.0], [1e308, 0.0, 1.0]]), [[10.0, 1.0], [20.0, 0.0]]),
+], ids=["first layer", "after a tanh"])
+def test_greedy_stack_computes_only_the_infinite_bounds_rows_exactly(
+        monkeypatch, huge, rows):
+    """A network whose E is infinite, from an input past its reach or from
+    a later sum that could overflow, has every real row computed again by
+    its own `forward_rows`; the networks stacked beside it are still
+    certified.  The stacked product overflows here too, and raises no
+    warning: only the exact rows, run as `forward` runs them, may."""
+    rng = np.random.default_rng(3)
+    others = [init(huge.spec, 1.0, 0.0, rng) for _ in range(2)]
+    xs = np.stack([rng.normal(size=(2, 3)), _columns(rows, 3),
+                   rng.normal(size=(2, 3))])
+    sizes = [3, 2, 3]
+    batches = _spy_on_forward_rows(monkeypatch, quiet=True)
+    stack = neural.GreedyStack([others[0], huge, others[1]])
+    assert not math.isfinite(2.0 * stack.bounds[1][0]) or \
+        np.abs(rows).max() > stack.bounds[1][2]
+    actions = stack.greedy(xs, sizes)
+    assert batches == [rows]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = forward_rows(huge, np.array(rows)).argmax(axis=1)
+    assert actions[1, :2].tolist() == expected.tolist()
+    for g in (0, 2):
+        assert actions[g].tolist() == \
+            forward_rows(stack.nets[g], xs[g].T).argmax(axis=1).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), networks=st.integers(1, 4),
+       rows=st.integers(1, 64), hidden=st.lists(st.integers(1, 32), max_size=3),
+       input_dim=st.integers(1, 12), output_dim=st.integers(1, 12),
+       scale=st.floats(0.01, 10.0), x_scale=st.floats(0.01, 100.0))
+def test_stacked_product_is_within_the_greedy_bound_of_forward(
+        seed, networks, rows, hidden, input_dim, output_dim, scale, x_scale):
+    """`GreedyStack`'s certificate rests on this bound on the rounding of
+    its transposed, stacked product: where it fails, a certified column
+    could take another action than `forward`, so this fails first."""
+    rng = np.random.default_rng(seed)
+    spec = NetworkSpec(input_dim, tuple(hidden), output_dim)
+    stack = neural.GreedyStack([init(spec, scale, float(rng.normal()), rng)
+                                for _ in range(networks)])
+    xs = rng.normal(size=(networks, input_dim, rows)) * x_scale
+    q = stack._forward(xs)
+    for net, (e0, e1, reach), x, q_net in zip(stack.nets, stack.bounds, xs, q):
+        x_max = np.abs(x).max()
+        assert x_max <= reach
+        exact = np.array([forward(net, column) for column in x.T])
+        assert np.abs(q_net.T - exact).max() <= e0 + e1 * x_max
 
 
 def test_batched_gradient_needs_one_action_and_target_per_row():

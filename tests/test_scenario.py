@@ -832,7 +832,7 @@ def _twin_unit_policy(player, seed, first, second):
 
 def test_lockstep_plays_tied_output_units_as_simulate_plays_them(monkeypatch):
     """A decision between two twin output units is never certified from the
-    batched product: it goes to `forward_rows`, which picks what `simulate`'s
+    stacked product: it goes to `forward_rows`, which picks what `simulate`'s
     `forward(...).argmax()` picks, the lower unit on an exact tie.  The other
     decisions are certified.  Episode for episode, the rewards are
     `simulate`'s."""
@@ -841,9 +841,9 @@ def test_lockstep_plays_tied_output_units_as_simulate_plays_them(monkeypatch):
     loop_rng, play_rng = np.random.default_rng(9), np.random.default_rng(9)
     expected = _simulated(P, policies, 40, 6, loop_rng)
     decided, exact = [], []
-    real_greedy_rows, real_forward_rows = neural.greedy_rows, neural.forward_rows
-    monkeypatch.setattr(neural, "greedy_rows", lambda params, xs, bound: (
-        decided.append(len(xs)), real_greedy_rows(params, xs, bound))[1])
+    real_greedy, real_forward_rows = neural.GreedyStack.greedy, neural.forward_rows
+    monkeypatch.setattr(neural.GreedyStack, "greedy", lambda self, xs, sizes: (
+        decided.append(sum(sizes)), real_greedy(self, xs, sizes))[1])
     monkeypatch.setattr(neural, "forward_rows", lambda params, xs: (
         exact.append(len(xs)), real_forward_rows(params, xs))[1])
     monkeypatch.setattr(scenario, "simulate", None)
@@ -851,6 +851,70 @@ def test_lockstep_plays_tied_output_units_as_simulate_plays_them(monkeypatch):
     assert repr(_lists(played)) == repr(expected)
     assert play_rng.bit_generator.state == loop_rng.bit_generator.state
     assert 0 < sum(exact) < sum(decided)
+
+
+def _network_policy(player, hidden, seed):
+    prior = level0_policies(P)[player]
+    spec = NetworkSpec(prior.feature_dim, hidden, prior.action_count)
+    return QPolicy(init(spec, 1.0, 0.0, np.random.default_rng(seed)),
+                   prior.encoder)
+
+
+def test_lockstep_stacks_each_players_networks_by_layer_shape(monkeypatch):
+    """A player whose matches use its prior and networks of two hidden
+    widths decides in two stacks, one per width, beside the prior's rule;
+    every match still gets what `simulate` gives it alone, and its rng
+    ends where `simulate` leaves it."""
+    defenders = [level0_policies(P)[DEFENDER], _network_policy(DEFENDER, (8,), 1),
+                 _network_policy(DEFENDER, (5, 3), 2),
+                 _network_policy(DEFENDER, (8,), 3)]
+    attackers = [_network_policy(ATTACKER, (6,), 4), level0_policies(P)[ATTACKER],
+                 _network_policy(ATTACKER, (6,), 5),
+                 _network_policy(ATTACKER, (4,), 6)]
+    matches = [({DEFENDER: defender, ATTACKER: attacker}, episodes, seed)
+               for defender, attacker, episodes, seed
+               in zip(defenders + defenders[::-1], attackers + attackers,
+                      [3, 1, 4, 2, 5, 2, 1, 3], range(20, 28))]
+    loop_rngs = [np.random.default_rng(seed) for _, _, seed in matches]
+    expected = [_simulated(P, policies, 25, episodes, rng)
+                for (policies, episodes, _), rng in zip(matches, loop_rngs)]
+    stacked, real_init = [], neural.GreedyStack.__init__
+
+    def init_spy(self, nets):
+        stacked.append(sorted(net.spec.hidden_layers for net in nets))
+        real_init(self, nets)
+    monkeypatch.setattr(neural.GreedyStack, "__init__", init_spy)
+    monkeypatch.setattr(scenario, "simulate", None)
+    rngs = [np.random.default_rng(seed) for _, _, seed in matches]
+    played = NativeBattle(P, 25).play(
+        [(policies, episodes, rng)
+         for (policies, episodes, _), rng in zip(matches, rngs)])
+    assert sorted(stacked) == [[(4,)], [(5, 3)], [(6,), (6,)], [(8,), (8,)]]
+    assert repr([_lists(rewards) for rewards in played]) == repr(expected)
+    for rng, loop_rng in zip(rngs, loop_rngs):
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("beside", [0, 4])
+def test_play_gives_a_zero_episode_match_empty_reward_arrays(beside):
+    """A match of zero episodes, with network policies of its own, played
+    beside a match of `beside` episodes: it gets (0, horizon) arrays and
+    draws nothing, and the other match gets what `simulate` gives it."""
+    empty = {DEFENDER: _network_policy(DEFENDER, (8,), 7),
+             ATTACKER: _network_policy(ATTACKER, (8,), 8)}
+    other = {DEFENDER: _network_policy(DEFENDER, (8,), 9),
+             ATTACKER: level0_policies(P)[ATTACKER]}
+    loop_rng = np.random.default_rng(10)
+    expected = _simulated(P, other, 12, beside, loop_rng)
+    empty_rng, other_rng = np.random.default_rng(11), np.random.default_rng(10)
+    empty_state = empty_rng.bit_generator.state
+    played = NativeBattle(P, 12).play([(empty, 0, empty_rng),
+                                       (other, beside, other_rng)])
+    assert {player: rewards.shape for player, rewards in played[0].items()} \
+        == {DEFENDER: (0, 12), ATTACKER: (0, 12)}
+    assert empty_rng.bit_generator.state == empty_state
+    assert repr(_lists(played[1])) == repr(expected)
+    assert other_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("network", [False, True])
