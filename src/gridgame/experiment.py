@@ -312,10 +312,9 @@ def load_policy(path: Path, grid: GridParams, player: str, level: int,
     payload = _read_json(path, "policy")
     if not isinstance(payload, dict):
         raise ValueError(f"policy file {path} does not hold a JSON object")
-    if payload.get("format_version") != POLICY_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported policy format version {payload.get('format_version')!r} "
-            f"in {path}")
+    version = payload.get("format_version")  # the JSON integer: 2.0 == 2
+    if type(version) is not int or version != POLICY_FORMAT_VERSION:
+        raise ValueError(f"unsupported policy format version {version!r} in {path}")
     cell = {"player": player, "level": level, "q3_max": grid.q3_max, "seed": seed}
     missing = {*cell, "network"} - payload.keys()
     if missing:

@@ -125,24 +125,6 @@ def forward(params: NetworkParams, x: Sequence[float]) -> np.ndarray:
     return a
 
 
-def forward_rows(params: NetworkParams, xs: Sequence[Sequence[float]]) -> np.ndarray:
-    """`forward` on every row of the 2-D batch `xs`, with its bits.
-
-    `np.matmul` over the stack of column vectors makes one matrix-vector
-    product per row, the product of `forward`'s `w.dot(a)`; the bias add and
-    tanh are elementwise.  `tests/test_neural.py` checks the equality on the
-    numpy and BLAS build it runs on.
-    """
-    a = np.ascontiguousarray(xs, dtype=float)
-    last = params.n_layers - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        a = np.matmul(w, a[:, :, None])[:, :, 0]
-        a += b
-        if i != last:
-            np.tanh(a, a)
-    return a
-
-
 def forward_batch(params: NetworkParams, xs: Sequence[Sequence[float]]) -> np.ndarray:
     """Q-values for every action, one row per row of the 2-D batch `xs`.
 
@@ -168,9 +150,9 @@ _NO_OVERFLOW = float(np.finfo(float).max) / 4
 
 def greedy_bound(params: NetworkParams) -> tuple[float, float, float]:
     """`(e0, e1, reach)`: on a batch whose entries are at most X in absolute
-    value, with X <= `reach`, `forward_rows` and `GreedyStack`'s stacked
-    product (or `forward_batch`) differ by at most E = e0 + e1·X on every
-    output.  Past `reach` the bound is infinite.
+    value, with X <= `reach`, `forward` on each row and `GreedyStack`'s
+    stacked product (or `forward_batch`) differ by at most E = e0 + e1·X on
+    every output.  Past `reach` the bound is infinite.
 
     Take any two evaluations of the network that round every sum of a
     layer's product in their own order, with or without FMA, as the stacked
@@ -236,8 +218,8 @@ class GreedyStack:
         self.units = np.arange(self.nets[0].spec.output_dim, dtype=float)
 
     def greedy(self, xs: np.ndarray, sizes: Sequence[int]) -> np.ndarray:
-        """A G×R array whose row g starts with
-        `forward_rows(nets[g], xs[g, :, :sizes[g]].T).argmax(axis=1)`.
+        """A G×R array whose row g starts with `forward(nets[g], x).argmax()`
+        for each of g's first `sizes[g]` columns x of `xs[g]`.
 
         `xs` is G×in×R: network g's inputs as columns, its first `sizes[g]`
         real and the rest padding, which counts towards g's largest input
@@ -245,17 +227,18 @@ class GreedyStack:
         so the bias add broadcasts along the long axis and the top is a
         reduction over the short output axis.  A column whose top
         Q-value beats each of its others by more than 2E, E from g's own
-        `greedy_bound`, has that top in `forward_rows` too, since each value
+        `greedy_bound`, has that top in `forward` too, since each value
         there is within E of its stacked twin (`top - margin` rounds to
         nearest, so a double below it is below the exact difference too).
         Every other real column (ties, near ties) is computed again by
-        `forward_rows` of its own network, so ties still go to the lowest
-        index.  With E finite no value is NaN or infinite, so each column has
-        at least its top within the margin; with E infinite (an input past
-        `reach`, non-finite weights) every real column of that network is
-        computed again, and the others are still certified.  One network's
-        stack is its own greedy argmax: `greedy(xs.T[None], [len(xs)])[0]`
-        for its rows `xs`."""
+        `forward` of its own network on a contiguous copy of the column, the
+        call `simulate` makes, so ties still go to the lowest index.  With E
+        finite no value is NaN or infinite, so each column has at least its
+        top within the margin; with E infinite (an input past `reach`,
+        non-finite weights) every real column of that network is computed
+        again, and the others are still certified.  One network's stack is
+        its own greedy argmax: `greedy(xs.T[None], [len(xs)])[0]` for its
+        rows `xs`."""
         x_max = np.abs(xs).max(axis=(1, 2), initial=0.0).tolist()
         # Python floats, which overflow to inf without a warning
         margins = [2.0 * (e0 + e1 * x) if x <= reach else np.inf
@@ -279,10 +262,8 @@ class GreedyStack:
         unsure = (np.count_nonzero(near, axis=1) != 1) | \
             np.logical_not(certain)[:, None]
         unsure &= np.arange(xs.shape[2]) < np.asarray(sizes)[:, None]
-        for g in np.flatnonzero(unsure.any(axis=1)):
-            cols = np.flatnonzero(unsure[g])
-            actions[g, cols] = forward_rows(self.nets[g],
-                                            xs[g][:, cols].T).argmax(axis=1)
+        for g, c in zip(*np.nonzero(unsure)):
+            actions[g, c] = forward(self.nets[g], xs[g, :, c].copy()).argmax()
         return actions
 
     def _forward(self, xs: np.ndarray) -> np.ndarray:

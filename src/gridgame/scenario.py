@@ -813,21 +813,17 @@ def _lockstep_decider(params: GridParams, player: str,
         for ix in priors:
             actions[ix] = rule(mem, ix, params)
         if stacks:
-            _feature_rows(features(mem, params), block)
+            # one row per feature and one column per episode, from features
+            # that are arrays or shared scalars; a loop, since
+            # `np.stack(np.broadcast_arrays(...))` costs 6x as much
+            for j, column in enumerate(features(mem, params)):
+                block[j] = column
         for stack, sizes, gather, scatter in stacks:
             # `take` gathers as `block[:, gather]` does, in half the time
             actions[scatter] = stack.greedy(
                 block.take(gather, axis=1).transpose(1, 0, 2), sizes)
         return actions[:total]
     return decide
-
-
-def _feature_rows(features: tuple, block: np.ndarray) -> None:
-    """Fill `block`, one row per feature and one column per episode, from
-    features that are arrays or shared scalars.  (A loop:
-    `np.stack(np.broadcast_arrays(...))` costs 6x as much.)"""
-    for j, column in enumerate(features):
-        block[j] = column
 
 
 def _lockstep(params: GridParams,

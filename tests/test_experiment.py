@@ -343,7 +343,7 @@ def test_loaded_policy_never_draws_from_the_rng(tmp_path, player):
     assert_draws_nothing(load_policy(path, grid, player, 1, 3), grid, player)
 
 
-@pytest.mark.parametrize("version", [1, 99, None])
+@pytest.mark.parametrize("version", [1, 99, None, 2.0])
 def test_policy_of_another_format_version_refused(tmp_path, version):
     grid = GridParams(q3_max=0.7)
     path = tmp_path / policy_filename(ATTACKER, 1, 0.7, 3)
@@ -433,12 +433,13 @@ def _network(**network):
              biases=[[0.0] * 4, [0.0] * 3]),
     _network(weights=[[[{"w": 0.0}] * 7] * 3], biases=[[0.0] * 3]),
     lambda payload: {**payload, "format_version": 1},
+    lambda payload: {**payload, "format_version": 2.0},
     _first_number("weights", None),
     _first_number("biases", float("nan")),
 ], ids=["list", "string", "no-player", "no-network", "player-int",
         "player-list", "player-null", "network-list", "no-weights",
         "ragged-weights", "unchained-layers", "non-numeric-weights",
-        "format-version-1", "null-weight", "nan-bias"])
+        "format-version-1", "format-version-2.0", "null-weight", "nan-bias"])
 def test_cli_malformed_policy_file_exits_with_error_line(tmp_path, capsys,
                                                          corrupt):
     config_path = write_config(tmp_path, {
@@ -830,10 +831,11 @@ def test_scoring_bytes_do_not_depend_on_the_greedy_certificate(
         tmp_path, monkeypatch):
     """`sweep` and `eval` decide most network rows of the lockstep from one
     stacked product per player, certified by `neural.greedy_bound`.  Forced
-    off (an infinite bound, so every row goes to `forward_rows`), `train`,
+    off (an infinite bound, so every row goes to `forward`), `train`,
     `sweep` and `eval` write the same bytes.  The stacks decide every
     network decision of the sweep: one per network player, episode and
-    step but the last."""
+    step but the last.  Training calls `forward` too, so the exact rows are
+    counted from the end of `train`."""
     pairings = [[0, 0], [1, 0], [0, 1], [1, 1], [2, 1], [1, 2], [2, 2]]
     config_path = write_config(tmp_path, {
         "train": {"episodes": 20},
@@ -844,17 +846,17 @@ def test_scoring_bytes_do_not_depend_on_the_greedy_certificate(
     out = tmp_path / "out"
     args = ["--config", str(config_path), "--out", str(out)]
     decided, exact = [], []
-    real_greedy, real_forward_rows = neural.GreedyStack.greedy, neural.forward_rows
+    real_greedy, real_forward = neural.GreedyStack.greedy, neural.forward
     monkeypatch.setattr(neural.GreedyStack, "greedy", lambda self, xs, sizes: (
         decided.append(sum(sizes)), real_greedy(self, xs, sizes))[1])
-    monkeypatch.setattr(neural, "forward_rows", lambda params, xs: (
-        exact.append(len(xs)), real_forward_rows(params, xs))[1])
+    monkeypatch.setattr(neural, "forward", lambda params, x: (
+        exact.append(1), real_forward(params, x))[1])
 
     def outputs():
         shutil.rmtree(out, ignore_errors=True)
+        assert main(["train", *args]) == 0
         decided.clear()
         exact.clear()
-        assert main(["train", *args]) == 0
         assert main(["sweep", *args, "--jobs", "1"]) == 0
         assert sum(decided) == sweep_decisions
         assert main(["eval", *args, "--defender-level", "2",

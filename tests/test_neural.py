@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from gridgame import neural
 from gridgame.neural import (NetworkParams, NetworkSpec, apply_update, forward,
-                             forward_batch, forward_rows, greedy_bound, init,
+                             forward_batch, greedy_bound, init,
                              network_from_dict, network_to_dict, td_gradient)
 from oracles import n_params, params_equal
 
@@ -200,61 +200,42 @@ def test_batched_gradient_is_sum_of_single_row_gradients(seed, rows, hidden):
     assert np.abs(forward_batch(params, xs) - q_rows).max() <= 1e-12
 
 
-@settings(max_examples=100, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1),
-       rows=st.one_of(st.just(1), st.integers(2, 64)),
-       hidden=st.lists(st.integers(1, 32), max_size=3),
-       input_dim=st.integers(1, 12), output_dim=st.integers(1, 12),
-       scale=st.floats(0.01, 4.0))
-@example(seed=3, rows=1, hidden=[], input_dim=7, output_dim=3, scale=1.0)
-@example(seed=4, rows=50, hidden=[16, 16], input_dim=6, output_dim=11, scale=0.1)
-def test_forward_rows_is_forward_on_every_row_byte_for_byte(
-        seed, rows, hidden, input_dim, output_dim, scale):
-    """The scorer's output bytes rest on this equality: on a numpy or BLAS
-    build where a stacked matrix-vector product rounds other than `dot`,
-    this fails rather than letting sweep.csv drift."""
-    rng = np.random.default_rng(seed)
-    spec = NetworkSpec(input_dim, tuple(hidden), output_dim)
-    params = init(spec, scale, float(rng.normal()), rng)
-    xs = rng.normal(size=(rows, input_dim)) * rng.uniform(0.1, 10.0)
-    q_rows = forward_rows(params, xs)
-    assert q_rows.shape == (rows, output_dim)
-    for x, q in zip(xs, q_rows):
-        assert q.tobytes() == forward(params, x).tobytes()
-    # the rows of one policy's episodes, which the lockstep gathers from
-    # those of all its matches
-    ix = np.flatnonzero(rng.random(rows) < 0.5)
-    for i, q in zip(ix, forward_rows(params, xs[ix]), strict=True):
-        assert q.tobytes() == forward(params, xs[i]).tobytes()
-
-
 # ---------------------------------------------------------------------------
-# greedy_rows: one network's GreedyStack, the certified argmax of forward_rows
+# greedy_rows: one network's GreedyStack, the certified argmax of forward
 # ---------------------------------------------------------------------------
+
+def forward_argmax(params, xs):
+    """The reference for every greedy decision: `forward(...).argmax()` on
+    each row of `xs`, the call `simulate` makes through `QPolicy`."""
+    return [int(forward(params, x).argmax())
+            for x in np.ascontiguousarray(xs, dtype=float)]
+
 
 def greedy_rows(params, xs, bound):
-    """`forward_rows(params, xs).argmax(axis=1)` from a one-network
-    `GreedyStack`, whose bound is `bound`, on the columns of `xs.T`."""
+    """`forward_argmax(params, xs)` from a one-network `GreedyStack`, whose
+    bound is `bound`, on the columns of `xs.T`."""
     stack = neural.GreedyStack([params])
     assert stack.bounds == [bound]
     xs = np.asarray(xs, dtype=float)
     return stack.greedy(xs.T[None], [len(xs)])[0]
 
 
-def _spy_on_forward_rows(monkeypatch, quiet=False):
-    """The batches a stack hands to `forward_rows`, as lists of rows.  With
-    `quiet`, `forward_rows` runs under `np.errstate`, so that a row which
-    overflows there, as it does in `forward`, raises no warning."""
-    batches, real = [], neural.forward_rows
+def _spy_on_forward(monkeypatch, quiet=False):
+    """The columns a stack computes again with `neural.forward`, as a list
+    of rows, one per call; each must be handed over as a contiguous 1-D
+    array.  With `quiet`, `forward` runs under `np.errstate`, so that a row
+    which overflows there, as it would in `simulate`, raises no warning."""
+    rows, real = [], neural.forward
 
-    def spy(params, xs):
-        batches.append(np.asarray(xs).tolist())
+    def spy(params, x):
+        assert x.ndim == 1 and x.flags.c_contiguous
+        rows.append(x.tolist())
         if not quiet:
-            return real(params, xs)
+            return real(params, x)
         with np.errstate(over="ignore", invalid="ignore"):
-            return real(params, xs)
-    monkeypatch.setattr(neural, "forward_rows", spy)
-    return batches
+            return real(params, x)
+    monkeypatch.setattr(neural, "forward", spy)
+    return rows
 
 
 @settings(max_examples=150, deadline=None)
@@ -264,7 +245,7 @@ def _spy_on_forward_rows(monkeypatch, quiet=False):
        scale=st.floats(0.01, 10.0), x_scale=st.floats(0.01, 100.0))
 @example(seed=4, rows=50, hidden=[16, 16], input_dim=6, output_dim=11,
          scale=0.1, x_scale=1.0)
-def test_greedy_rows_is_the_argmax_of_forward_rows(
+def test_greedy_rows_is_the_argmax_of_forward(
         seed, rows, hidden, input_dim, output_dim, scale, x_scale):
     rng = np.random.default_rng(seed)
     params = init(NetworkSpec(input_dim, tuple(hidden), output_dim), scale,
@@ -272,7 +253,7 @@ def test_greedy_rows_is_the_argmax_of_forward_rows(
     xs = rng.normal(size=(rows, input_dim)) * x_scale
     actions = greedy_rows(params, xs, greedy_bound(params))
     assert actions.dtype == np.intp
-    assert actions.tolist() == forward_rows(params, xs).argmax(axis=1).tolist()
+    assert actions.tolist() == forward_argmax(params, xs)
 
 
 def _tied_network(second_bias):
@@ -287,15 +268,15 @@ def _tied_network(second_bias):
 def test_greedy_rows_computes_tied_and_near_tied_rows_exactly(
         monkeypatch, second_bias):
     """Rows where unit 0 wins by far are certified from the product; rows where
-    units 1 and 2 tie, or lie 1 ulp apart, go to `forward_rows`, and an
-    exact tie goes to the lower index."""
+    units 1 and 2 tie, or lie 1 ulp apart, go to `forward`, and an exact
+    tie goes to the lower index."""
     params = _tied_network(second_bias)
     xs = np.array([[3.0, -1.0], [0.1, 0.7], [-2.0, 0.25], [5.0, 1.0],
                    [0.0, -0.3]])
-    batches = _spy_on_forward_rows(monkeypatch)
+    exact = _spy_on_forward(monkeypatch)
     actions = greedy_rows(params, xs, greedy_bound(params))
-    assert batches == [xs[[1, 2, 4]].tolist()]
-    assert actions.tolist() == forward_rows(params, xs).argmax(axis=1).tolist()
+    assert exact == xs[[1, 2, 4]].tolist()
+    assert actions.tolist() == forward_argmax(params, xs)
     assert actions[[0, 3]].tolist() == [0, 0]
     if second_bias == 0.5:
         assert actions[[1, 2, 4]].tolist() == [1, 1, 1]
@@ -312,15 +293,15 @@ def test_greedy_rows_falls_back_when_the_batched_product_overflows(
         monkeypatch, params, xs):
     """Huge but finite weights overflow the batched product, here to one
     infinite Q-value per row, its top.  No row is certified from it: every
-    row goes to `forward_rows`."""
+    row goes to `forward`."""
     xs = np.array(xs)
-    batches = _spy_on_forward_rows(monkeypatch)
+    exact = _spy_on_forward(monkeypatch)
     with np.errstate(over="ignore", invalid="ignore"):
         assert not np.isfinite(forward_batch(params, xs)).all()
         actions = greedy_rows(params, xs, greedy_bound(params))
-        expected = forward_rows(params, xs).argmax(axis=1)
-    assert batches[0] == xs.tolist()
-    assert actions.tolist() == expected.tolist()
+        expected = forward_argmax(params, xs)
+    assert exact == xs.tolist()
+    assert actions.tolist() == expected
 
 
 @pytest.mark.parametrize("bias, finite", [(1e307, True), (2e307, False)])
@@ -372,14 +353,13 @@ def test_numpy_tanh_is_within_the_greedy_bounds_tanh_error():
 # GreedyStack: every network's greedy_rows from one stacked product per layer
 # ---------------------------------------------------------------------------
 
-def _assert_stack_decides_as_forward_rows(stack, xs, sizes):
+def _assert_stack_decides_as_forward(stack, xs, sizes):
     actions = stack.greedy(xs, sizes)
     assert actions.dtype == np.intp
     assert actions.shape == (len(sizes), xs.shape[2])
     for net, x, size, decided in zip(stack.nets, xs, sizes, actions,
                                      strict=True):
-        expected = forward_rows(net, x[:, :size].T).argmax(axis=1)
-        assert decided[:size].tolist() == expected.tolist()
+        assert decided[:size].tolist() == forward_argmax(net, x[:, :size].T)
 
 
 @settings(max_examples=150, deadline=None)
@@ -393,17 +373,17 @@ def _assert_stack_decides_as_forward_rows(stack, xs, sizes):
          scale=0.1, x_scales=[1.0] * 4)
 @example(seed=5, sizes=[0, 0, 3], hidden=[2], input_dim=1, output_dim=1,
          scale=10.0, x_scales=[100.0] * 4)
-def test_greedy_stack_decides_as_forward_rows_for_every_network(
+def test_greedy_stack_decides_as_forward_for_every_network(
         seed, sizes, hidden, input_dim, output_dim, scale, x_scales):
     """Networks of equal shapes, with groups of unequal sizes (0 included)
     padded to the largest at the group's own input scale: each network's
-    real columns take the argmax of its own `forward_rows`."""
+    real columns take the argmax of its own `forward`."""
     rng = np.random.default_rng(seed)
     spec = NetworkSpec(input_dim, tuple(hidden), output_dim)
     nets = [init(spec, scale, float(rng.normal()), rng) for _ in sizes]
     xs = np.stack([rng.normal(size=(input_dim, max(sizes))) * x_scale
                    for x_scale in x_scales[:len(sizes)]])
-    _assert_stack_decides_as_forward_rows(neural.GreedyStack(nets), xs, sizes)
+    _assert_stack_decides_as_forward(neural.GreedyStack(nets), xs, sizes)
 
 
 def test_greedy_stack_refuses_networks_of_unequal_shapes():
@@ -428,8 +408,8 @@ def test_greedy_stack_computes_only_one_networks_tied_rows_exactly(
         monkeypatch, second_bias):
     """Beside a network whose every row is certified, the tied network's
     rows where units 1 and 2 tie, or lie 1 ulp apart, go to its own
-    `forward_rows`, and an exact tie goes to the lower index.  Its padding
-    is a tied row too, and is not computed again."""
+    `forward`, and an exact tie goes to the lower index.  Its padding is a
+    tied row too, and is not computed again."""
     clear = NetworkParams([np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]])],
                           [np.array([0.0, 0.0, 0.0])])
     tied = _tied_network(second_bias)
@@ -437,11 +417,11 @@ def test_greedy_stack_computes_only_one_networks_tied_rows_exactly(
     tied_rows = [[3.0, -1.0], [0.1, 0.7], [5.0, 1.0], [-2.0, 0.25]]
     xs = np.stack([_columns(clear_rows, 5), _columns(tied_rows + [[0.0, -0.3]], 5)])
     sizes = [5, 4]
-    batches = _spy_on_forward_rows(monkeypatch)
+    exact = _spy_on_forward(monkeypatch)
     stack = neural.GreedyStack([clear, tied])
     actions = stack.greedy(xs, sizes)
-    assert batches == [[[0.1, 0.7], [-2.0, 0.25]]]
-    _assert_stack_decides_as_forward_rows(stack, xs, sizes)
+    assert exact == [[0.1, 0.7], [-2.0, 0.25]]
+    _assert_stack_decides_as_forward(stack, xs, sizes)
     assert actions[0].tolist() == [0, 1, 2, 0, 2]
     assert actions[1, [0, 2]].tolist() == [0, 0]
     if second_bias == 0.5:
@@ -459,7 +439,7 @@ def test_greedy_stack_computes_only_the_infinite_bounds_rows_exactly(
         monkeypatch, huge, rows):
     """A network whose E is infinite, from an input past its reach or from
     a later sum that could overflow, has every real row computed again by
-    its own `forward_rows`; the networks stacked beside it are still
+    its own `forward`; the networks stacked beside it are still
     certified.  The stacked product overflows here too, and raises no
     warning: only the exact rows, run as `forward` runs them, may."""
     rng = np.random.default_rng(3)
@@ -467,18 +447,16 @@ def test_greedy_stack_computes_only_the_infinite_bounds_rows_exactly(
     xs = np.stack([rng.normal(size=(2, 3)), _columns(rows, 3),
                    rng.normal(size=(2, 3))])
     sizes = [3, 2, 3]
-    batches = _spy_on_forward_rows(monkeypatch, quiet=True)
+    exact = _spy_on_forward(monkeypatch, quiet=True)
     stack = neural.GreedyStack([others[0], huge, others[1]])
     assert not math.isfinite(2.0 * stack.bounds[1][0]) or \
         np.abs(rows).max() > stack.bounds[1][2]
     actions = stack.greedy(xs, sizes)
-    assert batches == [rows]
+    assert exact == rows
     with np.errstate(over="ignore", invalid="ignore"):
-        expected = forward_rows(huge, np.array(rows)).argmax(axis=1)
-    assert actions[1, :2].tolist() == expected.tolist()
+        assert actions[1, :2].tolist() == forward_argmax(huge, rows)
     for g in (0, 2):
-        assert actions[g].tolist() == \
-            forward_rows(stack.nets[g], xs[g].T).argmax(axis=1).tolist()
+        assert actions[g].tolist() == forward_argmax(stack.nets[g], xs[g].T)
 
 
 @settings(max_examples=150, deadline=None)

@@ -830,27 +830,69 @@ def _twin_unit_policy(player, seed, first, second):
     return QPolicy(params, prior.encoder)
 
 
+def _spy_on_greedy_and_forward(monkeypatch):
+    """The columns each `GreedyStack.greedy` call decides, `sum(sizes)`, and
+    a 1 for each `neural.forward` call."""
+    decided, exact = [], []
+    real_greedy, real_forward = neural.GreedyStack.greedy, neural.forward
+    monkeypatch.setattr(neural.GreedyStack, "greedy", lambda self, xs, sizes: (
+        decided.append(sum(sizes)), real_greedy(self, xs, sizes))[1])
+    monkeypatch.setattr(neural, "forward", lambda params, x: (
+        exact.append(1), real_forward(params, x))[1])
+    return decided, exact
+
+
 def test_lockstep_plays_tied_output_units_as_simulate_plays_them(monkeypatch):
     """A decision between two twin output units is never certified from the
-    stacked product: it goes to `forward_rows`, which picks what `simulate`'s
-    `forward(...).argmax()` picks, the lower unit on an exact tie.  The other
-    decisions are certified.  Episode for episode, the rewards are
-    `simulate`'s."""
+    stacked product: it goes to `forward`, whose argmax is what `simulate`
+    picks, the lower unit on an exact tie.  The other decisions are
+    certified.  Episode for episode, the rewards are `simulate`'s."""
     policies = {DEFENDER: _twin_unit_policy(DEFENDER, 3, 1, 2),
                 ATTACKER: _twin_unit_policy(ATTACKER, 4, 2, 6)}
     loop_rng, play_rng = np.random.default_rng(9), np.random.default_rng(9)
     expected = _simulated(P, policies, 40, 6, loop_rng)
-    decided, exact = [], []
-    real_greedy, real_forward_rows = neural.GreedyStack.greedy, neural.forward_rows
-    monkeypatch.setattr(neural.GreedyStack, "greedy", lambda self, xs, sizes: (
-        decided.append(sum(sizes)), real_greedy(self, xs, sizes))[1])
-    monkeypatch.setattr(neural, "forward_rows", lambda params, xs: (
-        exact.append(len(xs)), real_forward_rows(params, xs))[1])
+    decided, exact = _spy_on_greedy_and_forward(monkeypatch)
     monkeypatch.setattr(scenario, "simulate", None)
     played = NativeBattle(P, 40).play([(policies, 6, play_rng)])[0]
     assert repr(_lists(played)) == repr(expected)
     assert play_rng.bit_generator.state == loop_rng.bit_generator.state
     assert 0 < sum(exact) < sum(decided)
+
+
+def _tied_policy(player, bias):
+    """A greedy QPolicy for `player` with zero weights and every output
+    bias `bias`: all its Q-values tie, so no decision is certified."""
+    prior = level0_policies(P)[player]
+    params = init(NetworkSpec(prior.feature_dim, (4,), prior.action_count),
+                  0.0, bias, np.random.default_rng(0))
+    return QPolicy(params, prior.encoder)
+
+
+def test_lockstep_plays_a_stack_of_all_tied_columns_as_simulate_plays_it(
+        monkeypatch):
+    """Two all-tied networks per player, in matches of 2 and 5 episodes, so
+    each player's stack pads the smaller group: every real column goes to
+    `forward`, exactly once, and no padding column does.  Episode for
+    episode, the rewards are `simulate`'s, and each rng ends where
+    `simulate` leaves it."""
+    matches = [({DEFENDER: _tied_policy(DEFENDER, bias),
+                 ATTACKER: _tied_policy(ATTACKER, -bias)}, episodes, seed)
+               for bias, episodes, seed in [(0.5, 2, 31), (-1.0, 5, 32)]]
+    loop_rngs = [np.random.default_rng(seed) for _, _, seed in matches]
+    expected = [_simulated(P, policies, 20, episodes, rng)
+                for (policies, episodes, _), rng in zip(matches, loop_rngs)]
+    decided, exact = _spy_on_greedy_and_forward(monkeypatch)
+    monkeypatch.setattr(scenario, "simulate", None)
+    rngs = [np.random.default_rng(seed) for _, _, seed in matches]
+    played = NativeBattle(P, 20).play(
+        [(policies, episodes, rng)
+         for (policies, episodes, _), rng in zip(matches, rngs)])
+    assert repr([_lists(rewards) for rewards in played]) == repr(expected)
+    for rng, loop_rng in zip(rngs, loop_rngs):
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+    # one call per player and step but the last, on 2 + 5 real columns
+    assert decided == [2 + 5] * 2 * (20 - 1)
+    assert len(exact) == sum(decided)
 
 
 def _network_policy(player, hidden, seed):
