@@ -88,7 +88,7 @@ class ExperimentConfig:
             if not (0 <= d_level <= self.k_max and 0 <= a_level <= self.k_max):
                 raise ValueError(
                     f"pairing ({d_level},{a_level}) exceeds k_max={self.k_max}")
-            if (d_level, a_level) in self.pairings[:i]:
+            if (d_level, a_level) in map(tuple, self.pairings[:i]):
                 raise ValueError(
                     f"pairing ({d_level},{a_level}) is listed more than once")
         if self.eval_episodes < 1:

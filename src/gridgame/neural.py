@@ -10,7 +10,6 @@ also the gradient layout.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -210,7 +209,9 @@ class GreedyStack:
         if len({net.spec for net in self.nets}) != 1:
             raise ValueError("a stack needs one or more networks of equal "
                              "layer shapes")
-        self.bounds = [greedy_bound(net) for net in self.nets]
+        # numpy's max and min keep a NaN; Python floats overflow quietly
+        e0, e1, reach = np.array([greedy_bound(net) for net in self.nets]).T
+        self.bound = (float(e0.max()), float(e1.max()), float(reach.min()))
         layers = zip(*(zip(net.weights, net.biases) for net in self.nets))
         self.layers = [(np.stack([w for w, _ in layer]),
                         np.stack([b for _, b in layer])[:, :, None])
@@ -222,45 +223,40 @@ class GreedyStack:
         for each of g's first `sizes[g]` columns x of `xs[g]`.
 
         `xs` is G×in×R: network g's inputs as columns, its first `sizes[g]`
-        real and the rest padding, which counts towards g's largest input
-        and decides nothing.  The product is transposed, `W @ X` per layer,
-        so the bias add broadcasts along the long axis and the top is a
-        reduction over the short output axis.  A column whose top
-        Q-value beats each of its others by more than 2E, E from g's own
-        `greedy_bound`, has that top in `forward` too, since each value
-        there is within E of its stacked twin (`top - margin` rounds to
-        nearest, so a double below it is below the exact difference too).
-        Every other real column (ties, near ties) is computed again by
-        `forward` of its own network on a contiguous copy of the column, the
-        call `simulate` makes, so ties still go to the lowest index.  With E
-        finite no value is NaN or infinite, so each column has at least its
-        top within the margin; with E infinite (an input past `reach`,
-        non-finite weights) every real column of that network is computed
-        again, and the others are still certified.  One network's stack is
-        its own greedy argmax: `greedy(xs.T[None], [len(xs)])[0]` for its
-        rows `xs`."""
-        x_max = np.abs(xs).max(axis=(1, 2), initial=0.0).tolist()
-        # Python floats, which overflow to inf without a warning
-        margins = [2.0 * (e0 + e1 * x) if x <= reach else np.inf
-                   for (e0, e1, reach), x in zip(self.bounds, x_max)]
-        certain = [m < np.inf for m in margins]
-        all_certain = all(certain)
-        # with E finite nothing overflows; with E infinite that network's
-        # values may be infinite or NaN, and none of its columns is
-        # certified.  Entering `np.errstate` costs about 2 µs, a tenth of a
-        # few-column call, so the product runs under it only then.
-        quiet = contextlib.nullcontext() if all_certain else \
-            np.errstate(over="ignore", invalid="ignore")
-        with quiet:
+        real and the rest padding, which counts towards the largest input X
+        and decides nothing.  `bound`, the loosest of the networks' bounds,
+        holds for each: g's inputs are at most X_g <= X <= reach <= reach_g,
+        so its stacked values are within e0_g + e1_g·X_g <= E = e0 + e1·X of
+        `forward`.  The product is transposed, `W @ X` per layer, so the
+        bias add broadcasts along the long axis and the top is a reduction
+        over the short output axis.  A column whose top beats each of its
+        other Q-values by more than the margin 2E has that top in `forward`
+        too (`top - margin` rounds to nearest, so a double below it is below
+        the exact difference too).  Every other real column is computed
+        again by `forward` of its own network on a contiguous copy of the
+        column, the call `simulate` makes, so ties still go to the lowest
+        index.  With E finite no sum overflows, so each column has its top
+        within the margin, and with 2E at most a quarter of the largest
+        double `top - margin` does not overflow either: `greedy` never needs
+        `np.errstate`.  Any other margin (an input past `reach`, a NaN or
+        huge bound, non-finite weights) certifies nothing: no product is
+        made, and every real column is computed again."""
+        e0, e1, reach = self.bound
+        x_max = float(np.abs(xs).max(initial=0.0))
+        # Python floats overflow to inf quietly; a NaN fails both tests
+        margin = 2.0 * (e0 + e1 * x_max) if x_max <= reach else np.inf
+        if margin <= _NO_OVERFLOW:
             q = self._forward(xs)
-            near = q >= (q.max(axis=1) - np.array(margins)[:, None])[:, None]
-        # a column's one unit near its top is its top, and its index is
-        # Σ k·near[k]: one small product, cheaper than an argmax
-        actions = np.matmul(self.units, near).astype(np.intp)
-        if all_certain and np.count_nonzero(near) == actions.size:
-            return actions
-        unsure = (np.count_nonzero(near, axis=1) != 1) | \
-            np.logical_not(certain)[:, None]
+            near = q >= (q.max(axis=1) - margin)[:, None]
+            # a column's one unit near its top is its top, and its index is
+            # Σ k·near[k]: one small product, cheaper than an argmax
+            actions = np.matmul(self.units, near).astype(np.intp)
+            if np.count_nonzero(near) == actions.size:
+                return actions
+            unsure = np.count_nonzero(near, axis=1) != 1
+        else:
+            actions = np.zeros((len(self.nets), xs.shape[2]), dtype=np.intp)
+            unsure = np.ones(actions.shape, dtype=bool)
         unsure &= np.arange(xs.shape[2]) < np.asarray(sizes)[:, None]
         for g, c in zip(*np.nonzero(unsure)):
             actions[g, c] = forward(self.nets[g], xs[g, :, c].copy()).argmax()

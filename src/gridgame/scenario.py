@@ -82,6 +82,9 @@ class GridParams:
             # compared, not converted: an int too large for a float is finite
             if field.type == "float" and not -math.inf < value < math.inf:
                 raise ValueError(f"{field.name} must be finite, got {value}")
+        if not isinstance(self.p2_range, tuple) or len(self.p2_range) != 2 or \
+                not all(isinstance(p, (int, float)) for p in self.p2_range):
+            raise ValueError(f"p2_range must be a tuple of two numbers: {self.p2_range!r}")
         # a non-finite entry, or two too far apart, make the width non-finite
         if not math.isfinite(self.p2_range[1] - self.p2_range[0]):
             raise ValueError(f"p2_range width must be finite, got {self.p2_range}")

@@ -1,5 +1,6 @@
 import builtins
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -135,6 +136,9 @@ def test_p2_range_of_non_finite_width_rejected():
 def test_colliding_config_values_rejected(experiment):
     with pytest.raises(ValueError, match=r"q3max_values|seeds|pairing \(0,0\)"):
         config_from_dict({"experiment": experiment})
+    if "pairings" in experiment:  # built in code, the pairs still lists
+        with pytest.raises(ValueError, match=r"pairing \(0,0\) is listed more"):
+            dataclasses.replace(tiny_config(), **experiment)
 
 
 @pytest.mark.parametrize("text, key", [

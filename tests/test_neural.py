@@ -215,7 +215,7 @@ def greedy_rows(params, xs, bound):
     """`forward_argmax(params, xs)` from a one-network `GreedyStack`, whose
     bound is `bound`, on the columns of `xs.T`."""
     stack = neural.GreedyStack([params])
-    assert stack.bounds == [bound]
+    assert stack.bound == bound
     xs = np.asarray(xs, dtype=float)
     return stack.greedy(xs.T[None], [len(xs)])[0]
 
@@ -367,20 +367,24 @@ def _assert_stack_decides_as_forward(stack, xs, sizes):
        sizes=st.lists(st.integers(0, 40), min_size=1, max_size=4),
        hidden=st.lists(st.integers(1, 32), max_size=3),
        input_dim=st.integers(1, 12), output_dim=st.integers(1, 12),
-       scale=st.floats(0.01, 10.0),
+       scales=st.lists(st.floats(0.01, 10.0), min_size=4, max_size=4),
        x_scales=st.lists(st.floats(0.01, 100.0), min_size=4, max_size=4))
 @example(seed=4, sizes=[150, 100], hidden=[16, 16], input_dim=7, output_dim=3,
-         scale=0.1, x_scales=[1.0] * 4)
+         scales=[0.1] * 4, x_scales=[1.0] * 4)
 @example(seed=5, sizes=[0, 0, 3], hidden=[2], input_dim=1, output_dim=1,
-         scale=10.0, x_scales=[100.0] * 4)
+         scales=[10.0] * 4, x_scales=[100.0] * 4)
+@example(seed=6, sizes=[12, 4, 9], hidden=[16, 16], input_dim=7, output_dim=3,
+         scales=[0.01, 10.0, 0.1, 1.0], x_scales=[1.0, 0.01, 100.0, 1.0])
 def test_greedy_stack_decides_as_forward_for_every_network(
-        seed, sizes, hidden, input_dim, output_dim, scale, x_scales):
-    """Networks of equal shapes, with groups of unequal sizes (0 included)
-    padded to the largest at the group's own input scale: each network's
-    real columns take the argmax of its own `forward`."""
+        seed, sizes, hidden, input_dim, output_dim, scales, x_scales):
+    """Networks of equal shapes, each at its own weight scale, so that their
+    bounds may differ by orders of magnitude, with groups of unequal sizes
+    (0 included) padded to the largest at the group's own input scale:
+    each network's real columns take the argmax of its own `forward`."""
     rng = np.random.default_rng(seed)
     spec = NetworkSpec(input_dim, tuple(hidden), output_dim)
-    nets = [init(spec, scale, float(rng.normal()), rng) for _ in sizes]
+    nets = [init(spec, scale, float(rng.normal()), rng)
+            for scale in scales[:len(sizes)]]
     xs = np.stack([rng.normal(size=(input_dim, max(sizes))) * x_scale
                    for x_scale in x_scales[:len(sizes)]])
     _assert_stack_decides_as_forward(neural.GreedyStack(nets), xs, sizes)
@@ -428,6 +432,31 @@ def test_greedy_stack_computes_only_one_networks_tied_rows_exactly(
         assert actions[1, [1, 3]].tolist() == [1, 1]
 
 
+def _spy_on_the_stacked_product(monkeypatch):
+    """The inputs of every `GreedyStack._forward` call."""
+    calls, real = [], neural.GreedyStack._forward
+    monkeypatch.setattr(neural.GreedyStack, "_forward",
+                        lambda self, xs: calls.append(xs) or real(self, xs))
+    return calls
+
+
+def _assert_only_forward_decides(monkeypatch, nets, xs, sizes):
+    """No stacked product is made: `forward` computes exactly the real
+    columns of every network, in order, and decides them; `greedy` itself
+    raises no warning, and only `forward`, run as `simulate` runs it, may."""
+    products = _spy_on_the_stacked_product(monkeypatch)
+    exact = _spy_on_forward(monkeypatch, quiet=True)
+    stack = neural.GreedyStack(nets)
+    actions = stack.greedy(xs, sizes)
+    assert products == []
+    assert exact == [column.tolist() for x, size in zip(xs, sizes)
+                     for column in x.T[:size]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for net, x, size, decided in zip(nets, xs, sizes, actions):
+            assert decided[:size].tolist() == forward_argmax(net, x[:, :size].T)
+    return stack
+
+
 @pytest.mark.parametrize("huge, rows", [
     (NetworkParams([[[1e300, 0.0], [-1e300, 0.0], [0.0, 1.0]]],
                    [[0.0, 0.0, 0.0]]), [[1e10, 1.0], [1e10, 2.0]]),
@@ -435,28 +464,58 @@ def test_greedy_stack_computes_only_one_networks_tied_rows_exactly(
                     [[1e308, 0.0], [0.0, 1.0], [0.0, 0.0]]],
                    [[0.0, 0.0], [1e308, 0.0, 1.0]]), [[10.0, 1.0], [20.0, 0.0]]),
 ], ids=["first layer", "after a tanh"])
-def test_greedy_stack_computes_only_the_infinite_bounds_rows_exactly(
+def test_greedy_stack_with_an_unbounded_network_makes_no_product(
         monkeypatch, huge, rows):
     """A network whose E is infinite, from an input past its reach or from
-    a later sum that could overflow, has every real row computed again by
-    its own `forward`; the networks stacked beside it are still
-    certified.  The stacked product overflows here too, and raises no
-    warning: only the exact rows, run as `forward` runs them, may."""
+    a later sum that could overflow, leaves its stack without a finite
+    bound: no stacked product is made, and the real columns of the two
+    ordinary networks beside it go to `forward` too, but no pad does."""
     rng = np.random.default_rng(3)
     others = [init(huge.spec, 1.0, 0.0, rng) for _ in range(2)]
     xs = np.stack([rng.normal(size=(2, 3)), _columns(rows, 3),
                    rng.normal(size=(2, 3))])
-    sizes = [3, 2, 3]
-    exact = _spy_on_forward(monkeypatch, quiet=True)
-    stack = neural.GreedyStack([others[0], huge, others[1]])
-    assert not math.isfinite(2.0 * stack.bounds[1][0]) or \
-        np.abs(rows).max() > stack.bounds[1][2]
-    actions = stack.greedy(xs, sizes)
-    assert exact == rows
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert actions[1, :2].tolist() == forward_argmax(huge, rows)
-    for g in (0, 2):
-        assert actions[g].tolist() == forward_argmax(stack.nets[g], xs[g].T)
+    e0, _, reach = greedy_bound(huge)
+    assert not math.isfinite(e0) or np.abs(rows).max() > reach
+    _assert_only_forward_decides(monkeypatch, [others[0], huge, others[1]],
+                                 xs, [3, 2, 2])
+
+
+# Its first layer's row sum overflows to inf, so its reach is 0 and its e1
+# is 0·inf, NaN: no input certifies it, not even all zeros.
+_NAN_BOUND = NetworkParams([[[1e308, 1e308], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]],
+                           [[0.0, 0.0], [0.5, 0.25]])
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+@pytest.mark.parametrize("x_scale", [0.0, 1.0], ids=["x_max 0", "x_max > 0"])
+def test_greedy_stack_with_a_nan_bound_makes_no_product(
+        monkeypatch, first, x_scale):
+    """A NaN in one network's bound leaves the stack without a finite bound
+    wherever that network sits: every real column goes to `forward`."""
+    e0, e1, reach = greedy_bound(_NAN_BOUND)
+    assert math.isfinite(e0) and math.isnan(e1) and reach == 0.0
+    rng = np.random.default_rng(4)
+    nets = [_NAN_BOUND, init(_NAN_BOUND.spec, 1.0, 0.0, rng)]
+    sizes = [3, 2]
+    if not first:
+        nets, sizes = nets[::-1], sizes[::-1]
+    xs = rng.normal(size=(2, 2, 3)) * x_scale
+    stack = _assert_only_forward_decides(monkeypatch, nets, xs, sizes)
+    assert math.isnan(stack.bound[1])
+
+
+def test_greedy_stack_with_a_huge_finite_bound_makes_no_product(monkeypatch):
+    """A margin 2E past a quarter of the largest double certifies nothing:
+    `top - margin` could overflow.  Here E is finite, about 0.4 of the
+    largest double, and the Q-values sit near minus a quarter of it."""
+    big = float(np.finfo(float).max)
+    r = big * 0.4 / 256
+    bias = -(big / 4 - r) * 0.999
+    net = NetworkParams([[[1.0]], [[r], [r]]], [[2.0 ** 60], [bias, bias]])
+    e0, _, reach = greedy_bound(net)
+    assert big / 8 < e0 < big and reach > 2.0
+    _assert_only_forward_decides(monkeypatch, [net], np.array([[[1.0, 2.0]]]),
+                                 [2])
 
 
 @settings(max_examples=150, deadline=None)
@@ -475,7 +534,8 @@ def test_stacked_product_is_within_the_greedy_bound_of_forward(
                                 for _ in range(networks)])
     xs = rng.normal(size=(networks, input_dim, rows)) * x_scale
     q = stack._forward(xs)
-    for net, (e0, e1, reach), x, q_net in zip(stack.nets, stack.bounds, xs, q):
+    for net, x, q_net in zip(stack.nets, xs, q):
+        e0, e1, reach = greedy_bound(net)
         x_max = np.abs(x).max()
         assert x_max <= reach
         exact = np.array([forward(net, column) for column in x.T])

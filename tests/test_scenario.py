@@ -1064,6 +1064,10 @@ def test_invalid_params_rejected():
     for p2_range in ((-1e308, 1e308), (0.0, float("inf"))):
         with pytest.raises(ValueError, match="p2_range width must be finite"):
             GridParams(p2_range=p2_range)
+    # built in code, not by the config loader, which hands over a checked pair
+    for p2_range in ([1.35, 1.5], (1.35,), (1.35, 1.4, 1.5), ("a", "b")):
+        with pytest.raises(ValueError, match=r"^p2_range must be a tuple of two"):
+            GridParams(p2_range=p2_range)
     with pytest.raises(ValueError):
         GridParams(memory_window=0)
 
