@@ -101,6 +101,11 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
+        for name in ("defender_optimistic_bias", "attacker_optimistic_bias"):
+            value = getattr(self, name)
+            # compared, not converted, as `_checked` compares a float key
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ episodes without the net machinery.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import groupby
 from typing import Callable, Mapping, Protocol, Sequence
@@ -98,6 +99,12 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.init_scale < 0:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
+        for name in ("learning_rate", "init_scale", "optimistic_bias"):
+            value = getattr(self, name)
+            # compared, not converted: converting an int beyond the float
+            # range raises OverflowError, and NaN fails both bounds
+            if not -sys.float_info.max <= value <= sys.float_info.max:
+                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("epsilon_start", "epsilon_end"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

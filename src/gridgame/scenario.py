@@ -25,6 +25,7 @@ arrays with one entry per episode, with the bits of `simulate`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from functools import cache, partial
 from itertools import accumulate
@@ -79,14 +80,20 @@ class GridParams:
     def __post_init__(self):
         for field in fields(self):  # annotations are strings in this module
             value = getattr(self, field.name)
-            # compared, not converted: an int too large for a float is finite
-            if field.type == "float" and not -math.inf < value < math.inf:
+            # compared, not converted: converting an int beyond the float
+            # range raises OverflowError, and NaN fails both bounds
+            if field.type == "float" and \
+                    not -sys.float_info.max <= value <= sys.float_info.max:
                 raise ValueError(f"{field.name} must be finite, got {value}")
         if not isinstance(self.p2_range, tuple) or len(self.p2_range) != 2 or \
                 not all(isinstance(p, (int, float)) for p in self.p2_range):
             raise ValueError(f"p2_range must be a tuple of two numbers: {self.p2_range!r}")
-        # a non-finite entry, or two too far apart, make the width non-finite
-        if not math.isfinite(self.p2_range[1] - self.p2_range[0]):
+        # a non-finite entry, or two too far apart, make the width non-finite;
+        # each is compared before the subtraction, which would convert it
+        lo, hi = self.p2_range
+        if not all(-sys.float_info.max <= p <= sys.float_info.max
+                   for p in (lo, hi)) or \
+                not -sys.float_info.max <= hi - lo <= sys.float_info.max:
             raise ValueError(f"p2_range width must be finite, got {self.p2_range}")
         if self.v0 <= 0:
             raise ValueError(f"v0 must be > 0, got {self.v0}")
@@ -719,24 +726,15 @@ class NativeBattle:
     def play(self, matches: Sequence[Match]) -> list[dict[str, np.ndarray]]:
         """Each match's episodes of `simulate`, one after another: per
         player, an array of the rewards with a row per episode and a column
-        per step.
-
-        When each player's policy in a match is its prior in
-        `level0_policies(params)` or a `QPolicy` over that prior's encoder,
-        neither of which draws from the rng, the match draws the uniforms
-        `simulate` would draw, `1 + horizon` per episode, the first load
-        first, and `_lockstep` plays its episodes beside those of every other
-        such match.  Any other match, such as one whose trainee explores,
-        goes through `simulate`."""
-        played: list = []
-        rows = []  # (index into `played`, policies, loads) of each lockstep match
+        per step.  When every player's policy in every match passes
+        `_batchable`, the whole call is one `_lockstep`; otherwise every
+        episode of every match goes through `simulate`."""
+        if matches and all(_batchable(policies[player], player, self.params)
+                           for policies, _, _ in matches
+                           for player in self.players):
+            return _lockstep(self.params, self.horizon, matches)
+        played = []
         for policies, episodes, rng in matches:
-            if all(_batchable(policies[player], player, self.params)
-                   for player in self.players):
-                rows.append((len(played), policies,
-                             rng.random((episodes, self.horizon + 1))))
-                played.append(None)
-                continue
             rewards = {player: np.empty((episodes, self.horizon))
                        for player in self.players}
             for episode in range(episodes):
@@ -744,10 +742,6 @@ class NativeBattle:
                 rewards[DEFENDER][episode] = [rec.defender_reward for rec in records]
                 rewards[ATTACKER][episode] = [rec.attacker_reward for rec in records]
             played.append(rewards)
-        if rows:
-            lockstep = _lockstep(self.params, [row[1:] for row in rows])
-            for (i, _, _), rewards in zip(rows, lockstep):
-                played[i] = rewards
         return played
 
 
@@ -829,20 +823,22 @@ def _lockstep_decider(params: GridParams, player: str,
     return decide
 
 
-def _lockstep(params: GridParams,
-              rows: Sequence[tuple[Mapping[str, netform.Policy], np.ndarray]],
+def _lockstep(params: GridParams, horizon: int, matches: Sequence[Match],
               ) -> list[dict[str, np.ndarray]]:
-    """The rewards of `simulate`'s episodes for each row, a match's policies
-    and its loads (row e holds episode e's uniforms), all played side by
-    side, as `NativeBattle.play` gives them.  Every value
-    is an array with one entry per episode of every row, computed by
+    """The rewards of `simulate`'s `horizon`-step episodes for each match,
+    all played side by side, as `NativeBattle.play` gives them.  Each match
+    in turn draws from its rng the uniforms `simulate` would draw,
+    `1 + horizon` per episode: row e of its loads is episode e's, column 0
+    the first load and column t the load of step t.  Every value is an
+    array with one entry per episode of every match, computed by
     `simulate`'s functions where their arithmetic is elementwise, the
     rewards' too, and by their twins where a branch is not."""
-    loads = np.concatenate([row_loads for _, row_loads in rows])
-    ends = list(accumulate(len(row_loads) for _, row_loads in rows))
-    episodes, horizon = loads.shape[0], loads.shape[1] - 1
+    loads = np.concatenate([rng.random((episodes, horizon + 1))
+                            for _, episodes, rng in matches])
+    ends = list(accumulate(episodes for _, episodes, _ in matches))
+    episodes = ends[-1]
     deciders = {player: _lockstep_decider(
-        params, player, [policies[player] for policies, _ in rows], ends)
+        params, player, [policies[player] for policies, _, _ in matches], ends)
         for player in (DEFENDER, ATTACKER)}
     levels = np.array(attacker_levels(params))
     d_action = np.full(episodes, params.defender_start_action)

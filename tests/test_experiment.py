@@ -312,6 +312,9 @@ def test_player_train_configs_bias_defaults():
         with pytest.raises(ValueError,
                            match=f"'experiment.{key}' must be a finite number"):
             config_from_dict({"experiment": {key: None}})
+        for value in (float("nan"), float("inf"), -float("inf"), 10 ** 400):
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                dataclasses.replace(custom, **{key: value})
 
 
 # ---------------------------------------------------------------------------
@@ -1509,9 +1512,9 @@ def test_sweep_plays_blocks_of_at_most_play_block_episodes(tmp_path,
     run_train(config, tmp_path, jobs=1)
     lockstep, cell_rng = scenario._lockstep, experiment.cell_rng
     played, rngs = [], []
-    monkeypatch.setattr(scenario, "_lockstep", lambda params, rows: (
-        played.append(sum(len(loads) for _, loads in rows)),
-        lockstep(params, rows))[1])
+    monkeypatch.setattr(scenario, "_lockstep", lambda params, horizon, matches: (
+        played.append(sum(episodes for _, episodes, _ in matches)),
+        lockstep(params, horizon, matches))[1])
     monkeypatch.setattr(experiment, "cell_rng", lambda *args: (
         rngs.append(cell_rng(*args)), rngs[-1])[1])
     outputs = {}

@@ -67,6 +67,13 @@ def test_train_config_validation():
         TrainConfig(gamma=1.0)
     with pytest.raises(ValueError):
         TrainConfig(learning_rate=0.0)
+    # NaN, infinities and ints beyond the float range, named at construction
+    for name in ("learning_rate", "init_scale", "optimistic_bias"):
+        for value in (float("nan"), float("inf"), 10 ** 400):
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                TrainConfig(**{name: value})
+    with pytest.raises(ValueError, match="^optimistic_bias must be finite"):
+        TrainConfig(optimistic_bias=-10 ** 400)
 
 
 # ---------------------------------------------------------------------------

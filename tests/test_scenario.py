@@ -794,6 +794,42 @@ def test_lockstep_plays_each_match_as_simulate_plays_it_alone(case):
         assert rng.bit_generator.state == loop_rng.bit_generator.state
 
 
+def test_play_sends_every_episode_of_a_call_to_simulate_unless_all_batch():
+    """`NativeBattle.play` routes a whole call at once: beside a match whose
+    attacker is another grid's prior, and so cannot be batched, a greedy
+    match goes through `simulate` too, episode by episode.  Each match still
+    gets what `simulate` gives it, and its rng ends where `simulate` leaves
+    it.  An empty call plays nothing."""
+    horizon = 6
+    greedy = level0_policies(P)
+    other = {DEFENDER: greedy[DEFENDER],
+             ATTACKER: level0_policies(replace(P, q3_max=1.2))[ATTACKER]}
+    matches = [(greedy, 3, 5), (other, 2, 6)]
+    loop_rngs = [np.random.default_rng(seed) for _, _, seed in matches]
+    expected = [_simulated(P, policies, horizon, episodes, rng)
+                for (policies, episodes, _), rng in zip(matches, loop_rngs)]
+    rngs = [np.random.default_rng(seed) for _, _, seed in matches]
+    real_simulate, simulated = scenario.simulate, []
+
+    def counted(params, policies, *args):
+        simulated.append(policies)
+        return real_simulate(params, policies, *args)
+
+    def refuse(*args):
+        raise AssertionError("the call went to the lockstep")
+    game = NativeBattle(P, horizon)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scenario, "simulate", counted)
+        patch.setattr(scenario, "_lockstep", refuse)
+        played = game.play([(policies, episodes, rng)
+                            for (policies, episodes, _), rng in zip(matches, rngs)])
+        assert game.play([]) == []
+    assert simulated == [greedy] * 3 + [other] * 2
+    assert repr([_lists(rewards) for rewards in played]) == repr(expected)
+    for rng, loop_rng in zip(rngs, loop_rngs):
+        assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
 @settings(max_examples=60, deadline=None)
 @given(battles(), st.sampled_from([DEFENDER, ATTACKER]), st.integers(1, 5),
        st.floats(0.0, 1.0))
@@ -1037,7 +1073,10 @@ GRID_FLOAT_FIELDS = ("r1", "r2", "x1", "x2", "v0", "tap_step", "v1_min",
                      "p3", "q2_factor", "v1_start")
 
 
-@pytest.mark.parametrize("value", [float("inf"), -float("inf"), float("nan")])
+@pytest.mark.parametrize("value", [
+    float("inf"), -float("inf"), float("nan"),
+    pytest.param(10 ** 400, id="10**400"),  # beyond the float range
+    pytest.param(-10 ** 400, id="-10**400")])
 @pytest.mark.parametrize("field",
                          GRID_FLOAT_FIELDS + ("p2_range[0]", "p2_range[1]"))
 def test_grid_params_refuse_a_non_finite_constant_naming_it(field, value):
