@@ -30,7 +30,7 @@ import numpy as np
 
 from . import neural, scenario
 from .levelk import (PriorPolicy, QPolicy, TrainConfig, build_hierarchy,
-                     evaluate, evaluate_matches)
+                     check_integers, evaluate, evaluate_matches)
 from .scenario import (ATTACKER, DEFENDER, GridParams, NativeBattle,
                        level0_policies, simulate)
 
@@ -61,6 +61,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self):
+        check_integers(self)
         for section, key in _SET_ELSEWHERE:
             part = getattr(self, section)
             if getattr(part, key) != getattr(type(part), key):  # the default
@@ -218,7 +219,8 @@ def _read_json(path: str | os.PathLike, kind: str) -> object:
         except _DuplicateKey as exc:
             raise ValueError(
                 f"{kind} file {path} holds duplicate key '{exc}'") from None
-        except ValueError as exc:  # also a bad UTF-8 byte or a huge integer
+        # also a bad UTF-8 byte, a huge integer or nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{kind} file {path} is not valid JSON: {exc}") from None
 
 

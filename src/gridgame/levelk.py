@@ -13,7 +13,7 @@ episodes without the net machinery.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -75,6 +75,26 @@ class QPolicy:
         return int(neural.forward(self.params, self.encoder(parent_values)).argmax())
 
 
+# How deep each integer field type of the config classes holds its ints.
+_INT_DEPTHS = {"int": 0, "tuple[int, ...]": 1, "tuple[tuple[int, int], ...]": 2}
+
+
+def check_integers(config) -> None:
+    """A ValueError naming the first field of the dataclass `config` that is
+    declared to hold ints but holds something else: a bool, a float or a
+    numpy integer would pass the range checks, then fail late or change
+    meaning."""
+    for field in fields(config):
+        if field.type not in _INT_DEPTHS:
+            continue
+        values = [getattr(config, field.name)]
+        for _ in range(_INT_DEPTHS[field.type]):
+            values = [entry for value in values for entry in value]
+        if not all(type(value) is int for value in values):
+            raise ValueError(f"{field.name} must hold only Python ints, got "
+                             f"{getattr(config, field.name)!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """SARSA hyperparameters.  Training streams are seeded by the caller's
@@ -91,6 +111,7 @@ class TrainConfig:
     hidden_layers: tuple[int, ...] = (16, 16)
 
     def __post_init__(self):
+        check_integers(self)
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
         if not 0.0 <= self.gamma < 1.0:

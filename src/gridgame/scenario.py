@@ -35,7 +35,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import netform, neural
-from .levelk import Match, PriorPolicy, QPolicy
+from .levelk import Match, PriorPolicy, QPolicy, check_integers
 from .netform import (FiniteDiscrete, IteratedGame, RealVector, Record,
                       SemiBayesNet, boundary_kernel, chance, constant_kernel,
                       decision)
@@ -78,6 +78,7 @@ class GridParams:
     attacker_start_action: int = 5       # grid midpoint, q3 = 0
 
     def __post_init__(self):
+        check_integers(self)
         for field in fields(self):  # annotations are strings in this module
             value = getattr(self, field.name)
             # compared, not converted: converting an int beyond the float
@@ -726,13 +727,15 @@ class NativeBattle:
     def play(self, matches: Sequence[Match]) -> list[dict[str, np.ndarray]]:
         """Each match's episodes of `simulate`, one after another: per
         player, an array of the rewards with a row per episode and a column
-        per step.  When every player's policy in every match passes
-        `_batchable`, the whole call is one `_lockstep`; otherwise every
-        episode of every match goes through `simulate`."""
-        if matches and all(_batchable(policies[player], player, self.params)
-                           for policies, _, _ in matches
-                           for player in self.players):
-            return _lockstep(self.params, self.horizon, matches)
+        per step.  When `_groups` groups every player's episodes, the whole
+        call is one `_lockstep`; otherwise every episode of every match goes
+        through `simulate`."""
+        ends = list(accumulate(episodes for _, episodes, _ in matches))
+        groups = {player: _groups(self.params, player, [
+            policies[player] for policies, _, _ in matches], ends)
+            for player in self.players}
+        if matches and None not in groups.values():
+            return _lockstep(self.params, self.horizon, matches, groups)
         played = []
         for policies, episodes, rng in matches:
             rewards = {player: np.empty((episodes, self.horizon))
@@ -757,89 +760,87 @@ _BATCHED = {
 }
 
 
-def _batchable(policy: netform.Policy, player: str, params: GridParams) -> bool:
-    """Whether `_lockstep` plays `policy` as `player`: it must be the
-    player's prior in `level0_policies(params)` or a `QPolicy` over its
-    encoder with its feature width and action count (any other network
-    fails in `simulate`)."""
+def _groups(params: GridParams, player: str,
+            policies: Sequence[netform.Policy], ends: Sequence[int],
+            ) -> tuple[np.ndarray, list[list]] | None:
+    """`player`'s episodes as `_lockstep` decides them, where `policies[i]`
+    decides for the episodes of row i, which end before `ends[i]`: those of
+    its prior in `level0_policies(params)`, as one index array, and per
+    layer shape a list of (network, episodes).  None when a policy is
+    neither that prior nor a `QPolicy` over its encoder with its feature
+    width and action count (any other network fails in `simulate`)."""
     prior = level0_policies(params)[player]
-    return policy is prior or (
-        isinstance(policy, QPolicy) and policy.encoder is prior.encoder
-        and (policy.params.spec.input_dim, policy.params.spec.output_dim)
-        == (prior.feature_dim, prior.action_count))
-
-
-def _lockstep_decider(params: GridParams, player: str,
-                      policies: Sequence[netform.Policy], ends: Sequence[int],
-                      ) -> Callable[[NamedTuple], np.ndarray]:
-    """`player`'s actions for a memory whose fields are arrays, where
-    `policies[i]` decides for the episodes of row i, which end before
-    `ends[i]`.  The episodes of one policy object decide together, by the
-    prior's batched rule, and the networks of equal layer shapes decide in
-    one `neural.GreedyStack`, stacked once: each step gathers their
-    episodes' feature columns, padded to the largest group with copies of
-    the group's first, into one network × feature × episode array."""
-    prior = level0_policies(params)[player]
-    rule, features = _BATCHED[player]
-    episodes: dict[int, tuple[netform.Policy, list[int]]] = {}
+    own, nets = [], {}
     for policy, start, end in zip(policies, (0, *ends[:-1]), ends):
-        episodes.setdefault(id(policy), (policy, []))[1].extend(range(start, end))
-    priors, shapes = [], {}
-    for policy, ix in episodes.values():
-        if not ix:  # the policy of zero-episode matches only
-            continue
         if policy is prior:
-            priors.append(np.array(ix, dtype=np.intp))
+            own.extend(range(start, end))
+        elif (isinstance(policy, QPolicy) and policy.encoder is prior.encoder
+              and (spec := policy.params.spec).input_dim == prior.feature_dim
+              and spec.output_dim == prior.action_count):
+            nets.setdefault(id(policy), (spec, policy.params, []))[2].extend(
+                range(start, end))
         else:
-            shapes.setdefault(policy.params.spec, []).append((policy.params, ix))
-    total = ends[-1]
-    stacks = []  # (stack, sizes, gather, scatter); a pad scatters to `total`
-    for members in shapes.values():
+            return None
+    shapes = {}
+    for spec, net, ix in nets.values():
+        if ix:  # a network of zero-episode matches only decides nothing
+            shapes.setdefault(spec, []).append((net, ix))
+    return np.array(own, dtype=np.intp), list(shapes.values())
+
+
+def _lockstep_decider(params: GridParams, player: str, groups: tuple,
+                      total: int) -> Callable[[NamedTuple], np.ndarray]:
+    """`player`'s actions for a memory whose fields are arrays with an entry
+    for each of `total` episodes, grouped by `_groups`: the prior's by its
+    batched rule, and each shape's networks in one `neural.GreedyStack`,
+    stacked once.  Each step gathers their episodes' feature columns,
+    padded to the largest group with the zero column `total`, into one
+    network × feature × episode array; a pad's action goes to slot `total`."""
+    own, shapes = groups
+    rule, features = _BATCHED[player]
+    stacks = []
+    for members in shapes:
         sizes = [len(ix) for _, ix in members]
-        width = max(sizes)
         stacks.append((neural.GreedyStack([net for net, _ in members]), sizes,
-                       np.array([ix + ix[:1] * (width - len(ix))
-                                 for _, ix in members], dtype=np.intp),
-                       np.array([ix + [total] * (width - len(ix))
+                       np.array([ix + [total] * (max(sizes) - len(ix))
                                  for _, ix in members], dtype=np.intp)))
-    if stacks:
-        block = np.empty((prior.feature_dim, total))
+    block = np.zeros((level0_policies(params)[player].feature_dim, total + 1))
+    real = block[:, :total]  # the episodes' columns; the pads' stays zero
 
     def decide(mem):
         actions = np.empty(total + 1, dtype=np.intp)
-        for ix in priors:
-            actions[ix] = rule(mem, ix, params)
+        if own.size:
+            actions[own] = rule(mem, own, params)
         if stacks:
             # one row per feature and one column per episode, from features
             # that are arrays or shared scalars; a loop, since
             # `np.stack(np.broadcast_arrays(...))` costs 6x as much
             for j, column in enumerate(features(mem, params)):
-                block[j] = column
-        for stack, sizes, gather, scatter in stacks:
-            # `take` gathers as `block[:, gather]` does, in half the time
-            actions[scatter] = stack.greedy(
-                block.take(gather, axis=1).transpose(1, 0, 2), sizes)
+                real[j] = column
+        for stack, sizes, columns in stacks:
+            # `take` gathers as `block[:, columns]` does, in half the time
+            actions[columns] = stack.greedy(
+                block.take(columns, axis=1).transpose(1, 0, 2), sizes)
         return actions[:total]
     return decide
 
 
 def _lockstep(params: GridParams, horizon: int, matches: Sequence[Match],
-              ) -> list[dict[str, np.ndarray]]:
+              groups: Mapping[str, tuple]) -> list[dict[str, np.ndarray]]:
     """The rewards of `simulate`'s `horizon`-step episodes for each match,
-    all played side by side, as `NativeBattle.play` gives them.  Each match
-    in turn draws from its rng the uniforms `simulate` would draw,
-    `1 + horizon` per episode: row e of its loads is episode e's, column 0
-    the first load and column t the load of step t.  Every value is an
-    array with one entry per episode of every match, computed by
-    `simulate`'s functions where their arithmetic is elementwise, the
-    rewards' too, and by their twins where a branch is not."""
+    all played side by side, as `NativeBattle.play` gives them from each
+    player's `_groups`.  Each match in turn draws from its rng the uniforms
+    `simulate` would draw, `1 + horizon` per episode: row e of its loads is
+    episode e's, column 0 the first load and column t the load of step t.
+    Every value is an array with one entry per episode of every match,
+    computed by `simulate`'s functions where their arithmetic is
+    elementwise, the rewards' too, and by their twins where a branch is not."""
     loads = np.concatenate([rng.random((episodes, horizon + 1))
                             for _, episodes, rng in matches])
     ends = list(accumulate(episodes for _, episodes, _ in matches))
     episodes = ends[-1]
-    deciders = {player: _lockstep_decider(
-        params, player, [policies[player] for policies, _, _ in matches], ends)
-        for player in (DEFENDER, ATTACKER)}
+    deciders = {player: _lockstep_decider(params, player, grouped, episodes)
+                for player, grouped in groups.items()}
     levels = np.array(attacker_levels(params))
     d_action = np.full(episodes, params.defender_start_action)
     a_action = np.full(episodes, params.attacker_start_action)

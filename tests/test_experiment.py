@@ -317,6 +317,58 @@ def test_player_train_configs_bias_defaults():
                 dataclasses.replace(custom, **{key: value})
 
 
+# Every integer field of the three config classes, and how to put one value
+# into it: as the field itself, an entry of a tuple, or a level of a pairing.
+INTEGER_FIELDS = [
+    ("grid", "memory_window", lambda v: v),
+    ("grid", "defender_start_action", lambda v: v),
+    ("grid", "attacker_start_action", lambda v: v),
+    ("train", "episodes", lambda v: v),
+    ("train", "hidden_layers", lambda v: (4, v)),
+    ("experiment", "k_max", lambda v: v),
+    ("experiment", "eval_episodes", lambda v: v),
+    ("experiment", "horizon", lambda v: v),
+    ("experiment", "seeds", lambda v: (2, v)),
+    ("experiment", "pairings", lambda v: ((0, 0), (v, 0))),
+]
+
+
+def _holds_ints(hint):
+    return hint is int or any(map(_holds_ints, typing.get_args(hint)))
+
+
+def test_integer_fields_are_every_int_field_of_the_config_classes():
+    declared = {(section, name)
+                for section, cls in [("grid", GridParams), ("train", TrainConfig),
+                                     ("experiment", ExperimentConfig)]
+                for name, hint in typing.get_type_hints(cls).items()
+                if _holds_ints(hint)}
+    assert declared == {(section, name) for section, name, _ in INTEGER_FIELDS}
+
+
+@pytest.mark.parametrize("value", [True, 2.5, np.int64(1)],
+                         ids=["bool", "float", "numpy-int64"])
+@pytest.mark.parametrize("section, name, put", INTEGER_FIELDS,
+                         ids=[name for _, name, _ in INTEGER_FIELDS])
+def test_config_built_in_code_refuses_a_non_int_in_an_integer_field(
+        section, name, put, value):
+    """The file loader refuses these; a config built in code does too, at
+    construction, naming the field, rather than failing late (a numpy
+    integer in the manifest) or changing meaning (a float seed that draws
+    its integer part's streams under a file name of its own)."""
+    valid = ExperimentConfig(grid=GridParams(), train=TrainConfig())
+    part = valid if section == "experiment" else getattr(valid, section)
+    assert dataclasses.replace(part, **{name: put(1)}) is not None
+    with pytest.raises(ValueError, match=f"^{name} must hold only Python ints"):
+        dataclasses.replace(part, **{name: put(value)})
+
+
+def test_config_refuses_a_float_seed_beside_an_int_one():
+    with pytest.raises(ValueError, match=r"^seeds must hold only Python ints, "
+                                         r"got \(1, 1\.5\)"):
+        ExperimentConfig(grid=GridParams(), train=TrainConfig(), seeds=(1, 1.5))
+
+
 # ---------------------------------------------------------------------------
 # policy files
 # ---------------------------------------------------------------------------
@@ -729,7 +781,8 @@ def test_trace_rows_and_physics(tmp_path):
     with open(path, newline="") as handle:
         rows = list(csv.DictReader(handle))
     assert len(rows) == 50
-    assert tuple(csv.reader(open(path)).__next__()) == TRACE_COLUMNS
+    with open(path, newline="") as handle:
+        assert tuple(next(csv.reader(handle))) == TRACE_COLUMNS
     grid = GridParams(q3_max=0.7)
     for row in rows:
         flow = power_flow(float(row["p2"]), float(row["q2"]), 1.0,
@@ -1254,6 +1307,41 @@ def test_cli_file_that_is_not_utf8_exits_with_error_line_naming_it(
     assert not (out / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("kind, command", [
+    ("config", ["train"]), ("config", ["sweep"]),
+    ("policy", ["sweep", "--jobs", "1"]),
+    ("policy", ["eval", "--defender-level", "1", "--attacker-level", "0",
+                "--q3max", "0.7"])])
+def test_cli_deeply_nested_json_file_exits_with_error_line_naming_it(
+        tmp_path, capsys, kind, command):
+    """`json` gives up on nesting past the recursion limit with a
+    RecursionError; the error line still names the file, and nothing is
+    written."""
+    config_path = write_config(tmp_path, {
+        "experiment": {"k_max": 1, "q3max_values": [0.7],
+                       "pairings": [[1, 0]], "eval_episodes": 1,
+                       "horizon": 5, "seeds": [1]}})
+    out = tmp_path / "out"
+    out.mkdir()
+    policy_path = out / policy_filename(DEFENDER, 1, 0.7, 1)
+    save_policy(policy_path, _dummy_policy(GridParams(q3_max=0.7), DEFENDER),
+                DEFENDER, 1, 0.7, 1, TrainConfig())
+    if kind == "config":
+        path = config_path
+        path.write_text("[" * 100_000)
+    else:
+        path = policy_path
+        text = path.read_text().rstrip().removesuffix("}")
+        path.write_text(text + ', "extra": ' + "[" * 50_000 + "]" * 50_000 + "}")
+    code = main([*command[:1], "--config", str(config_path), "--out", str(out),
+                 *command[1:]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {kind} file {path} is not valid JSON: ")
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == [policy_path.name]
+
+
 def test_cli_unknown_sweep_value_rejected(tmp_path, capsys):
     config_path = write_config(tmp_path, {
         "experiment": {"k_max": 0, "q3max_values": [0.7], "pairings": [[0, 0]],
@@ -1512,9 +1600,10 @@ def test_sweep_plays_blocks_of_at_most_play_block_episodes(tmp_path,
     run_train(config, tmp_path, jobs=1)
     lockstep, cell_rng = scenario._lockstep, experiment.cell_rng
     played, rngs = [], []
-    monkeypatch.setattr(scenario, "_lockstep", lambda params, horizon, matches: (
+    monkeypatch.setattr(scenario, "_lockstep", lambda params, horizon, matches,
+                        groups: (
         played.append(sum(episodes for _, episodes, _ in matches)),
-        lockstep(params, horizon, matches))[1])
+        lockstep(params, horizon, matches, groups))[1])
     monkeypatch.setattr(experiment, "cell_rng", lambda *args: (
         rngs.append(cell_rng(*args)), rngs[-1])[1])
     outputs = {}

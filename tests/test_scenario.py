@@ -1021,6 +1021,30 @@ def test_play_goes_through_simulate_for_a_prior_of_another_grid(
     assert play_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("inputs, outputs, error", [
+    (7, 11, r"action 10 for player 'defender' is outside its space"),
+    (6, 3, r"shapes \(4,6\) and \(7,\) not aligned")])
+def test_play_never_plays_a_network_that_does_not_fit_its_player_in_bulk(
+        monkeypatch, inputs, outputs, error):
+    """A defender network over the defender's encoder, but with 11 outputs
+    or with 6 inputs for its 7 features, is not the lockstep's to play: the
+    call goes through `simulate`, which fails on it, and `_lockstep` is
+    never called."""
+    prior = level0_policies(P)[DEFENDER]
+    assert (prior.feature_dim, prior.action_count) == (7, 3)
+    net = init(NetworkSpec(inputs, (4,), outputs), 0.0, 0.0,
+               np.random.default_rng(0))
+    net.biases[-1][-1] = 1.0  # the last output unit wins every decision
+    policies = {DEFENDER: QPolicy(net, prior.encoder),
+                ATTACKER: level0_policies(P)[ATTACKER]}
+
+    def refuse(*args):
+        raise AssertionError("the call went to the lockstep")
+    monkeypatch.setattr(scenario, "_lockstep", refuse)
+    with pytest.raises(ValueError, match=error):
+        NativeBattle(P, 5).play([(policies, 2, np.random.default_rng(1))])
+
+
 def test_native_battle_is_the_nets_game():
     game = NativeBattle(P, 7)
     assert game.players == as_netform(P, 7).players == (DEFENDER, ATTACKER)
