@@ -189,9 +189,11 @@ def semi_batch_update(params: neural.NetworkParams, features: np.ndarray,
     return neural.apply_update(params, total / n, learning_rate)
 
 
-class _RecordingPolicy:
-    """The trainee for one episode: plays epsilon-greedy on `params` and logs
-    features and action."""
+class RecordingPolicy:
+    """The exploring trainee for one episode: plays epsilon-greedy on
+    `params` over `encoder`'s features and logs features and action.  A game
+    that knows `encoder` may compute the features itself and call `decide`,
+    as `scenario.simulate` does."""
 
     def __init__(self, params: neural.NetworkParams, epsilon: float,
                  encoder: Callable[[ParentValues], np.ndarray]):
@@ -201,12 +203,14 @@ class _RecordingPolicy:
         self.features: list[np.ndarray] = []
         self.actions: list[int] = []
 
-    def __call__(self, parent_values: ParentValues, rng: np.random.Generator) -> int:
-        features = self.encoder(parent_values)
+    def decide(self, features: np.ndarray, rng: np.random.Generator) -> int:
         action = select_action(self.params, self.epsilon, features, rng)
         self.features.append(features)
         self.actions.append(action)
         return action
+
+    def __call__(self, parent_values: ParentValues, rng: np.random.Generator) -> int:
+        return self.decide(self.encoder(parent_values), rng)
 
 
 def train_level(game: Game, trainee: str,
@@ -227,8 +231,8 @@ def train_level(game: Game, trainee: str,
                               prior.action_count)
     params = neural.init(spec, config.init_scale, config.optimistic_bias, rng)
     for episode in range(config.episodes):
-        recorder = _RecordingPolicy(params, epsilon_schedule(episode, config),
-                                    prior.encoder)
+        recorder = RecordingPolicy(params, epsilon_schedule(episode, config),
+                                   prior.encoder)
         policies: dict[str, Policy] = dict(opponents)
         policies[trainee] = recorder
         rewards = game.play([(policies, 1, rng)])[0][trainee][0]

@@ -35,7 +35,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import netform, neural
-from .levelk import Match, PriorPolicy, QPolicy, check_integers
+from .levelk import (Match, PriorPolicy, QPolicy, RecordingPolicy,
+                     check_integers)
 from .netform import (FiniteDiscrete, IteratedGame, RealVector, Record,
                       SemiBayesNet, boundary_kernel, chance, constant_kernel,
                       decision)
@@ -433,23 +434,6 @@ def advance_state(state: GridState, defender_action: int, attacker_action: int,
     return _loaded_state(rng.random(), q3, v1, params)
 
 
-def transition(state: GridState, memories: tuple[DefenderMemory, AttackerMemory],
-               defender_action: int, attacker_action: int,
-               rng: np.random.Generator, params: GridParams,
-               ) -> tuple[GridState, tuple[DefenderMemory, AttackerMemory],
-                          tuple[float, float]]:
-    """One step of the battle: apply both actions, redraw the load, run the
-    power flow, advance both memories, and score the resulting state."""
-    state_next = advance_state(state, defender_action, attacker_action, rng, params)
-    d_mem = step_defender_memory(memories[0], defender_observation(state_next),
-                                 defender_action, params)
-    a_mem = step_attacker_memory(memories[1], attacker_observation(state_next),
-                                 attacker_action, params)
-    rewards = (defender_reward(state_next.V2, state_next.V3, params),
-               attacker_reward(state_next.V2, params))
-    return state_next, (d_mem, a_mem), rewards
-
-
 # ---------------------------------------------------------------------------
 # Observations and feature encodings
 # ---------------------------------------------------------------------------
@@ -568,8 +552,9 @@ def as_netform(params: GridParams, horizon: int = DEFAULT_HORIZON) -> IteratedGa
     actions, projects both observations, advances both memories, and exposes
     one decision node per player.  The base slice supplies the initial state,
     empty memories, and the fixed start actions; the binding threads state,
-    memories, and actions forward.  Kernels delegate to the same functions the
-    native `transition` loop uses, so the two paths match bit for bit.
+    memories, and actions forward.  Kernels call the functions whose
+    arithmetic the native `simulate` writes out over floats, and the two
+    paths match bit for bit.
     """
     state_space = Record(GridState)
     d_mem_space = Record(DefenderMemory)
@@ -674,39 +659,125 @@ class StepRecord(NamedTuple):
     attacker_reward: float
 
 
+# How a player's policy decides, as `_kind` classifies it: the grid's prior
+# by its rule, a greedy network or the exploring trainee over the prior's
+# encoder by their features, and any other policy when called.
+_PRIOR, _NETWORK, _TRAINEE, _OTHER = range(4)
+
+
+def _kind(params: GridParams, player: str, policy: netform.Policy) -> int:
+    """How `policy` decides for `player` on this grid: `_PRIOR` for
+    `level0_policies(params)[player]`; `_NETWORK` for a `QPolicy` and
+    `_TRAINEE` for a `levelk.RecordingPolicy` over that prior's encoder with
+    its action count, whose actions lie in the player's space; `_OTHER` for
+    any other policy.  A network over the prior's encoder with another input
+    width than its feature width is refused."""
+    prior = level0_policies(params)[player]
+    if policy is prior:
+        return _PRIOR
+    if isinstance(policy, (QPolicy, RecordingPolicy)) and \
+            policy.encoder is prior.encoder:
+        spec = policy.params.spec
+        if spec.input_dim != prior.feature_dim:
+            raise ValueError(
+                f"a network with {spec.input_dim} inputs cannot decide for player "
+                f"'{player}', whose encoder gives {prior.feature_dim} features")
+        if spec.output_dim == prior.action_count:
+            return _NETWORK if isinstance(policy, QPolicy) else _TRAINEE
+    return _OTHER
+
+
+def _outside(player: str, action, space: FiniteDiscrete) -> ValueError:
+    return ValueError(f"action {action!r} for player '{player}' is outside its "
+                      f"space {space}")
+
+
 def simulate(params: GridParams, policies: Mapping[str, netform.Policy],
              horizon: int, rng: np.random.Generator) -> list[StepRecord]:
     """Run the battle without the net machinery.
 
-    Policies receive the same parent-value mapping they would see as decision
-    nodes, and randomness is consumed in the same order as `netform.rollout`
-    on `as_netform`, so seeded trajectories from the two paths are identical.
-    Each action is checked against its player's space, as
+    Randomness is consumed in the same order as `netform.rollout` on
+    `as_netform`, so seeded trajectories from the two paths are identical.
+    Each step is written out over floats with the arithmetic of
+    `advance_state`, `power_flow` and the `step_*_memory` functions, and
+    each player decides by its `_kind`: the prior by its rule on those
+    floats, a greedy network or the exploring trainee from its encoder's
+    features through `neural.forward` or `RecordingPolicy.decide`.  Any
+    other policy receives the parent-value mapping it would see as a
+    decision node, and its action is checked against its player's space, as
     `netform.sample_slice` checks it, with a ValueError naming the player.
     """
     d_policy, a_policy = policies[DEFENDER], policies[ATTACKER]
-    d_legal = DEFENDER_ACTION_SPACE.contains
-    a_legal = ATTACKER_ACTION_SPACE.contains
+    d_kind = _kind(params, DEFENDER, d_policy)
+    a_kind = _kind(params, ATTACKER, a_policy)
+    forward = neural.forward
+    r1, x1, x2, v0 = params.r1, params.x1, params.x2, params.v0
+    tap, v1_min, v1_max = params.tap_step, params.v1_min, params.v1_max
+    lo, hi = params.p2_range
+    width, q2_factor, p3 = hi - lo, params.q2_factor, params.p3
+    levels = attacker_levels(params)
     state = initial_state(params, rng)
-    memories = (initial_defender_memory(defender_observation(state), params),
-                initial_attacker_memory(attacker_observation(state), params))
+    d_mem = initial_defender_memory(defender_observation(state), params)
+    a_mem = initial_attacker_memory(attacker_observation(state), params)
+    v1, v3, q3, p_2 = state.V1, state.V3, state.q3, state.P2
+    r2_p_2 = params.r2 * p_2
+    d_terms, a_terms = d_mem.terms, a_mem.terms
     d_action = params.defender_start_action
     a_action = params.attacker_start_action
+    new = tuple.__new__  # a record without the keyword parsing of its class
     records = []
     for t in range(1, horizon + 1):
-        state, memories, rewards = transition(state, memories, d_action,
-                                              a_action, rng, params)
-        d_action = d_policy({DEFENDER_MEMORY_NODE: memories[0]}, rng)
-        if not d_legal(d_action):
-            raise ValueError(f"action {d_action!r} for player '{DEFENDER}' is "
-                             f"outside its space {DEFENDER_ACTION_SPACE}")
-        a_action = a_policy({ATTACKER_MEMORY_NODE: memories[1]}, rng)
-        if not a_legal(a_action):
-            raise ValueError(f"action {a_action!r} for player '{ATTACKER}' is "
-                             f"outside its space {ATTACKER_ACTION_SPACE}")
-        d_action, a_action = int(d_action), int(a_action)
-        records.append(StepRecord(t, state, memories[0], memories[1],
-                                  rewards[0], rewards[1]))
+        v1_prev, v3_prev, q3_prev = v1, v3, q3
+        if d_action == ACTION_UP:
+            v1 = min(v1_max, v1 + tap)
+        elif d_action == ACTION_DOWN:
+            v1 = max(v1_min, v1 - tap)
+        q3 = levels[a_action]
+        p2 = lo + width * rng.random()
+        q2 = q2_factor * p2
+        q_2 = -q3
+        p_1 = p_2 + p2
+        q_1 = q_2 + q2
+        v2 = v1 - (r1 * p_1 + x1 * q_1)
+        v3 = v2 - (r2_p_2 + x2 * q_2)
+        # the window terms: sign(dV1) * sign(dV3), and the sign of the floor
+        # of the attacker's tap quotient
+        dv1, dv3 = v1 - v1_prev, v3 - v3_prev
+        taps = math.floor((dv3 - (q3 - q3_prev) * x2 / v0) / tap)
+        d_terms = d_terms[1:] + (
+            (1.0 if dv1 > 0 else -1.0 if dv1 < 0 else 0.0)
+            * (1.0 if dv3 > 0 else -1.0 if dv3 < 0 else 0.0),)
+        a_terms = a_terms[1:] + (1.0 if taps > 0 else -1.0 if taps < 0 else 0.0,)
+        state = new(GridState, (p2, q2, p3, q3, v1, p_2, q_2, p_1, q_1, v2, v3))
+        d_mem = new(DefenderMemory, (v1, v2, v3, p_1, q_1, d_action, d_terms))
+        a_mem = new(AttackerMemory, (v2, v3, p3, q3, a_action, a_terms))
+        records.append(new(StepRecord, (t, state, d_mem, a_mem,
+                                        defender_reward(v2, v3, params),
+                                        attacker_reward(v2, params))))
+        if d_kind == _PRIOR:
+            d_action = level0_defender(v1, v2, v3, params)
+        elif d_kind == _NETWORK:
+            d_action = int(forward(d_policy.params,
+                                   encode_defender_features(d_mem, params)).argmax())
+        elif d_kind == _TRAINEE:
+            d_action = d_policy.decide(encode_defender_features(d_mem, params), rng)
+        else:
+            d_action = d_policy({DEFENDER_MEMORY_NODE: d_mem}, rng)
+            if not DEFENDER_ACTION_SPACE.contains(d_action):
+                raise _outside(DEFENDER, d_action, DEFENDER_ACTION_SPACE)
+            d_action = int(d_action)
+        if a_kind == _PRIOR:
+            a_action = level0_attacker(v2, q3, params)
+        elif a_kind == _NETWORK:
+            a_action = int(forward(a_policy.params,
+                                   encode_attacker_features(a_mem, params)).argmax())
+        elif a_kind == _TRAINEE:
+            a_action = a_policy.decide(encode_attacker_features(a_mem, params), rng)
+        else:
+            a_action = a_policy({ATTACKER_MEMORY_NODE: a_mem}, rng)
+            if not ATTACKER_ACTION_SPACE.contains(a_action):
+                raise _outside(ATTACKER, a_action, ATTACKER_ACTION_SPACE)
+            a_action = int(a_action)
     return records
 
 
@@ -727,15 +798,17 @@ class NativeBattle:
     def play(self, matches: Sequence[Match]) -> list[dict[str, np.ndarray]]:
         """Each match's episodes of `simulate`, one after another: per
         player, an array of the rewards with a row per episode and a column
-        per step.  When `_groups` groups every player's episodes, the whole
-        call is one `_lockstep`; otherwise every episode of every match goes
-        through `simulate`."""
-        ends = list(accumulate(episodes for _, episodes, _ in matches))
-        groups = {player: _groups(self.params, player, [
-            policies[player] for policies, _, _ in matches], ends)
-            for player in self.players}
-        if matches and None not in groups.values():
-            return _lockstep(self.params, self.horizon, matches, groups)
+        per step.  When `_kind` finds every policy the prior or a greedy
+        network, the whole call is one `_lockstep`; otherwise every episode
+        of every match goes through `simulate`."""
+        if matches and all(
+                _kind(self.params, player, policies[player]) in (_PRIOR, _NETWORK)
+                for policies, _, _ in matches for player in self.players):
+            ends = list(accumulate(episodes for _, episodes, _ in matches))
+            return _lockstep(self.params, self.horizon, matches, {
+                player: _groups(self.params, player, [
+                    policies[player] for policies, _, _ in matches], ends)
+                for player in self.players})
         played = []
         for policies, episodes, rng in matches:
             rewards = {player: np.empty((episodes, self.horizon))
@@ -762,25 +835,20 @@ _BATCHED = {
 
 def _groups(params: GridParams, player: str,
             policies: Sequence[netform.Policy], ends: Sequence[int],
-            ) -> tuple[np.ndarray, list[list]] | None:
+            ) -> tuple[np.ndarray, list[list]]:
     """`player`'s episodes as `_lockstep` decides them, where `policies[i]`
-    decides for the episodes of row i, which end before `ends[i]`: those of
-    its prior in `level0_policies(params)`, as one index array, and per
-    layer shape a list of (network, episodes).  None when a policy is
-    neither that prior nor a `QPolicy` over its encoder with its feature
-    width and action count (any other network fails in `simulate`)."""
+    decides for the episodes of row i, which end before `ends[i]`, and
+    `_kind` finds each policy the prior or a greedy network: those of the
+    prior in `level0_policies(params)`, as one index array, and per layer
+    shape a list of (network, episodes)."""
     prior = level0_policies(params)[player]
     own, nets = [], {}
     for policy, start, end in zip(policies, (0, *ends[:-1]), ends):
         if policy is prior:
             own.extend(range(start, end))
-        elif (isinstance(policy, QPolicy) and policy.encoder is prior.encoder
-              and (spec := policy.params.spec).input_dim == prior.feature_dim
-              and spec.output_dim == prior.action_count):
-            nets.setdefault(id(policy), (spec, policy.params, []))[2].extend(
-                range(start, end))
         else:
-            return None
+            nets.setdefault(id(policy), (policy.params.spec, policy.params, []))[2] \
+                .extend(range(start, end))
     shapes = {}
     for spec, net, ix in nets.values():
         if ix:  # a network of zero-episode matches only decides nothing

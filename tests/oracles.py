@@ -12,9 +12,14 @@ import numpy as np
 
 from gridgame.netform import rollout
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP,
-                               ATTACKER_ACTIONS, GridParams,
-                               apply_defender_action, as_netform,
-                               attacker_levels, level0_policies)
+                               ATTACKER_ACTIONS, AttackerMemory,
+                               DefenderMemory, GridParams, GridState,
+                               advance_state, apply_defender_action,
+                               as_netform, attacker_levels,
+                               attacker_observation, attacker_reward,
+                               defender_observation, defender_reward,
+                               level0_policies, step_attacker_memory,
+                               step_defender_memory)
 
 
 def defender_move_domain(v1: float, params: GridParams) -> tuple[float, ...]:
@@ -65,6 +70,24 @@ def attacker_memory_metric(v3_history, q3_history, params: GridParams) -> int:
         return _sign(math.floor(residual / params.tap_step))
 
     return int(sum(_windowed_terms(len(v3_history), params.memory_window, term)))
+
+
+def transition(state: GridState, memories: tuple[DefenderMemory, AttackerMemory],
+               defender_action: int, attacker_action: int,
+               rng: np.random.Generator, params: GridParams,
+               ) -> tuple[GridState, tuple[DefenderMemory, AttackerMemory],
+                          tuple[float, float]]:
+    """One step of the battle from the net's node functions: apply both
+    actions, redraw the load, run the power flow, advance both memories, and
+    score the resulting state."""
+    state_next = advance_state(state, defender_action, attacker_action, rng, params)
+    d_mem = step_defender_memory(memories[0], defender_observation(state_next),
+                                 defender_action, params)
+    a_mem = step_attacker_memory(memories[1], attacker_observation(state_next),
+                                 attacker_action, params)
+    rewards = (defender_reward(state_next.V2, state_next.V3, params),
+               attacker_reward(state_next.V2, params))
+    return state_next, (d_mem, a_mem), rewards
 
 
 def scan_level0_attacker(v2: float, q3_current: float, params: GridParams) -> int:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gridgame import netform, neural, scenario
-from gridgame.levelk import QPolicy, TrainConfig, evaluate, train_level
+from gridgame import levelk, netform, neural, scenario
+from gridgame.levelk import (QPolicy, RecordingPolicy, TrainConfig, evaluate,
+                             train_level)
 from gridgame.neural import NetworkSpec, init
 from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
                                ATTACKER_ACTIONS, DEFENDER, DEFENDER_ACTIONS,
@@ -20,11 +22,10 @@ from gridgame.scenario import (ACTION_DOWN, ACTION_HOLD, ACTION_UP, ATTACKER,
                                encode_defender_features,
                                initial_attacker_memory, initial_defender_memory,
                                initial_state, level0_attacker, level0_defender,
-                               level0_policies, power_flow, simulate,
-                               transition)
+                               level0_policies, power_flow, simulate)
 from oracles import (attacker_memory_metric, defender_memory_metric,
                      defender_move_domain, norm_action, norm_flow,
-                     norm_voltage, scan_level0_attacker)
+                     norm_voltage, scan_level0_attacker, transition)
 
 P = GridParams(q3_max=0.7)
 
@@ -610,9 +611,22 @@ def _exploring(inner, action_count, epsilon):
 
 
 @st.composite
+def trainees(draw, prior):
+    """levelk's exploring trainee over `prior`'s encoder: epsilon 0, 1 or in
+    between, random hidden layers, `()` included, and a random network or an
+    all-zero one, whose outputs tie."""
+    hidden = tuple(draw(st.lists(st.integers(1, 8), max_size=2)))
+    spec = NetworkSpec(prior.feature_dim, hidden, prior.action_count)
+    net = init(spec, draw(st.sampled_from((0.0, 1.0))), 0.0,
+               np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))))
+    epsilon = draw(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.1, 0.9)))
+    return RecordingPolicy(net, epsilon, prior.encoder)
+
+
+@st.composite
 def battle_policies(draw, params):
-    """One policy per player: level-0, a random-network greedy QPolicy, or
-    either of them wrapped to explore."""
+    """One policy per player: level-0, a random-network greedy QPolicy,
+    either of them wrapped to explore, or levelk's exploring trainee."""
     policies = {}
     for player, prior in level0_policies(params).items():
         inner = prior
@@ -623,8 +637,18 @@ def battle_policies(draw, params):
         if draw(st.booleans()):
             inner = _exploring(inner, prior.action_count,
                                draw(st.floats(0.1, 0.9)))
+        if draw(st.integers(0, 2)) == 0:
+            inner = draw(trainees(prior))
         policies[player] = inner
     return policies
+
+
+def _fresh(policies):
+    """`policies` with each exploring trainee replaced by a new one on its
+    network, epsilon and encoder, which has recorded nothing."""
+    return {player: RecordingPolicy(policy.params, policy.epsilon, policy.encoder)
+            if isinstance(policy, RecordingPolicy) else policy
+            for player, policy in policies.items()}
 
 
 @st.composite
@@ -651,7 +675,9 @@ def grids(draw):
     return GridParams(
         q3_max=draw(st.one_of(st.just(0.0), st.floats(0.05, 2.0))),
         memory_window=draw(st.integers(1, 8)),
-        p2_range=(lo, lo + draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))))
+        p2_range=(lo, lo + draw(st.one_of(st.just(0.0), st.floats(0.0, 0.3)))),
+        v1_start=draw(st.sampled_from((1.0, GridParams.v1_min,
+                                       GridParams.v1_max))))
 
 
 @st.composite
@@ -665,11 +691,14 @@ def battles(draw, policies=battle_policies):
 @given(battles())
 def test_netform_rollout_and_native_loop_agree_bit_for_bit(battle):
     """Whatever the policies draw, both paths consume the rng in the same
-    order and produce the same bits (repr is exact for floats)."""
+    order and produce the same bits (repr is exact for floats), and an
+    exploring trainee, one per path, records the same features and actions
+    on both."""
     params, policies, horizon, seed = battle
+    net_policies, native_policies = _fresh(policies), _fresh(policies)
     net_rng, native_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    traj = netform.rollout(as_netform(params, horizon), policies, net_rng)
-    records = simulate(params, policies, horizon, native_rng)
+    traj = netform.rollout(as_netform(params, horizon), net_policies, net_rng)
+    records = simulate(params, native_policies, horizon, native_rng)
     assert len(records) == len(traj.slices) == horizon
     for t, rec in enumerate(records):
         inst = traj.slices[t]
@@ -681,6 +710,54 @@ def test_netform_rollout_and_native_loop_agree_bit_for_bit(battle):
         assert repr(traj.rewards[DEFENDER][t]) == repr(rec.defender_reward)
         assert repr(traj.rewards[ATTACKER][t]) == repr(rec.attacker_reward)
     assert net_rng.bit_generator.state == native_rng.bit_generator.state
+    for player, policy in native_policies.items():
+        if isinstance(policy, RecordingPolicy):
+            expected = net_policies[player]
+            assert len(policy.actions) == len(policy.features) == horizon
+            assert repr(policy.actions) == repr(expected.actions)
+            assert np.array(policy.features).tobytes() == \
+                np.array(expected.features).tobytes()
+
+
+def test_simulate_calls_each_shared_function_on_its_module(monkeypatch):
+    """`simulate` looks each shared function up on its module, so a spy set
+    there, or perfbench's tracer, sees every call: the rewards once per
+    step, and a prior's rule, an encoder, `neural.forward` and
+    `levelk.select_action` once per decision that uses them (a trainee at
+    epsilon 0 calls `forward` once per decision)."""
+    calls = Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, counted)
+    for name in ("level0_defender", "level0_attacker", "encode_defender_features",
+                 "encode_attacker_features", "defender_reward", "attacker_reward"):
+        spy(scenario, name)
+    spy(neural, "forward")
+    spy(levelk, "select_action")
+    priors = level0_policies(P)
+
+    def trainee(player):
+        return RecordingPolicy(_network_policy(player, (4,), 3).params, 0.0,
+                               priors[player].encoder)
+    h = 7
+    cases = [
+        (priors, {"level0_defender": h, "level0_attacker": h}),
+        ({DEFENDER: _network_policy(DEFENDER, (4,), 1), ATTACKER: trainee(ATTACKER)},
+         {"encode_defender_features": h, "encode_attacker_features": h,
+          "forward": 2 * h, "select_action": h}),
+        ({DEFENDER: trainee(DEFENDER), ATTACKER: _network_policy(ATTACKER, (), 2)},
+         {"encode_defender_features": h, "encode_attacker_features": h,
+          "forward": 2 * h, "select_action": h}),
+    ]
+    for policies, expected in cases:
+        calls.clear()
+        simulate(P, policies, h, np.random.default_rng(4))
+        assert calls == Counter(expected, defender_reward=h, attacker_reward=h)
 
 
 @settings(max_examples=60, deadline=None)
@@ -828,6 +905,37 @@ def test_play_sends_every_episode_of_a_call_to_simulate_unless_all_batch():
     assert repr([_lists(rewards) for rewards in played]) == repr(expected)
     for rng, loop_rng in zip(rngs, loop_rngs):
         assert rng.bit_generator.state == loop_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("trainee", [DEFENDER, ATTACKER])
+def test_play_sends_a_training_call_to_simulate_without_grouping(monkeypatch,
+                                                                 trainee):
+    """`NativeBattle.play` routes on `_kind` alone: a call in which one
+    player is levelk's exploring trainee goes through `simulate`, episode by
+    episode, and never builds the lockstep's groups.  The rewards, the
+    trainee's records and the rng end state are `simulate`'s."""
+    nets = {DEFENDER: _network_policy(DEFENDER, (8,), 1),
+            ATTACKER: _network_policy(ATTACKER, (8,), 2)}
+
+    def policies():
+        return {**nets, trainee: RecordingPolicy(
+            nets[trainee].params, 0.5, level0_policies(P)[trainee].encoder)}
+    loop_policies, play_policies = policies(), policies()
+    loop_rng, play_rng = np.random.default_rng(3), np.random.default_rng(3)
+    expected = _simulated(P, loop_policies, 9, 2, loop_rng)
+    calls = []
+
+    def refuse(*args):
+        raise AssertionError("a training call built the lockstep's groups")
+    monkeypatch.setattr(scenario, "_groups", refuse)
+    monkeypatch.setattr(scenario, "simulate", lambda *args: (
+        calls.append(args), simulate(*args))[1])
+    played = NativeBattle(P, 9).play([(play_policies, 2, play_rng)])[0]
+    assert len(calls) == 2
+    assert repr(_lists(played)) == repr(expected)
+    assert repr(play_policies[trainee].actions) == \
+        repr(loop_policies[trainee].actions)
+    assert play_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 @settings(max_examples=60, deadline=None)
@@ -1023,13 +1131,15 @@ def test_play_goes_through_simulate_for_a_prior_of_another_grid(
 
 @pytest.mark.parametrize("inputs, outputs, error", [
     (7, 11, r"action 10 for player 'defender' is outside its space"),
-    (6, 3, r"shapes \(4,6\) and \(7,\) not aligned")])
+    (6, 3, r"^a network with 6 inputs cannot decide for player 'defender', "
+           r"whose encoder gives 7 features$")])
 def test_play_never_plays_a_network_that_does_not_fit_its_player_in_bulk(
         monkeypatch, inputs, outputs, error):
     """A defender network over the defender's encoder, but with 11 outputs
-    or with 6 inputs for its 7 features, is not the lockstep's to play: the
-    call goes through `simulate`, which fails on it, and `_lockstep` is
-    never called."""
+    or with 6 inputs for its 7 features, is not the lockstep's to play, and
+    `_lockstep` is never called: the call goes through `simulate`, which
+    fails on the 11th action, and a network of the wrong input width is
+    refused, with both widths, before any draw."""
     prior = level0_policies(P)[DEFENDER]
     assert (prior.feature_dim, prior.action_count) == (7, 3)
     net = init(NetworkSpec(inputs, (4,), outputs), 0.0, 0.0,
@@ -1041,8 +1151,14 @@ def test_play_never_plays_a_network_that_does_not_fit_its_player_in_bulk(
     def refuse(*args):
         raise AssertionError("the call went to the lockstep")
     monkeypatch.setattr(scenario, "_lockstep", refuse)
+    rng = np.random.default_rng(1)
     with pytest.raises(ValueError, match=error):
-        NativeBattle(P, 5).play([(policies, 2, np.random.default_rng(1))])
+        NativeBattle(P, 5).play([(policies, 2, rng)])
+    if inputs != prior.feature_dim:
+        assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
+        with pytest.raises(ValueError, match=error):
+            simulate(P, policies, 5, rng)
+        assert rng.bit_generator.state == np.random.default_rng(1).bit_generator.state
 
 
 def test_native_battle_is_the_nets_game():
