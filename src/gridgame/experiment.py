@@ -20,7 +20,6 @@ import json
 import os
 import pickle
 import secrets
-import sys
 import typing
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,7 +29,8 @@ import numpy as np
 
 from . import neural, scenario
 from .levelk import (PriorPolicy, QPolicy, TrainConfig, build_hierarchy,
-                     check_integers, evaluate, evaluate_matches)
+                     check_fields, evaluate, evaluate_matches, field_fault,
+                     field_types)
 from .scenario import (ATTACKER, DEFENDER, GridParams, NativeBattle,
                        level0_policies, simulate)
 
@@ -61,7 +61,7 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = (1, 2, 3)
 
     def __post_init__(self):
-        check_integers(self)
+        check_fields(self)
         for section, key in _SET_ELSEWHERE:
             part = getattr(self, section)
             if getattr(part, key) != getattr(type(part), key):  # the default
@@ -89,7 +89,7 @@ class ExperimentConfig:
             if not (0 <= d_level <= self.k_max and 0 <= a_level <= self.k_max):
                 raise ValueError(
                     f"pairing ({d_level},{a_level}) exceeds k_max={self.k_max}")
-            if (d_level, a_level) in map(tuple, self.pairings[:i]):
+            if (d_level, a_level) in self.pairings[:i]:
                 raise ValueError(
                     f"pairing ({d_level},{a_level}) is listed more than once")
         if self.eval_episodes < 1:
@@ -102,50 +102,15 @@ class ExperimentConfig:
             raise ValueError(f"seeds must be >= 0, got {list(self.seeds)}")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
-        for name in ("defender_optimistic_bias", "attacker_optimistic_bias"):
-            value = getattr(self, name)
-            # compared, not converted, as `_checked` compares a float key
-            if not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite, got {value}")
 
 
 # ---------------------------------------------------------------------------
 # Config file parsing
 # ---------------------------------------------------------------------------
 
-def _checked(key: str, value: Any, hint: Any) -> Any:
-    """`value` with JSON lists turned into tuples, or a ValueError naming
-    `key` if it does not match the field type `hint`.  Integers must not be
-    bools; floats must be finite."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            raise ValueError(f"'{key}' must be a list, got {value!r}")
-        if len(args) == 2 and args[1] is Ellipsis:
-            args = (args[0],) * len(value)
-        elif len(value) != len(args):
-            raise ValueError(
-                f"'{key}' must have {len(args)} entries, got {value!r}")
-        return tuple(_checked(key, v, h) for v, h in zip(value, args))
-    if hint is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ValueError(f"'{key}' must be an integer, got {value!r}")
-        return value
-    if hint is float:
-        # compared, not converted: converting an int beyond the float range
-        # raises OverflowError, and NaN fails both bounds
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or \
-                not -sys.float_info.max <= value <= sys.float_info.max:
-            raise ValueError(f"'{key}' must be a finite number, got {value!r}")
-        return value
-    raise TypeError(f"no config check for type {hint!r} of '{key}'")
-
-
-@functools.cache
-def _field_types(cls) -> dict[str, Any]:
-    # get_type_hints evaluates every string annotation; cached, since the
-    # three config classes never change and configs are loaded per command.
-    return typing.get_type_hints(cls)
+def _tuples(value: Any) -> Any:
+    """A JSON value with every list, however deep, turned into a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 # Fields that a config section must not set, because another key sets them,
@@ -172,14 +137,16 @@ def _build_from_dict(cls, data: Any, context: str, **fixed):
     for key in data:
         if (context, key) in _SET_ELSEWHERE:
             raise _set_elsewhere(context, key)
-    hints = _field_types(cls)
-    fields = {f.name for f in dataclasses.fields(cls)} - set(fixed)
-    unknown = set(data) - fields
+    hints = field_types(cls)
+    unknown = set(data) - set(hints) - set(fixed)
     if unknown:
         raise ValueError(
             f"unknown key(s) in '{context}': {', '.join(sorted(unknown))}")
-    kwargs = {key: _checked(f"{context}.{key}", value, hints[key])
-              for key, value in data.items()}
+    kwargs = {key: _tuples(value) for key, value in data.items()}
+    for key, value in data.items():
+        fault = field_fault(hints[key], kwargs[key])
+        if fault is not None:
+            raise ValueError(f"'{context}.{key}' {fault}, got {value!r}")
     return cls(**kwargs, **fixed)
 
 

@@ -13,9 +13,11 @@ episodes without the net machinery.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass, is_dataclass
+from functools import cache
 from itertools import groupby
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -75,24 +77,53 @@ class QPolicy:
         return int(neural.forward(self.params, self.encoder(parent_values)).argmax())
 
 
-# How deep each integer field type of the config classes holds its ints.
-_INT_DEPTHS = {"int": 0, "tuple[int, ...]": 1, "tuple[tuple[int, int], ...]": 2}
+@cache
+def field_types(cls) -> dict[str, Any]:
+    """The declared type of each field of the dataclass `cls`; cached, since
+    `typing.get_type_hints` evaluates every string annotation."""
+    return typing.get_type_hints(cls)
 
 
-def check_integers(config) -> None:
-    """A ValueError naming the first field of the dataclass `config` that is
-    declared to hold ints but holds something else: a bool, a float or a
-    numpy integer would pass the range checks, then fail late or change
-    meaning."""
-    for field in fields(config):
-        if field.type not in _INT_DEPTHS:
-            continue
-        values = [getattr(config, field.name)]
-        for _ in range(_INT_DEPTHS[field.type]):
-            values = [entry for value in values for entry in value]
-        if not all(type(value) is int for value in values):
-            raise ValueError(f"{field.name} must hold only Python ints, got "
-                             f"{getattr(config, field.name)!r}")
+def field_fault(hint: Any, value: Any) -> str | None:
+    """Why `value` does not fit a config field declared as `hint`, or None.
+
+    An `int` holds only a Python int: a bool, a float or a numpy integer
+    would pass the range checks, then fail late or change meaning.  A
+    `float` holds a finite int or float, not a bool.  A `tuple[...]` holds a
+    tuple of such entries, of the declared length if one is declared, and a
+    config class an instance, which checked itself."""
+    if hint is int:
+        return None if type(value) is int else "must hold only Python ints"
+    if hint is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return "must be a number"
+        # compared, not converted: converting an int beyond the float range
+        # raises OverflowError, and NaN fails both bounds
+        if not -sys.float_info.max <= value <= sys.float_info.max:
+            return "must be finite"
+        return None
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, tuple):
+            return "must be a tuple"
+        args = typing.get_args(hint)
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            return f"must have {len(args)} entries"
+        return next(filter(None, map(field_fault, args, value)), None)
+    if is_dataclass(hint):
+        return None if isinstance(value, hint) else f"must be a {hint.__name__}"
+    raise TypeError(f"no field check for type {hint!r}")
+
+
+def check_fields(config) -> None:
+    """A ValueError naming the first field of the dataclass `config` whose
+    value does not fit its declared type (see `field_fault`)."""
+    for name, hint in field_types(type(config)).items():
+        value = getattr(config, name)
+        fault = field_fault(hint, value)
+        if fault is not None:
+            raise ValueError(f"{name} {fault}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,7 +142,7 @@ class TrainConfig:
     hidden_layers: tuple[int, ...] = (16, 16)
 
     def __post_init__(self):
-        check_integers(self)
+        check_fields(self)
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
         if not 0.0 <= self.gamma < 1.0:
@@ -120,12 +151,6 @@ class TrainConfig:
             raise ValueError("learning_rate must be > 0")
         if self.init_scale < 0:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
-        for name in ("learning_rate", "init_scale", "optimistic_bias"):
-            value = getattr(self, name)
-            # compared, not converted: converting an int beyond the float
-            # range raises OverflowError, and NaN fails both bounds
-            if not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ValueError(f"{name} must be finite, got {value}")
         for name in ("epsilon_start", "epsilon_end"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

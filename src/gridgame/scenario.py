@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache, partial
 from itertools import accumulate
 from types import MappingProxyType
@@ -35,8 +35,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import netform, neural
-from .levelk import (Match, PriorPolicy, QPolicy, RecordingPolicy,
-                     check_integers)
+from .levelk import Match, PriorPolicy, QPolicy, RecordingPolicy, check_fields
 from .netform import (FiniteDiscrete, IteratedGame, RealVector, Record,
                       SemiBayesNet, boundary_kernel, chance, constant_kernel,
                       decision)
@@ -79,23 +78,10 @@ class GridParams:
     attacker_start_action: int = 5       # grid midpoint, q3 = 0
 
     def __post_init__(self):
-        check_integers(self)
-        for field in fields(self):  # annotations are strings in this module
-            value = getattr(self, field.name)
-            # compared, not converted: converting an int beyond the float
-            # range raises OverflowError, and NaN fails both bounds
-            if field.type == "float" and \
-                    not -sys.float_info.max <= value <= sys.float_info.max:
-                raise ValueError(f"{field.name} must be finite, got {value}")
-        if not isinstance(self.p2_range, tuple) or len(self.p2_range) != 2 or \
-                not all(isinstance(p, (int, float)) for p in self.p2_range):
-            raise ValueError(f"p2_range must be a tuple of two numbers: {self.p2_range!r}")
-        # a non-finite entry, or two too far apart, make the width non-finite;
-        # each is compared before the subtraction, which would convert it
+        check_fields(self)
+        # two finite entries too far apart make the width non-finite
         lo, hi = self.p2_range
-        if not all(-sys.float_info.max <= p <= sys.float_info.max
-                   for p in (lo, hi)) or \
-                not -sys.float_info.max <= hi - lo <= sys.float_info.max:
+        if not -sys.float_info.max <= hi - lo <= sys.float_info.max:
             raise ValueError(f"p2_range width must be finite, got {self.p2_range}")
         if self.v0 <= 0:
             raise ValueError(f"v0 must be > 0, got {self.v0}")
@@ -792,6 +778,7 @@ class NativeBattle:
     players = (DEFENDER, ATTACKER)
 
     def __post_init__(self):
+        check_fields(self)
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
 

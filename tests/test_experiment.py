@@ -136,8 +136,12 @@ def test_p2_range_of_non_finite_width_rejected():
 def test_colliding_config_values_rejected(experiment):
     with pytest.raises(ValueError, match=r"q3max_values|seeds|pairing \(0,0\)"):
         config_from_dict({"experiment": experiment})
-    if "pairings" in experiment:  # built in code, the pairs still lists
+    if "pairings" in experiment:  # built in code, as tuples; lists are refused
+        pairings = tuple(map(tuple, experiment["pairings"]))
         with pytest.raises(ValueError, match=r"pairing \(0,0\) is listed more"):
+            dataclasses.replace(tiny_config(), pairings=pairings)
+        with pytest.raises(ValueError, match=r"^pairings must be a tuple, "
+                                             r"got \[\[0, 0\], \[0, 0\]\]$"):
             dataclasses.replace(tiny_config(), **experiment)
 
 
@@ -266,7 +270,7 @@ def _bad_values(hint):
         return ["1", 1.5, True, [1], {}, None]
     if hint is float:
         return [math.nan, math.inf, -math.inf, "0.5", False, None, [0.5]]
-    return ["x", 1, None, {}, [math.nan], [None]]  # a tuple field
+    return ["x", 1, None, {}, [math.nan], [None], [True]]  # a tuple field
 
 
 _CONFIG_FIELDS = [
@@ -284,6 +288,37 @@ def test_ill_typed_or_non_finite_value_at_any_key_rejected_naming_it(case):
     (section, key), value = case
     with pytest.raises(ValueError, match=rf"'{section}\.{key}'"):
         config_from_dict({section: {key: value}})
+
+
+def _built_in_code(section, key, value):
+    """The default config's part `section` with `key` set to `value`."""
+    part = default_config()
+    if section != "experiment":
+        part = getattr(part, section)
+    return dataclasses.replace(part, **{key: value})
+
+
+def test_loader_and_code_refuse_an_ill_typed_value_for_one_reason():
+    """The loader hands each value over with its JSON lists turned into
+    tuples, and refuses it for the reason that a config built in code gives;
+    only the name of the field differs.  Built in code, a list is refused
+    where a tuple belongs, so no config differs from its own round trip."""
+    for section, key, hint in _CONFIG_FIELDS:
+        for value in _bad_values(hint):
+            loaded = tuple(value) if isinstance(value, list) else value
+            with pytest.raises(ValueError) as built:
+                _built_in_code(section, key, loaded)
+            reason = re.fullmatch(rf"{key} (.+), got {re.escape(repr(loaded))}",
+                                  str(built.value))
+            assert reason, (section, key, value, str(built.value))
+            with pytest.raises(ValueError) as read:
+                config_from_dict({section: {key: value}})
+            assert str(read.value) == \
+                f"'{section}.{key}' {reason[1]}, got {value!r}"
+            if isinstance(value, list) and typing.get_origin(hint) is tuple:
+                with pytest.raises(ValueError, match=rf"^{key} must be a "
+                                   rf"tuple, got {re.escape(repr(value))}$"):
+                    _built_in_code(section, key, value)
 
 
 def test_config_overrides_apply():
@@ -310,7 +345,7 @@ def test_player_train_configs_bias_defaults():
     assert player_train_configs(overridden)[DEFENDER].optimistic_bias == -1.0
     for key in ("defender_optimistic_bias", "attacker_optimistic_bias"):
         with pytest.raises(ValueError,
-                           match=f"'experiment.{key}' must be a finite number"):
+                           match=f"'experiment.{key}' must be a number, got None"):
             config_from_dict({"experiment": {key: None}})
         for value in (float("nan"), float("inf"), -float("inf"), 10 ** 400):
             with pytest.raises(ValueError, match=f"^{key} must be finite"):
@@ -344,6 +379,13 @@ def test_integer_fields_are_every_int_field_of_the_config_classes():
                 for name, hint in typing.get_type_hints(cls).items()
                 if _holds_ints(hint)}
     assert declared == {(section, name) for section, name, _ in INTEGER_FIELDS}
+    # every declared type is one that the field check knows: it gives a
+    # reason to refuse None rather than raising TypeError
+    for cls in (GridParams, TrainConfig, ExperimentConfig, scenario.NativeBattle):
+        for name, hint in typing.get_type_hints(cls).items():
+            assert isinstance(levelk.field_fault(hint, None), str), (cls, name)
+    with pytest.raises(TypeError, match="^no field check for type"):
+        levelk.field_fault(str, "x")
 
 
 @pytest.mark.parametrize("value", [True, 2.5, np.int64(1)],
@@ -1133,7 +1175,7 @@ def test_cli_refuses_an_integer_beyond_the_float_range_at_load(tmp_path, capsys,
                  "--out", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: 'grid.r1' must be a finite number, got 1000")
+    assert err.startswith("error: 'grid.r1' must be finite, got 1000")
     assert not (tmp_path / "out").exists()
 
 

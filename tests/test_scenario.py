@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -1168,6 +1169,18 @@ def test_native_battle_is_the_nets_game():
         NativeBattle(P, 0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon", 2.5), ("horizon", True), ("horizon", np.int64(5)),
+    ("params", None)], ids=["float", "bool", "numpy-int64", "params-None"])
+def test_native_battle_refuses_an_ill_typed_field_naming_it(field, value):
+    """Refused when built, rather than failing inside `play` on numpy's
+    TypeError."""
+    fields = {"params": P, "horizon": 5, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must .*, got "
+                                         rf"{re.escape(repr(value))}$"):
+        NativeBattle(**fields)
+
+
 def _fixed(defender, attacker):
     """Policies that always play the given actions."""
     return {DEFENDER: lambda parent_values, rng: defender,
@@ -1223,7 +1236,7 @@ def test_grid_params_refuse_a_non_finite_constant_naming_it(field, value):
     if field.startswith("p2_range"):
         entries = [1.35, 1.5]
         entries[int(field[-2])] = value
-        kwargs, message = {"p2_range": tuple(entries)}, "p2_range width"
+        kwargs, message = {"p2_range": tuple(entries)}, "p2_range"
     else:
         kwargs, message = {field: value}, f"{field}"
     with pytest.raises(ValueError, match=f"^{message} must be finite, got "):
@@ -1240,12 +1253,15 @@ def test_invalid_params_rejected():
     for q3_max in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="q3_max must be finite"):
             GridParams(q3_max=q3_max)
-    for p2_range in ((-1e308, 1e308), (0.0, float("inf"))):
-        with pytest.raises(ValueError, match="p2_range width must be finite"):
+    for p2_range, message in (((-1e308, 1e308), "p2_range width"),
+                              ((0.0, float("inf")), "p2_range")):
+        with pytest.raises(ValueError, match=f"^{message} must be finite"):
             GridParams(p2_range=p2_range)
-    # built in code, not by the config loader, which hands over a checked pair
-    for p2_range in ([1.35, 1.5], (1.35,), (1.35, 1.4, 1.5), ("a", "b")):
-        with pytest.raises(ValueError, match=r"^p2_range must be a tuple of two"):
+    for p2_range, fault in (([1.35, 1.5], "be a tuple"),
+                            ((1.35,), "have 2 entries"),
+                            ((1.35, 1.4, 1.5), "have 2 entries"),
+                            (("a", "b"), "be a number")):
+        with pytest.raises(ValueError, match=rf"^p2_range must {fault}, got "):
             GridParams(p2_range=p2_range)
     with pytest.raises(ValueError):
         GridParams(memory_window=0)
