@@ -328,15 +328,6 @@ def resolve_policy(config: ExperimentConfig, out_dir: Path, player: str,
     return load_policy(path, grid, player, level, seed)
 
 
-def resolve_pairing(config: ExperimentConfig, out_dir: Path,
-                    defender_level: int, attacker_level: int, q3_max: float,
-                    seed: int) -> dict[str, PriorPolicy | QPolicy]:
-    """The defender's and the attacker's policy for one pairing."""
-    return {player: resolve_policy(config, out_dir, player, level, q3_max, seed)
-            for player, level in ((DEFENDER, defender_level),
-                                  (ATTACKER, attacker_level))}
-
-
 # ---------------------------------------------------------------------------
 # CSV helpers
 # ---------------------------------------------------------------------------
@@ -587,18 +578,31 @@ def run_sweep(config: ExperimentConfig, out_dir: Path,
     return records
 
 
+def _pairing(config: ExperimentConfig, out_dir: Path, defender_level: int,
+             attacker_level: int, q3_max: float | None, seed: int | None,
+             tag: int) -> tuple:
+    """One pairing at a configured q3_max and seed (by default the first):
+    those two, the cell's grid, the defender's and then the attacker's
+    policy, and the cell rng of `tag`; `out_dir` is made only once both
+    policies resolve."""
+    q3_max = _selected(config.q3max_values, q3_max, "--q3max")[0]
+    seed = _selected(config.seeds, seed, "--seed")[0]
+    grid = cell_grid(config, q3_max)
+    policies = {player: resolve_policy(config, out_dir, player, level, q3_max, seed)
+                for player, level in ((DEFENDER, defender_level),
+                                      (ATTACKER, attacker_level))}
+    out_dir.mkdir(parents=True, exist_ok=True)
+    rng = cell_rng(seed, tag, _q3_key(q3_max), defender_level, attacker_level)
+    return q3_max, seed, grid, policies, rng
+
+
 def run_eval(config: ExperimentConfig, out_dir: Path, defender_level: int,
              attacker_level: int, q3_max: float,
              seed: int | None = None) -> dict:
     """Evaluate one pairing at a configured q3_max and seed (by default the
     first); write a per-episode CSV and return the summary."""
-    q3_max = _selected(config.q3max_values, q3_max, "--q3max")[0]
-    seed = _selected(config.seeds, seed, "--seed")[0]
-    grid = cell_grid(config, q3_max)
-    policies = resolve_pairing(config, out_dir, defender_level,
-                               attacker_level, q3_max, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rng = cell_rng(seed, _EVAL_TAG, _q3_key(q3_max), defender_level, attacker_level)
+    q3_max, seed, grid, policies, rng = _pairing(
+        config, out_dir, defender_level, attacker_level, q3_max, seed, _EVAL_TAG)
     report = evaluate(NativeBattle(grid, config.horizon), policies,
                       config.eval_episodes, rng)
     name = f"eval_D{defender_level}A{attacker_level}_q{q3_max:g}_s{seed}.csv"
@@ -623,13 +627,8 @@ def run_trace(config: ExperimentConfig, out_dir: Path, defender_level: int,
               seed: int | None = None) -> Path:
     """One greedy rollout at a configured q3_max and seed (by default the
     first); write the step-by-step trace CSV."""
-    q3_max = _selected(config.q3max_values, q3_max, "--q3max")[0]
-    seed = _selected(config.seeds, seed, "--seed")[0]
-    grid = cell_grid(config, q3_max)
-    policies = resolve_pairing(config, out_dir, defender_level,
-                               attacker_level, q3_max, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    rng = cell_rng(seed, _TRACE_TAG, _q3_key(q3_max), defender_level, attacker_level)
+    q3_max, seed, grid, policies, rng = _pairing(
+        config, out_dir, defender_level, attacker_level, q3_max, seed, _TRACE_TAG)
     records = simulate(grid, policies, config.horizon, rng)
     rows = []
     for rec in records:

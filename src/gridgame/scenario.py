@@ -791,11 +791,7 @@ class NativeBattle:
         if matches and all(
                 _kind(self.params, player, policies[player]) in (_PRIOR, _NETWORK)
                 for policies, _, _ in matches for player in self.players):
-            ends = list(accumulate(episodes for _, episodes, _ in matches))
-            return _lockstep(self.params, self.horizon, matches, {
-                player: _groups(self.params, player, [
-                    policies[player] for policies, _, _ in matches], ends)
-                for player in self.players})
+            return _lockstep(self.params, self.horizon, matches)
         played = []
         for policies, episodes, rng in matches:
             rewards = {player: np.empty((episodes, self.horizon))
@@ -820,46 +816,39 @@ _BATCHED = {
 }
 
 
-def _groups(params: GridParams, player: str,
-            policies: Sequence[netform.Policy], ends: Sequence[int],
-            ) -> tuple[np.ndarray, list[list]]:
-    """`player`'s episodes as `_lockstep` decides them, where `policies[i]`
-    decides for the episodes of row i, which end before `ends[i]`, and
-    `_kind` finds each policy the prior or a greedy network: those of the
-    prior in `level0_policies(params)`, as one index array, and per layer
-    shape a list of (network, episodes)."""
+def _lockstep_decider(params: GridParams, player: str,
+                      policies: Sequence[netform.Policy], ends: Sequence[int],
+                      ) -> Callable[[NamedTuple], np.ndarray]:
+    """`player`'s actions for a memory whose fields are arrays with an entry
+    per episode, where `policies[i]`, the prior or a greedy network by
+    `_kind`, decides the episodes of row i, which end before `ends[i]`: the
+    prior's by its batched rule, and each layer shape's networks, each with
+    its policy object's episodes, in one `neural.GreedyStack`, stacked once.
+    Each step gathers their episodes' feature columns, padded to the largest
+    group with the zero column `total = ends[-1]`, into one network ×
+    feature × episode array; a pad's action goes to slot `total`."""
     prior = level0_policies(params)[player]
+    rule, features = _BATCHED[player]
+    total = ends[-1]
     own, nets = [], {}
     for policy, start, end in zip(policies, (0, *ends[:-1]), ends):
         if policy is prior:
             own.extend(range(start, end))
         else:
-            nets.setdefault(id(policy), (policy.params.spec, policy.params, []))[2] \
-                .extend(range(start, end))
+            nets.setdefault(id(policy), (policy.params, []))[1].extend(
+                range(start, end))
+    own = np.array(own, dtype=np.intp)
     shapes = {}
-    for spec, net, ix in nets.values():
+    for net, ix in nets.values():
         if ix:  # a network of zero-episode matches only decides nothing
-            shapes.setdefault(spec, []).append((net, ix))
-    return np.array(own, dtype=np.intp), list(shapes.values())
-
-
-def _lockstep_decider(params: GridParams, player: str, groups: tuple,
-                      total: int) -> Callable[[NamedTuple], np.ndarray]:
-    """`player`'s actions for a memory whose fields are arrays with an entry
-    for each of `total` episodes, grouped by `_groups`: the prior's by its
-    batched rule, and each shape's networks in one `neural.GreedyStack`,
-    stacked once.  Each step gathers their episodes' feature columns,
-    padded to the largest group with the zero column `total`, into one
-    network × feature × episode array; a pad's action goes to slot `total`."""
-    own, shapes = groups
-    rule, features = _BATCHED[player]
+            shapes.setdefault(net.spec, []).append((net, ix))
     stacks = []
-    for members in shapes:
+    for members in shapes.values():
         sizes = [len(ix) for _, ix in members]
         stacks.append((neural.GreedyStack([net for net, _ in members]), sizes,
                        np.array([ix + [total] * (max(sizes) - len(ix))
                                  for _, ix in members], dtype=np.intp)))
-    block = np.zeros((level0_policies(params)[player].feature_dim, total + 1))
+    block = np.zeros((prior.feature_dim, total + 1))
     real = block[:, :total]  # the episodes' columns; the pads' stays zero
 
     def decide(mem):
@@ -881,21 +870,24 @@ def _lockstep_decider(params: GridParams, player: str, groups: tuple,
 
 
 def _lockstep(params: GridParams, horizon: int, matches: Sequence[Match],
-              groups: Mapping[str, tuple]) -> list[dict[str, np.ndarray]]:
+              ) -> list[dict[str, np.ndarray]]:
     """The rewards of `simulate`'s `horizon`-step episodes for each match,
-    all played side by side, as `NativeBattle.play` gives them from each
-    player's `_groups`.  Each match in turn draws from its rng the uniforms
+    all played side by side, where `_kind` finds every policy its player's
+    prior or a greedy network; each player decides by its
+    `_lockstep_decider`.  Each match in turn draws from its rng the uniforms
     `simulate` would draw, `1 + horizon` per episode: row e of its loads is
     episode e's, column 0 the first load and column t the load of step t.
     Every value is an array with one entry per episode of every match,
-    computed by `simulate`'s functions where their arithmetic is
+    computed by the net's node functions (`_loaded_state`, `_attacker_taps`,
+    the observations and the memory records) where their arithmetic is
     elementwise, the rewards' too, and by their twins where a branch is not."""
     loads = np.concatenate([rng.random((episodes, horizon + 1))
                             for _, episodes, rng in matches])
     ends = list(accumulate(episodes for _, episodes, _ in matches))
     episodes = ends[-1]
-    deciders = {player: _lockstep_decider(params, player, grouped, episodes)
-                for player, grouped in groups.items()}
+    deciders = {player: _lockstep_decider(
+        params, player, [policies[player] for policies, _, _ in matches], ends)
+        for player in (DEFENDER, ATTACKER)}
     levels = np.array(attacker_levels(params))
     d_action = np.full(episodes, params.defender_start_action)
     a_action = np.full(episodes, params.attacker_start_action)

@@ -23,10 +23,9 @@ from gridgame.experiment import (SWEEP_COLUMNS, TRACE_COLUMNS,
                                  ExperimentConfig, cell_grid, cell_rng,
                                  config_from_dict, config_to_dict, load_config,
                                  load_policy, player_train_configs,
-                                 policy_filename, resolve_pairing,
-                                 resolve_policy, run_eval, run_sweep, run_trace,
-                                 run_train, save_policy, worker_count,
-                                 write_csv)
+                                 policy_filename, resolve_policy, run_eval,
+                                 run_sweep, run_trace, run_train, save_policy,
+                                 worker_count, write_csv)
 from gridgame.levelk import QPolicy, TrainConfig, build_hierarchy, evaluate
 from gridgame.neural import NetworkSpec, init
 from gridgame.scenario import (ATTACKER, ATTACKER_ACTIONS, DEFENDER,
@@ -885,7 +884,10 @@ def test_sweep_and_eval_write_the_bytes_of_evaluate_on_the_net(tmp_path):
     game = as_netform(cell_grid(config, q3), config.horizon)
 
     def reference(tag, d_level, a_level):
-        policies = resolve_pairing(config, tmp_path, d_level, a_level, q3, seed)
+        policies = {DEFENDER: resolve_policy(config, tmp_path, DEFENDER, d_level,
+                                             q3, seed),
+                    ATTACKER: resolve_policy(config, tmp_path, ATTACKER, a_level,
+                                             q3, seed)}
         rng = cell_rng(seed, tag, experiment._q3_key(q3), d_level, a_level)
         return evaluate(game, policies, config.eval_episodes, rng)
 
@@ -1642,10 +1644,9 @@ def test_sweep_plays_blocks_of_at_most_play_block_episodes(tmp_path,
     run_train(config, tmp_path, jobs=1)
     lockstep, cell_rng = scenario._lockstep, experiment.cell_rng
     played, rngs = [], []
-    monkeypatch.setattr(scenario, "_lockstep", lambda params, horizon, matches,
-                        groups: (
+    monkeypatch.setattr(scenario, "_lockstep", lambda params, horizon, matches: (
         played.append(sum(episodes for _, episodes, _ in matches)),
-        lockstep(params, horizon, matches, groups))[1])
+        lockstep(params, horizon, matches))[1])
     monkeypatch.setattr(experiment, "cell_rng", lambda *args: (
         rngs.append(cell_rng(*args)), rngs[-1])[1])
     outputs = {}

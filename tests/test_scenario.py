@@ -928,7 +928,7 @@ def test_play_sends_a_training_call_to_simulate_without_grouping(monkeypatch,
 
     def refuse(*args):
         raise AssertionError("a training call built the lockstep's groups")
-    monkeypatch.setattr(scenario, "_groups", refuse)
+    monkeypatch.setattr(scenario, "_lockstep_decider", refuse)
     monkeypatch.setattr(scenario, "simulate", lambda *args: (
         calls.append(args), simulate(*args))[1])
     played = NativeBattle(P, 9).play([(play_policies, 2, play_rng)])[0]
