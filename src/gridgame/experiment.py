@@ -484,8 +484,9 @@ def run_train(config: ExperimentConfig, out_dir: Path,
     """Build level hierarchies for every (q3_max, seed) cell on `jobs`
     workers (see `worker_count`) and persist every trained policy.  Returns
     (written policy files, per-cell failures); failures do not stop the
-    remaining cells.  manifest.json lists the cells finished so far.
-    """
+    remaining cells.  manifest.json, written once as the cells end (done,
+    raised, a worker dead or interrupted), lists the cells finished; an
+    earlier run's is removed first, so a run killed outright leaves none."""
     cells = [(q3, s) for q3 in _selected(config.q3max_values, q3_max, "--q3max")
              for s in _selected(config.seeds, seed, "--seed")]
     workers = worker_count(jobs, len(cells))
@@ -495,18 +496,16 @@ def run_train(config: ExperimentConfig, out_dir: Path,
     manifest = {"format_version": MANIFEST_VERSION,
                 "config": config_to_dict(config),
                 "policies": written, "failures": failures}
-
-    def write_manifest():
-        _atomic_write_text(out_dir / "manifest.json",
-                           json.dumps(manifest, sort_keys=True, indent=1))
-
-    write_manifest()
-    with _in_order(_train_cell, config, out_dir, cells, workers) as results:
-        for names, failure in results:
-            written += names
-            if failure is not None:
-                failures.append(failure)
-            write_manifest()
+    path = out_dir / "manifest.json"
+    path.unlink(missing_ok=True)
+    try:
+        with _in_order(_train_cell, config, out_dir, cells, workers) as results:
+            for names, failure in results:
+                written += names
+                if failure is not None:
+                    failures.append(failure)
+    finally:
+        _atomic_write_text(path, json.dumps(manifest, sort_keys=True, indent=1))
     return written, failures
 
 

@@ -1523,6 +1523,10 @@ def test_cli_fails_with_an_error_line_when_a_worker_dies(tmp_path, command,
                            "q3_max=1.2 seed=1 ended without its result\n")
     assert proc.stdout == "no child is left\n"
     assert not (out / "sweep.csv").exists()
+    if command == "train":  # the policies of the cell before the dead one
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["policies"] == [policy_filename(DEFENDER, 1, 0.7, 1),
+                                        policy_filename(ATTACKER, 1, 0.7, 1)]
 
 
 def test_cli_jobs_1_and_2_write_identical_bytes(tmp_path, capsys):
@@ -1539,6 +1543,64 @@ def test_cli_jobs_1_and_2_write_identical_bytes(tmp_path, capsys):
     assert outputs["1"] == outputs["2"]
     printed = capsys.readouterr().out.splitlines()
     assert [line.replace("jobs2", "jobs1") for line in printed[2:]] == printed[:2]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_train_writes_its_manifest_once_per_call(tmp_path, monkeypatch, jobs):
+    """Replacing an existing file costs a disk flush, so the manifest is
+    written once, when the cells end, not once per cell."""
+    config = config_from_dict(TWO_CELLS)
+    real = experiment._atomic_write_text
+    manifests = []
+
+    def spy(path, text):
+        if path.name == "manifest.json":
+            manifests.append(json.loads(text))
+        real(path, text)
+
+    monkeypatch.setattr(experiment, "_atomic_write_text", spy)
+    for calls in (1, 2):  # the second call writes over the first's outputs
+        written, _ = run_train(config, tmp_path, jobs=jobs)
+        assert len(manifests) == calls
+        assert manifests[-1]["policies"] == written and len(written) == 4
+    assert_no_child_left()
+
+
+def test_train_removes_an_earlier_manifest_before_its_first_cell(
+        tmp_path, monkeypatch):
+    config = config_from_dict(TWO_CELLS)
+    (tmp_path / "manifest.json").write_text("junk")
+    real = experiment._train_cell
+    seen = []
+
+    def watched(config, out_dir, cell):
+        seen.append((out_dir / "manifest.json").exists())
+        return real(config, out_dir, cell)
+
+    monkeypatch.setattr(experiment, "_train_cell", watched)
+    written, _ = run_train(config, tmp_path, jobs=1)
+    assert seen == [False, False]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["policies"] == written and len(written) == 4
+
+
+def test_train_interrupted_leaves_a_manifest_of_the_cells_finished(
+        tmp_path, monkeypatch):
+    config = config_from_dict(TWO_CELLS)
+    real = experiment._train_cell
+
+    def interrupted(config, out_dir, cell):
+        if cell[0] == 1.2:
+            raise KeyboardInterrupt
+        return real(config, out_dir, cell)
+
+    monkeypatch.setattr(experiment, "_train_cell", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_train(config, tmp_path, jobs=1)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["policies"] == [policy_filename(DEFENDER, 1, 0.7, 1),
+                                    policy_filename(ATTACKER, 1, 0.7, 1)]
+    assert manifest["failures"] == []
 
 
 def _compensated_sum(iterable, /, start=0):
@@ -1675,3 +1737,9 @@ def test_cli_nonpositive_jobs_refused_before_anything_is_written(
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"jobs must be >= 1, got {jobs}" in err
     assert not out.exists()
+    out.mkdir()  # an earlier run's manifest is left as it was
+    (out / "manifest.json").write_bytes(b'{"earlier": "run"}')
+    assert main([command, "--config", str(config_path), "--out", str(out),
+                 "--jobs", jobs]) == 1
+    assert (out / "manifest.json").read_bytes() == b'{"earlier": "run"}'
+    assert [path.name for path in out.iterdir()] == ["manifest.json"]

@@ -77,3 +77,38 @@ def test_unread_private_names_are_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_module_reads_every_private_name_it_binds(path):
     assert _unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+def _os_replace_calls(source: str) -> list[str]:
+    """The name of the function around each `os.replace(...)` call in the
+    module `source`, in source order; "<module>" for a call outside any."""
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and ast.unparse(child.func) == "os.replace":
+                calls.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return calls
+
+
+def test_os_replace_calls_are_found():
+    source = ("import os\nos.replace('a', 'b')\n"
+              "def f(x, y):\n    def g():\n        os.replace(x, y)\n"
+              "    x.replace('a', 'b')\n    return os.path.replace\n"
+              "class C:\n    async def h(self):\n        os.replace(1, 2)\n")
+    assert _os_replace_calls(source) == ["<module>", "g", "h"]
+
+
+def test_only_atomic_write_text_replaces_a_file():
+    """Every output is renamed into place by `experiment._atomic_write_text`,
+    so each is whole or absent whatever ends the run that writes it."""
+    calls = {path.name: _os_replace_calls(path.read_text(encoding="utf-8"))
+             for path in SOURCES}
+    assert {name: where for name, where in calls.items() if where} == {
+        "experiment.py": ["_atomic_write_text"]}
